@@ -28,7 +28,10 @@ from algebroid.algebroids import (
     tangent_algebroid,
 )
 from algebroid.cohomology import (
+    COMPLEXES,
+    DEFAULT_MAX_BASIS,
     TruncationSpec,
+    _validate_support,
     check_lp_ce_agreement,
     compute_cohomology,
 )
@@ -125,8 +128,11 @@ def _emit(report, args) -> None:
     else:
         text = "\n".join(_render_text(normalized)) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -194,6 +200,8 @@ def _parse_index_list(text, what):
                 out.append(int(piece))
             except ValueError:
                 raise UsageError(f"bad {what} entry {piece!r}") from None
+    if out and min(out) < 0:
+        raise UsageError(f"negative {what} entry {min(out)}")
     return tuple(sorted(set(out)))
 
 
@@ -443,9 +451,13 @@ def _cmd_sigma(args, document, report):
     return True
 
 
-def _truncation(args, document):
-    support = _model_support(document, args)
-    return TruncationSpec(support=support, degree=args.degree)
+def _truncation(args, document, complex_name, w):
+    spec = TruncationSpec(support=_model_support(document, args), degree=args.degree)
+    try:
+        _validate_support(complex_name, w, spec)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return spec
 
 
 def _table_payload(table):
@@ -463,15 +475,10 @@ def _cmd_cohomology(args, document, report):
     w = None
     if args.complex in ("lp", "ce-cotangent"):
         w = _require_symplectic(document)
-    spec = _truncation(args, document)
+    spec = _truncation(args, document, args.complex, w)
     grades = _parse_index_list(args.grades, "grades")
     result = compute_cohomology(
-        args.complex,
-        w,
-        spec,
-        grades,
-        max_basis=args.max_basis,
-        threads=args.threads,
+        args.complex, w, spec, grades, max_basis=args.max_basis
     )
     report["options"] = {
         "complex": args.complex,
@@ -487,16 +494,11 @@ def _cmd_cohomology(args, document, report):
 
 def _cmd_theorem_check(args, document, report):
     w = _require_symplectic(document)
-    spec = _truncation(args, document)
+    # ce-cotangent needs the same support closure as lp
+    spec = _truncation(args, document, "lp", w)
     grades = _parse_index_list(args.grades, "grades")
     result = check_lp_ce_agreement(
-        w,
-        spec,
-        grades,
-        args.trials,
-        args.seed,
-        max_basis=args.max_basis,
-        threads=args.threads,
+        w, spec, grades, args.trials, args.seed, max_basis=args.max_basis
     )
     report["options"] = {
         "support": list(spec.support),
@@ -604,14 +606,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("cohomology", help="truncated cohomology table")
     _add_common(sub)
-    sub.add_argument(
-        "--complex", choices=("lp", "ce-tangent", "ce-cotangent"), required=True
-    )
+    sub.add_argument("--complex", choices=COMPLEXES, required=True)
     sub.add_argument("--support", required=True)
     sub.add_argument("--degree", type=int, required=True)
     sub.add_argument("--grades", default="0..2")
-    sub.add_argument("--max-basis", type=int, default=20000)
-    sub.add_argument("--threads", type=int, default=None)
+    sub.add_argument("--max-basis", type=int, default=DEFAULT_MAX_BASIS)
 
     sub = commands.add_parser(
         "theorem-check", help="contravariant vs Chevalley-Eilenberg agreement"
@@ -621,16 +620,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--degree", type=int, required=True)
     sub.add_argument("--grades", default="0..2")
     sub.add_argument("--trials", type=int, default=25)
-    sub.add_argument("--max-basis", type=int, default=20000)
-    sub.add_argument("--threads", type=int, default=None)
+    sub.add_argument("--max-basis", type=int, default=DEFAULT_MAX_BASIS)
 
     return parser
 
 
+# Integer options that count something; a negative value is a usage error.
+_COUNT_OPTIONS = ("degree", "trials", "sections", "functions", "max_basis")
+
+
+def _check_counts(args) -> None:
+    for name in _COUNT_OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be nonnegative, got {value}")
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     started = time.monotonic()
+    _check_counts(args)
     try:
         document, digest = _load(args)
     except DslError as exc:
@@ -650,16 +668,10 @@ def run(argv=None) -> int:
         }
         _emit(report, args)
         return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     report = _base_report(args, digest)
     try:
         passed = _HANDLERS[args.command](args, document, report)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TruncationTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,8 +26,6 @@ Three complexes are supported:
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -146,7 +144,7 @@ def _image_support(blade, mono, w, complex_name):
     return w.closure(touched)
 
 
-def _assemble_matrix(complex_name, w, spec, grade, degree, threads=None, permute=None):
+def _assemble_matrix(complex_name, w, spec, grade, degree, permute=None):
     """Rows of the differential matrix from grade/degree, plus the domain size.
 
     Rows are indexed by (target blade, target monomial) pairs encountered in
@@ -159,16 +157,7 @@ def _assemble_matrix(complex_name, w, spec, grade, degree, threads=None, permute
     if permute is not None:
         permute.shuffle(domain)
     image = _differential(complex_name, w)
-
-    def column(item):
-        blade, mono = item
-        return image(grade, blade, mono)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            images = list(pool.map(column, domain))
-    else:
-        images = [column(item) for item in domain]
+    images = [image(grade, blade, mono) for blade, mono in domain]
 
     row_index = {}
     entries = []
@@ -212,7 +201,6 @@ def compute_cohomology(
     spec: TruncationSpec,
     grades,
     max_basis: int = DEFAULT_MAX_BASIS,
-    threads: int = None,
     _permute=None,
 ) -> CohomologyReport:
     """Cocycle, coboundary, and quotient dimensions per requested grade."""
@@ -220,8 +208,6 @@ def compute_cohomology(
     grades = sorted(set(grades))
     if any(g < 0 for g in grades):
         raise ValueError("grades are nonnegative")
-    if threads is None:
-        threads = int(os.environ.get("ALGEBROID_THREADS", "1") or "1")
 
     out = {}
     sizes = {}
@@ -232,7 +218,7 @@ def compute_cohomology(
         if key not in rank_cache:
             _guard_basis(spec, grade, degree, max_basis)
             rows, ncols = _assemble_matrix(
-                complex_name, w, spec, grade, degree, threads=threads, permute=_permute
+                complex_name, w, spec, grade, degree, permute=_permute
             )
             rank_cache[key] = (linalg.rank(rows, ncols) if ncols else 0, ncols)
         return rank_cache[key]
@@ -334,7 +320,6 @@ def check_lp_ce_agreement(
     trials: int,
     seed: int,
     max_basis: int = DEFAULT_MAX_BASIS,
-    threads: int = None,
 ) -> AgreementReport:
     """Check that the contravariant differential is the Chevalley-Eilenberg
     differential of the cotangent structure, then compare the two truncated
@@ -360,8 +345,8 @@ def check_lp_ce_agreement(
             rhs = contravariant_differential(w, field).evaluate(*args)
             if lhs != rhs:
                 mismatches.append((grade, field, args, lhs - rhs))
-    lp = compute_cohomology("lp", w, spec, grades, max_basis, threads)
-    ce = compute_cohomology("ce-cotangent", w, spec, grades, max_basis, threads)
+    lp = compute_cohomology("lp", w, spec, grades, max_basis)
+    ce = compute_cohomology("ce-cotangent", w, spec, grades, max_basis)
     tables_equal = lp.table() == ce.table()
     return AgreementReport(
         seed=seed,

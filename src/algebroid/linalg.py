@@ -1,10 +1,8 @@
 """Exact linear algebra over the rationals and over polynomial entries.
 
-Ranks, kernels, and row-span tests are computed by fraction-free Bareiss
-elimination.  The compiled kernel (``algebroid._bareiss``) is used when it
-imported successfully; otherwise the pure-Python twin takes over.  Set
-``ALGEBROID_PURE_PYTHON=1`` to force the fallback.  Both backends produce
-bit-identical results, so nothing downstream depends on the choice.
+Ranks, kernels, and row-span tests are computed by one-step fraction-free
+Bareiss elimination (Bareiss 1968), in pure Python on arbitrary-precision
+integers, so every result is exact.
 
 Matrices are lists of rows; callers pass the column count explicitly so
 empty matrices keep their shape.  Rational input rows are scaled by the
@@ -14,25 +12,54 @@ the row space and the kernel exactly.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd, lcm
 
-if os.environ.get("ALGEBROID_PURE_PYTHON") == "1":
-    from algebroid._pylinalg import row_echelon as _row_echelon
-
-    BACKEND = "pure-python"
-else:
-    try:
-        from algebroid._bareiss import row_echelon as _row_echelon
-
-        BACKEND = "compiled"
-    except ImportError:
-        from algebroid._pylinalg import row_echelon as _row_echelon
-
-        BACKEND = "pure-python"
-
 from algebroid.poly import Poly
+
+# The only elimination path; benchmark results record it to compare like with like.
+BACKEND = "pure-python"
+
+
+def _row_echelon(rows, ncols):
+    """Reduce ``rows`` (lists of ints, mutated in place) to row echelon form.
+
+    One-step Bareiss: after processing pivot column c with pivot p, every
+    remaining entry is updated to (p*a - head*b) // prev, where prev is the
+    previous pivot (1 initially); all divisions are exact.  Pivots are chosen
+    as the first nonzero entry scanning down each column, so the result is
+    deterministic.
+
+    Returns (rank, pivot_columns).
+    """
+    nrows = len(rows)
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot_row = -1
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row < 0:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        piv = rows[r][c]
+        row_r = rows[r]
+        for i in range(r + 1, nrows):
+            row_i = rows[i]
+            head = row_i[c]
+            for j in range(c + 1, ncols):
+                row_i[j] = (piv * row_i[j] - head * row_r[j]) // prev
+            row_i[c] = 0
+        prev = piv
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return r, pivots
 
 
 def _to_integer_rows(rows, ncols):
@@ -97,14 +124,6 @@ def nullspace(rows, ncols):
 def row_space_contains(rows, vector, ncols) -> bool:
     base = rank(rows, ncols)
     return rank(list(rows) + [list(vector)], ncols) == base
-
-
-def row_spaces_equal(rows_a, rows_b, ncols) -> bool:
-    ra = rank(rows_a, ncols)
-    rb = rank(rows_b, ncols)
-    if ra != rb:
-        return False
-    return rank(list(rows_a) + [list(r) for r in rows_b], ncols) == ra
 
 
 # -- elimination over polynomial entries -----------------------------------

@@ -360,6 +360,58 @@ class TestUsageErrors:
         assert code == 2
         assert "basis" in err
 
+    @pytest.mark.parametrize(
+        "command,fixture,extra,reason",
+        [
+            ("cohomology", "std_small.adsl",
+             ("--complex", "lp", "--support", "0..1", "--degree", "-1"), "--degree"),
+            ("cohomology", "std_small.adsl",
+             ("--complex", "lp", "--support", "0..1", "--degree", "2", "--grades=-1"),
+             "negative grades"),
+            ("cohomology", "std_basic.adsl",
+             ("--complex", "lp", "--support", "0..2", "--degree", "1"), "closed under"),
+            ("theorem-check", "std_basic.adsl", ("--support", "0..2", "--degree", "1"),
+             "closed under"),
+            ("theorem-check", "std_small.adsl",
+             ("--support", "0..1", "--degree", "1", "--trials", "-1"), "--trials"),
+            ("theorem-check", "std_small.adsl",
+             ("--support", "0..1", "--degree", "1", "--max-basis", "-5"), "--max-basis"),
+            ("check-axioms", "tangent_sections.adsl",
+             ("--structure", "tangent", "--sections", "-2", "--degree", "-1"), "must be"),
+            ("check-axioms", "tangent_sections.adsl",
+             ("--structure", "tangent", "--functions", "-1"), "--functions"),
+            ("check-courant", "courant_sections.adsl", ("--sections", "-1"), "--sections"),
+            ("check-dirac", "dirac_std.adsl", ("--degree", "-1"), "--degree"),
+            ("check-dirac", "dirac_std.adsl", ("--support=-1..3",), "negative support"),
+        ],
+    )
+    def test_bad_argument_values_exit_two(self, capsys, command, fixture, extra, reason):
+        code, out, err = run_cli(
+            capsys, command, "--input", str(fixture_path(fixture)), *extra
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert reason in err
+
+    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(
+            capsys,
+            "d",
+            "--input",
+            str(fixture_path("std_basic.adsl")),
+            "--target",
+            "f",
+            "--output",
+            str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}")
+        assert err.count("\n") == 1
+
     def test_bad_arguments_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.run(["cohomology", "--input", "x.adsl"])  # missing required flags
@@ -428,3 +480,19 @@ class TestConsoleScript:
         )
         assert script.stdout == module.stdout
         assert script.returncode == module.returncode == 0
+
+
+class TestImportFootprint:
+    def test_cli_import_starts_no_pool_and_has_one_elimination_path(self):
+        code = (
+            "import sys; import algebroid.cli; from algebroid import linalg; "
+            "print('concurrent.futures' in sys.modules, linalg.BACKEND)"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            check=True,
+        )
+        assert completed.stdout.split() == ["False", "pure-python"]

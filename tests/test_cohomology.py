@@ -288,7 +288,7 @@ class TestAgreement:
     def test_lp_ce_agreement_passes(self):
         report = check_lp_ce_agreement(
             STD, TruncationSpec((0, 1), 3), [0, 1, 2], trials=4, seed=77,
-            max_basis=20000, threads=None,
+            max_basis=20000,
         )
         assert report.passed
         assert report.tables_equal
