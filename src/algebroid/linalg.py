@@ -1,8 +1,15 @@
 """Exact linear algebra over the rationals and over polynomial entries.
 
-Ranks, kernels, and row-span tests are computed by one-step fraction-free
-Bareiss elimination (Bareiss 1968), in pure Python on arbitrary-precision
-integers, so every result is exact.
+Ranks, kernels, and row-span tests of rational matrices are computed block
+by block.  Columns that share a nonzero row are joined by union-find over
+the row supports; each connected block is reduced on its own columns by
+one-step fraction-free Bareiss elimination (Bareiss 1968), in pure Python
+on arbitrary-precision integers, so every result is exact.  Ranks add up
+over blocks and kernel vectors vanish outside their block, so the results
+equal those of eliminating the whole matrix; a dense matrix is one block.
+The cochain differentials hold about two nonzeros per row and split into
+blocks of a few columns, so elimination cost follows the largest block,
+not the size of the matrix.
 
 Matrices are lists of rows; callers pass the column count explicitly so
 empty matrices keep their shape.  Rational input rows are scaled by the
@@ -13,7 +20,7 @@ the row space and the kernel exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from algebroid.poly import Poly
 
@@ -62,63 +69,139 @@ def _row_echelon(rows, ncols):
     return r, pivots
 
 
-def _to_integer_rows(rows, ncols):
-    out = []
+def _blocks(rows, ncols):
+    """Split a rational matrix into its connected blocks.
+
+    Zero entries are dropped from each row, and the row is scaled by the lcm
+    of its denominators.  Columns that share a row are joined (union-find
+    over row supports), so no row has entries in two blocks.  Returns a list
+    of (columns, integer_rows): the block's columns in ascending order, and
+    its rows as dense integer lists over those columns, in input order.
+    Blocks come in the order of their first column; all-zero columns belong
+    to no block.
+    """
+    parent = list(range(ncols))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    sparse = []
+    used = [False] * ncols
     for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
+        entries = [(j, value) for j, value in enumerate(row) if value]
+        if not entries:
+            continue
         scale = 1
-        for value in row:
+        root = find(entries[0][0])
+        for j, value in entries:
+            used[j] = True
             if isinstance(value, Fraction):
                 scale = lcm(scale, value.denominator)
-        out.append([int(value * scale) for value in row])
+            other = find(j)
+            if other != root:
+                parent[other] = root
+        sparse.append([(j, int(value * scale)) for j, value in entries])
+
+    columns = {}  # root -> columns in ascending order, keyed in first-column order
+    for j in range(ncols):
+        if used[j]:
+            columns.setdefault(find(j), []).append(j)
+    block_rows = {root: [] for root in columns}
+    for row in sparse:
+        block_rows[find(row[0][0])].append(row)
+    out = []
+    for root, cols in columns.items():
+        local = {j: position for position, j in enumerate(cols)}
+        dense = []
+        for row in block_rows[root]:
+            values = [0] * len(cols)
+            for j, value in row:
+                values[local[j]] = value
+            dense.append(values)
+        out.append((cols, dense))
     return out
 
 
 def echelon(rows, ncols):
-    """Echelon form of a rational matrix: (rank, pivot_columns, integer_rows)."""
-    work = _to_integer_rows(rows, ncols)
-    rank_, pivots = _row_echelon(work, ncols)
-    return rank_, pivots, work
+    """Rank and pivot columns of a rational matrix, block by block.
+
+    A column is a pivot when it is not in the span of the columns before it;
+    that does not depend on row order, so the blocks' pivots, merged in
+    column order, are the pivots of the whole matrix.
+    """
+    rank_ = 0
+    pivots = []
+    for columns, block in _blocks(rows, ncols):
+        block_rank, block_pivots = _row_echelon(block, len(columns))
+        rank_ += block_rank
+        pivots.extend(columns[c] for c in block_pivots)
+    pivots.sort()
+    return rank_, pivots
 
 
 def rank(rows, ncols) -> int:
     return echelon(rows, ncols)[0]
 
 
-def nullspace(rows, ncols):
-    """Integer kernel basis, one vector per free column, in column order.
+def _block_kernel(block, width):
+    """(free column, kernel vector) pairs of one integer block, in column order.
 
-    Each vector is scaled to integer entries with content 1 and a positive
-    coordinate at its free column, so the basis is canonical.
+    The vector for free column f is the kernel vector that is 1 at f and 0
+    at the other free columns, scaled by the lcm of its denominators.  Its
+    content is then 1: a prime dividing every entry divides the entry at f,
+    which is the lcm, and so leaves the coordinate whose denominator holds
+    that prime's full power with an integer prime to it.
     """
-    rank_, pivots, work = echelon(rows, ncols)
+    rank_, pivots = _row_echelon(block, width)
     pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
+    out = []
+    for free in range(width):
         if free in pivot_set:
             continue
-        x = [Fraction(0)] * ncols
+        x = [Fraction(0)] * width
         x[free] = Fraction(1)
         for t in reversed(range(rank_)):
             col = pivots[t]
-            row = work[t]
+            row = block[t]
             acc = Fraction(0)
-            for j in range(col + 1, ncols):
+            for j in range(col + 1, width):
                 if x[j]:
                     acc += row[j] * x[j]
             x[col] = -acc / row[col]
         scale = 1
         for value in x:
             scale = lcm(scale, value.denominator)
-        ints = [int(value * scale) for value in x]
-        content = 0
-        for value in ints:
-            content = gcd(content, value)
-        if content > 1:
-            ints = [value // content for value in ints]
-        basis.append(tuple(ints))
-    return basis
+        out.append((free, [int(value * scale) for value in x]))
+    return out
+
+
+def nullspace(rows, ncols):
+    """Integer kernel basis, one vector per free column, in column order.
+
+    Each vector is scaled to integer entries with content 1 and a positive
+    coordinate at its free column, so the basis is canonical.  It is solved
+    inside the block of its free column and is zero outside it; an all-zero
+    column gets its unit vector.
+    """
+    basis = {}
+    in_block = [False] * ncols
+    for columns, block in _blocks(rows, ncols):
+        for j in columns:
+            in_block[j] = True
+        for free, values in _block_kernel(block, len(columns)):
+            vector = [0] * ncols
+            for j, value in zip(columns, values):
+                vector[j] = value
+            basis[columns[free]] = tuple(vector)
+    for j in range(ncols):
+        if not in_block[j]:
+            basis[j] = tuple(int(i == j) for i in range(ncols))
+    return [basis[j] for j in sorted(basis)]
 
 
 def row_space_contains(rows, vector, ncols) -> bool:

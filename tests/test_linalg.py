@@ -5,8 +5,12 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from algebroid import linalg
+from algebroid.cohomology import TruncationSpec, compute_cohomology
 from algebroid.poly import Poly
+from algebroid.symplectic import ConstantSymplectic
 
 
 def frac_matvec(rows, vec):
@@ -156,6 +160,24 @@ def reference_pivots(matrix, ncols):
     return [j for j in range(ncols) if ranks[j + 1] > ranks[j]]
 
 
+def assert_canonical_kernel(rows, ncols, pivots):
+    """For each free column f (a column not in ``pivots``, the reference
+    pivots), the kernel holds exactly one vector that is zero at the other
+    free columns and 1 at f; the canonical basis is that vector scaled to
+    coprime integers."""
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = linalg.nullspace(rows, ncols)
+    assert len(basis) == len(free)
+    for f, vec in zip(free, basis):
+        assert all(v == 0 for v in frac_matvec(rows, vec))
+        assert vec[f] > 0
+        assert all(vec[g] == 0 for g in free if g != f)
+        content = 0
+        for v in vec:
+            content = gcd(content, v)
+        assert content == 1
+
+
 def random_matrices(seed, count, bound=10**40):
     """Seeded sparse, dense and low-rank integer matrices with huge entries."""
     rng = random.Random(seed)
@@ -182,26 +204,41 @@ def random_matrices(seed, count, bound=10**40):
 class TestReferenceBareiss:
     def test_rank_and_pivots_match_reference(self):
         for rows, ncols in random_matrices(41, 150):
-            rank_, pivots, _ = linalg.echelon(rows, ncols)
+            rank_, pivots = linalg.echelon(rows, ncols)
             assert rank_ == linalg.rank(rows, ncols) == reference_rank(rows, ncols)
             assert pivots == reference_pivots(rows, ncols)
 
     def test_nullspace_is_the_canonical_kernel(self):
-        # For each free column f, the kernel holds exactly one vector that is
-        # zero at the other free columns and 1 at f; the canonical basis is
-        # that vector scaled to coprime integers.
         for rows, ncols in random_matrices(43, 150):
-            free = [j for j in range(ncols) if j not in reference_pivots(rows, ncols)]
-            basis = linalg.nullspace(rows, ncols)
-            assert len(basis) == len(free) == ncols - reference_rank(rows, ncols)
-            for f, vec in zip(free, basis):
-                assert all(v == 0 for v in frac_matvec(rows, vec))
-                assert vec[f] > 0
-                assert all(vec[g] == 0 for g in free if g != f)
-                content = 0
-                for v in vec:
-                    content = gcd(content, v)
-                assert content == 1
+            assert_canonical_kernel(rows, ncols, reference_pivots(rows, ncols))
+
+    def test_block_structured_matches_reference(self):
+        # Direct sums of 1-4 blocks drawn from the generator above, padded
+        # with all-zero rows and columns, then rows and columns permuted.
+        rng = random.Random(47)
+        source = random_matrices(53, 400)
+        for _ in range(100):
+            pieces = [next(source) for _ in range(rng.randint(1, 4))]
+            nrows = sum(len(rows) for rows, _ in pieces) + rng.randint(0, 2)
+            ncols = sum(width for _, width in pieces) + rng.randint(0, 2)
+            matrix = [[0] * ncols for _ in range(nrows)]
+            r = c = 0
+            for rows, width in pieces:
+                for i, row in enumerate(rows):
+                    matrix[r + i][c:c + width] = row
+                r += len(rows)
+                c += width
+            row_order = rng.sample(range(nrows), nrows)
+            col_order = rng.sample(range(ncols), ncols)
+            matrix = [[matrix[i][j] for j in col_order] for i in row_order]
+
+            rank_, pivots = linalg.echelon(matrix, ncols)
+            want = reference_rank(matrix, ncols)
+            assert rank_ == linalg.rank(matrix, ncols) == want
+            assert want == sum(reference_rank(rows, width) for rows, width in pieces)
+            want_pivots = reference_pivots(matrix, ncols)
+            assert pivots == want_pivots
+            assert_canonical_kernel(matrix, ncols, want_pivots)
 
     def test_huge_entries_stay_exact(self):
         # arbitrary-precision integers pass through elimination exactly
@@ -210,3 +247,29 @@ class TestReferenceBareiss:
         assert linalg.rank(rows, 2) == 2
         basis = linalg.nullspace([[big, -(big * big)]], 2)
         assert basis == [(big, 1)]
+
+
+class TestBlockSplit:
+    def test_cohomology_never_eliminates_a_dense_matrix(self, monkeypatch):
+        # The lp differentials at support 0..3, degree <= 5 split into blocks
+        # of at most 6 columns; a wider call means the split was bypassed.
+        widths = []
+        kernel = linalg._row_echelon
+
+        def recording(rows, ncols):
+            widths.append(ncols)
+            return kernel(rows, ncols)
+
+        monkeypatch.setattr(linalg, "_row_echelon", recording)
+        report = compute_cohomology(
+            "lp", ConstantSymplectic.standard(), TruncationSpec(range(4), 4), [0, 1, 2]
+        )
+        assert report.table() == {0: (1, 0, 1), 1: (125, 125, 0), 2: (295, 295, 0)}
+        assert widths and max(widths) <= 6
+
+    @pytest.mark.parametrize("function", [linalg.rank, linalg.nullspace])
+    def test_ragged_matrix_raises(self, function):
+        with pytest.raises(ValueError, match="ragged"):
+            function([[1, 0, 2], [0, 1]], 3)
+        with pytest.raises(ValueError, match="ragged"):
+            function([[0, 0], [1, 2]], 3)
