@@ -293,18 +293,9 @@ def _dirac_structure(args, document):
     raise UsageError("check-dirac needs a symplectic declaration or --target")
 
 
-def _default_dirac_support(structure):
-    form = structure.form
-    if isinstance(form, KForm):
-        return tuple(sorted(form.support()))
-    if form.kind == "standard":
-        return (0, 1, 2, 3)
-    return form.block
-
-
 def _cmd_check_dirac(args, document, report):
     structure = _dirac_structure(args, document)
-    support = _model_support(document, args, default=_default_dirac_support(structure))
+    support = _model_support(document, args, default=structure.default_support())
     result = check_dirac(
         structure, args.trials, args.seed, support=support, degree=args.degree
     )

@@ -220,7 +220,7 @@ def compute_cohomology(
             rows, ncols = _assemble_matrix(
                 complex_name, w, spec, grade, degree, permute=_permute
             )
-            rank_cache[key] = (linalg.rank(rows, ncols) if ncols else 0, ncols)
+            rank_cache[key] = (linalg.rank(rows, ncols), ncols)
         return rank_cache[key]
 
     for grade in grades:
@@ -255,13 +255,8 @@ def casimir_space(w: ConstantSymplectic, spec: TruncationSpec, max_basis: int = 
     _guard_basis(spec, 0, spec.degree, max_basis)
     monos = monomials_up_to(spec.support, spec.degree)
     rows, ncols = _assemble_matrix("lp", w, spec, 0, spec.degree)
-    kernel = (
-        linalg.nullspace(rows, ncols)
-        if rows
-        else [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
-    )
     basis = []
-    for vector in kernel:
+    for vector in linalg.nullspace(rows, ncols):
         poly = Poly({monos[i]: value for i, value in enumerate(vector) if value})
         basis.append(poly)
     return basis
@@ -284,18 +279,11 @@ def h1_decomposition(
     Cocycles are the degree-bounded fields annihilated by the differential;
     exact fields are differentials of functions one degree higher.
     """
-    _validate_support("lp", w, spec)
-    _guard_basis(spec, 1, spec.degree, max_basis)
-    _guard_basis(spec, 0, spec.degree + 1, max_basis)
-    rows1, ncols1 = _assemble_matrix("lp", w, spec, 1, spec.degree)
-    rank1 = linalg.rank(rows1, ncols1) if ncols1 else 0
-    closed = ncols1 - rank1
-    rows0, ncols0 = _assemble_matrix("lp", w, spec, 0, spec.degree + 1)
-    exact = linalg.rank(rows0, ncols0) if ncols0 else 0
+    dims = compute_cohomology("lp", w, spec, [1], max_basis).grades[1]
     return H1Report(
-        dim_closed_fields=closed,
-        dim_exact_fields=exact,
-        dim_quotient=closed - exact,
+        dim_closed_fields=dims.cocycles,
+        dim_exact_fields=dims.coboundaries,
+        dim_quotient=dims.dim,
         support=spec.support,
         degree=spec.degree,
     )

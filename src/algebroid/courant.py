@@ -293,6 +293,16 @@ class DiracStructure:
             return self.form.block
         return tuple(sorted(set(support) | self.form.support()))
 
+    def default_support(self):
+        """The sampling support of check_dirac when none is given: the
+        form's own support, the first two pairs of the standard structure,
+        or an explicit structure's block."""
+        if isinstance(self.form, ConstantSymplectic):
+            if self.form.kind == "standard":
+                return (0, 1, 2, 3)
+            return self.form.block
+        return tuple(sorted(self.form.support()))
+
     def curvature(self) -> KForm:
         """d of the defining 2-form (zero exactly when the graph is involutive)."""
         if isinstance(self.form, ConstantSymplectic):
@@ -355,12 +365,8 @@ def orthogonal_complement(structure: DiracStructure, support) -> ComplementRepor
         return row[n:] + row[:n]
 
     constraint_rows = [pair_with(row) for row in basis_rows]
-    perp_basis = (
-        linalg.nullspace(constraint_rows, 2 * n)
-        if constraint_rows
-        else [tuple(int(i == j) for j in range(2 * n)) for i in range(2 * n)]
-    )
-    dim_sub = linalg.rank(basis_rows, 2 * n) if basis_rows else 0
+    perp_basis = linalg.nullspace(constraint_rows, 2 * n)
+    dim_sub = linalg.rank(basis_rows, 2 * n)
     dim_perp = len(perp_basis)
 
     isotropic = True
@@ -375,13 +381,11 @@ def orthogonal_complement(structure: DiracStructure, support) -> ComplementRepor
 
     equals = dim_sub == dim_perp and all(
         linalg.row_space_contains(basis_rows, list(vec), 2 * n) for vec in perp_basis
-    ) if basis_rows else dim_perp == 0
+    )
     witness = None
     if not equals:
         for vec in perp_basis:
-            if not basis_rows or not linalg.row_space_contains(
-                basis_rows, list(vec), 2 * n
-            ):
+            if not linalg.row_space_contains(basis_rows, list(vec), 2 * n):
                 vector = KVector(
                     1,
                     {
@@ -437,13 +441,7 @@ def check_dirac(
     """
     sampler = Sampler(seed)
     if support is None:
-        if isinstance(structure.form, ConstantSymplectic):
-            if structure.form.kind == "standard":
-                support = (0, 1, 2, 3)
-            else:
-                support = structure.form.block
-        else:
-            support = tuple(sorted(structure.form.support()))
+        support = structure.default_support()
     support = tuple(sorted(set(support)))
     if not support:
         raise ValueError("check_dirac needs a nonempty sampling support")

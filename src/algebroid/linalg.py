@@ -1,15 +1,17 @@
 """Exact linear algebra over the rationals and over polynomial entries.
 
-Ranks, kernels, and row-span tests of rational matrices are computed block
-by block.  Columns that share a nonzero row are joined by union-find over
-the row supports; each connected block is reduced on its own columns by
-one-step fraction-free Bareiss elimination (Bareiss 1968), in pure Python
-on arbitrary-precision integers, so every result is exact.  Ranks add up
-over blocks and kernel vectors vanish outside their block, so the results
-equal those of eliminating the whole matrix; a dense matrix is one block.
-The cochain differentials hold about two nonzeros per row and split into
-blocks of a few columns, so elimination cost follows the largest block,
-not the size of the matrix.
+One kernel, ``_row_echelon``, eliminates for the whole package: one-step
+fraction-free Bareiss (Bareiss 1968) in pure Python, on arbitrary-precision
+integers or on ``Poly`` entries, so every result is exact.  A rational
+matrix is split into connected blocks first: columns that share a nonzero
+row are joined by union-find over the row supports, and each block is
+reduced on its own columns.  Ranks add up over blocks and kernel vectors
+vanish outside their block, so the results equal those of eliminating the
+whole matrix; a dense matrix is one block.  The cochain differentials hold
+about two nonzeros per row and split into blocks of a few columns, so
+elimination cost follows the largest block, not the size of the matrix.
+A ``Poly`` matrix is reduced whole, so its pivot entries (the caveats of a
+generic rank) are those of the dense matrix.
 
 Matrices are lists of rows; callers pass the column count explicitly so
 empty matrices keep their shape.  Rational input rows are scaled by the
@@ -29,19 +31,22 @@ BACKEND = "pure-python"
 
 
 def _row_echelon(rows, ncols):
-    """Reduce ``rows`` (lists of ints, mutated in place) to row echelon form.
+    """Reduce ``rows`` (lists of ints or of ``Poly``, mutated in place) to
+    row echelon form.
 
     One-step Bareiss: after processing pivot column c with pivot p, every
-    remaining entry is updated to (p*a - head*b) // prev, where prev is the
-    previous pivot (1 initially); all divisions are exact.  Pivots are chosen
-    as the first nonzero entry scanning down each column, so the result is
-    deterministic.
+    entry right of c in a lower row is updated to (p*a - head*b) // prev,
+    where prev is the previous pivot; the first step divides by nothing.
+    All divisions are exact, over the integers and over polynomials alike.
+    Pivots are chosen as the first nonzero entry scanning down each column,
+    so the result is deterministic.  Entries below a pivot are left as they
+    were: nothing reads them again.
 
-    Returns (rank, pivot_columns).
+    Returns (rank, pivot_columns); row t of the result holds pivot t.
     """
     nrows = len(rows)
     pivots = []
-    prev = 1
+    prev = None
     r = 0
     for c in range(ncols):
         pivot_row = -1
@@ -59,8 +64,8 @@ def _row_echelon(rows, ncols):
             row_i = rows[i]
             head = row_i[c]
             for j in range(c + 1, ncols):
-                row_i[j] = (piv * row_i[j] - head * row_r[j]) // prev
-            row_i[c] = 0
+                value = piv * row_i[j] - head * row_r[j]
+                row_i[j] = value if prev is None else value // prev
         prev = piv
         pivots.append(c)
         r += 1
@@ -212,52 +217,15 @@ def row_space_contains(rows, vector, ncols) -> bool:
 # -- elimination over polynomial entries -----------------------------------
 
 
-def echelon_generic(rows, ncols):
-    """Fraction-free Bareiss over ``Poly`` entries.
+def rank_generic(rows, ncols):
+    """(generic rank, pivot entries) of a matrix of ``Poly`` values.
 
-    Returns (rank, pivot_columns, echelon_rows, pivot_entries).  The rank is
-    the rank at the generic point (pivot polynomials are nonzero as
-    polynomials); non-constant pivots are the caller's caveats.
+    The rank is the rank at the generic point (pivot polynomials are nonzero
+    as polynomials); non-constant pivot entries are the caller's caveats.
     """
     work = [list(row) for row in rows]
-    nrows = len(work)
-    zero = Poly.zero()
-    pivots = []
-    pivot_entries = []
-    prev = None
-    r = 0
-    for c in range(ncols):
-        pivot_row = -1
-        for i in range(r, nrows):
-            if not work[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row < 0:
-            continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-        piv = work[r][c]
-        row_r = work[r]
-        for i in range(r + 1, nrows):
-            row_i = work[i]
-            head = row_i[c]
-            for j in range(c + 1, ncols):
-                value = piv * row_i[j] - head * row_r[j]
-                row_i[j] = value if prev is None else value.exact_div(prev)
-            row_i[c] = zero
-        prev = piv
-        pivots.append(c)
-        pivot_entries.append(piv)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots, work, pivot_entries
-
-
-def rank_generic(rows, ncols):
-    """(generic rank, pivot entries) of a matrix of ``Poly`` values."""
-    r, _, _, pivot_entries = echelon_generic(rows, ncols)
-    return r, pivot_entries
+    rank_, pivots = _row_echelon(work, ncols)
+    return rank_, [work[t][c] for t, c in enumerate(pivots)]
 
 
 def nullspace_generic(rows, ncols):
@@ -267,7 +235,8 @@ def nullspace_generic(rows, ncols):
     pairs of polynomials; denominators are cleared at the end, so each
     returned vector has ``Poly`` entries and satisfies M v = 0 identically.
     """
-    rank_, pivots, work, _ = echelon_generic(rows, ncols)
+    work = [list(row) for row in rows]
+    rank_, pivots = _row_echelon(work, ncols)
     pivot_set = set(pivots)
     one = Poly.one()
     zero = Poly.zero()

@@ -325,6 +325,10 @@ class Poly:
                     rem.pop(target, None)
         return Poly._raw(quot)
 
+    def __floordiv__(self, divisor: "Poly") -> "Poly":
+        """The exact quotient, as ``//`` is on exact integer multiples."""
+        return self.exact_div(divisor)
+
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:

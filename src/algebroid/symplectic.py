@@ -37,26 +37,6 @@ from algebroid.exterior import KForm, KVector, de_rham, interior_product, lie_de
 from algebroid.poly import Poly
 
 
-def _invert_antisymmetric(matrix):
-    """Inverse of a square Fraction matrix, or None when singular."""
-    n = len(matrix)
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    row = 0
-    for col in range(n):
-        pivot = next((i for i in range(row, n) if work[i][col]), None)
-        if pivot is None:
-            return None
-        work[row], work[pivot] = work[pivot], work[row]
-        scale = work[row][col]
-        work[row] = [value / scale for value in work[row]]
-        for i in range(n):
-            if i != row and work[i][col]:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[row])]
-        row += 1
-    return [line[n:] for line in work]
-
-
 class ConstantSymplectic:
     """A constant closed 2-form, standard pairing or explicit block."""
 
@@ -90,11 +70,8 @@ class ConstantSymplectic:
             for j in range(i + 1, n):
                 if rows[i][j] != -rows[j][i]:
                     raise ValueError("matrix must be antisymmetric")
-        if n == 0:
-            return cls("explicit", block, rows, [])
-        inverse = _invert_antisymmetric(rows)
-        if inverse is None:
-            kernel = linalg.nullspace(rows, n)
+        kernel = linalg.nullspace(rows, n)
+        if kernel:
             witness = KVector(
                 1, {(block[i],): Fraction(v) for i, v in enumerate(kernel[0]) if v}
             )
@@ -103,6 +80,15 @@ class ConstantSymplectic:
             )
             error.witness = witness
             raise error
+        # The kernel of [W | -I] is {(x, W x)}.  W is invertible, so the
+        # free columns of [W | -I] are its last n, and the kernel vector v of
+        # free column n + j is a multiple of (W^-1 e_j, e_j): column j of
+        # W^-1 is v[:n] / v[n + j].
+        augmented = [row + [-int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        columns = linalg.nullspace(augmented, 2 * n)
+        inverse = [
+            [Fraction(columns[j][i], columns[j][n + j]) for j in range(n)] for i in range(n)
+        ]
         return cls("explicit", block, rows, inverse)
 
     # -- entries and pairing ------------------------------------------------
@@ -122,12 +108,6 @@ class ConstantSymplectic:
             return Fraction(0)
         return self.matrix[a][b]
 
-    def partner(self, i: int):
-        """The index paired with i, or None when i is unpaired."""
-        if self.kind == "standard":
-            return i ^ 1
-        return i if i in self.block else None
-
     def closure(self, indices) -> tuple:
         """Smallest index set containing ``indices`` and closed under pairing."""
         out = set(indices)
@@ -142,12 +122,6 @@ class ConstantSymplectic:
         if self.kind == "standard":
             return all(i ^ 1 in indices for i in indices)
         return set(self.block) <= indices
-
-    def paired_indices(self, indices):
-        """The subset of ``indices`` on which the form is nondegenerate."""
-        if self.kind == "standard":
-            return tuple(sorted(set(indices) | {i ^ 1 for i in indices}))
-        return self.block
 
     def materialize(self, cover) -> KForm:
         """The 2-form as a KForm, restricted to blades meeting ``cover``."""
@@ -344,14 +318,9 @@ def check_weak_symplectic(target, support) -> WeakSymplecticReport:
         rows.append([image.coefficient((j,)) for j in columns])
     n = len(support)
     m = len(columns)
-    if n == 0:
-        rank_ = 0
-        caveats = []
-        kernel = []
-    else:
-        rank_, pivot_entries = linalg.rank_generic(rows, m)
-        caveats = [p for p in pivot_entries if not p.is_constant()]
-        kernel = [] if rank_ == n else _row_kernel_witness(rows, n, m)
+    rank_, pivot_entries = linalg.rank_generic(rows, m)
+    caveats = [p for p in pivot_entries if not p.is_constant()]
+    kernel = [] if rank_ == n else _row_kernel_witness(rows, n, m)
     injective = rank_ == n
     witness = None
     if not injective and kernel:

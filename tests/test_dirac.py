@@ -155,6 +155,11 @@ class TestSamplingSupport:
         with pytest.raises(ValueError):
             check_dirac(DiracStructure(STD), trials=1, seed=1, support=())
 
+    def test_default_support(self):
+        assert DiracStructure(STD).default_support() == (0, 1, 2, 3)
+        assert DiracStructure(BLOCK).default_support() == (0, 1)
+        assert DiracStructure(NONCLOSED).default_support() == (0, 1, 2)
+
     def test_block_structure_samples_its_own_block(self):
         report = check_dirac(DiracStructure(BLOCK), trials=4, seed=9)
         assert report.passed

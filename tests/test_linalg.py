@@ -9,8 +9,9 @@ import pytest
 
 from algebroid import linalg
 from algebroid.cohomology import TruncationSpec, compute_cohomology
+from algebroid.exterior import KForm
 from algebroid.poly import Poly
-from algebroid.symplectic import ConstantSymplectic
+from algebroid.symplectic import ConstantSymplectic, check_weak_symplectic
 
 
 def frac_matvec(rows, vec):
@@ -33,6 +34,7 @@ class TestRank:
     def test_zero_matrix(self):
         assert linalg.rank([[0, 0], [0, 0]], 2) == 0
         assert linalg.rank([], 4) == 0
+        assert linalg.rank([], 0) == 0
 
     def test_rational_entries_scaled(self):
         rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 2]]
@@ -78,6 +80,9 @@ class TestNullspace:
     def test_zero_matrix_kernel_standard_basis(self):
         basis = linalg.nullspace([[0, 0]], 2)
         assert basis == [(1, 0), (0, 1)]
+        assert linalg.nullspace([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert linalg.nullspace([[], []], 0) == []
+        assert linalg.nullspace([], 0) == []
 
 
 class TestRowSpaces:
@@ -90,6 +95,10 @@ class TestRowSpaces:
         c = [[1, 1, 2], [1, -1, 0]]
         assert all(linalg.row_space_contains(a, row, 3) for row in c)
         assert all(linalg.row_space_contains(c, row, 3) for row in a)
+
+    def test_empty_row_space_holds_only_zero(self):
+        assert linalg.row_space_contains([], [0, 0], 2)
+        assert not linalg.row_space_contains([], [0, 1], 2)
 
 
 class TestGenericElimination:
@@ -109,6 +118,22 @@ class TestGenericElimination:
         got, pivot_entries = linalg.rank_generic(rows, 2)
         assert got == 1
         assert pivot_entries == [x]
+
+    def test_pivot_entries_are_the_bareiss_pivots(self):
+        # One-step Bareiss pivots are the leading principal minors: x, then
+        # x^2 - y, then the determinant.  check-weak-symplectic prints the
+        # non-constant ones as caveats, so they are part of its reports.
+        x, y = Poly.variable(0), Poly.variable(1)
+        one = Poly.one()
+        rows = [[x, one, y], [y, x, Poly.zero()], [one, y, x]]
+        got, pivot_entries = linalg.rank_generic(rows, 3)
+        assert got == 3
+        assert pivot_entries == [x, x * x - y, x * x * x - 2 * x * y + y * y * y]
+        assert rows[1] == [y, x, Poly.zero()]  # the caller's rows are not touched
+
+    def test_empty_matrix(self):
+        assert linalg.rank_generic([], 3) == (0, [])
+        assert linalg.nullspace_generic([], 1) == [[Poly.one()]]
 
     def test_polynomial_nullspace_annihilates(self):
         x, y = Poly.variable(0), Poly.variable(1)
@@ -273,3 +298,35 @@ class TestBlockSplit:
             function([[1, 0, 2], [0, 1]], 3)
         with pytest.raises(ValueError, match="ragged"):
             function([[0, 0], [1, 2]], 3)
+
+
+class TestOneKernel:
+    """Every elimination in the package runs through ``linalg._row_echelon``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        kernel = linalg._row_echelon
+
+        def recording(rows, ncols):
+            seen.append(ncols)
+            return kernel(rows, ncols)
+
+        monkeypatch.setattr(linalg, "_row_echelon", recording)
+        return seen
+
+    def test_polynomial_weak_symplectic_check(self, calls):
+        x = Poly.variable(0)
+        form = KForm(2, {(0, 1): x + 1, (2, 3): x * x + 1, (1, 2): Poly.variable(3)})
+        report = check_weak_symplectic(form, (0, 1, 2, 3))
+        assert report.injective and report.caveats
+        assert calls == [4]
+
+    def test_explicit_inverse(self, calls):
+        matrix = [[0, 2, 1, 0], [-2, 0, 0, 3], [-1, 0, 0, 1], [0, -3, -1, 0]]
+        w = ConstantSymplectic.explicit((0, 1, 2, 3), matrix)
+        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*w.inverse)]
+                   for row in matrix]
+        assert product == [[int(i == j) for j in range(4)] for i in range(4)]
+        assert calls
+

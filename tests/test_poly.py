@@ -147,10 +147,19 @@ class TestExactDivision:
             return
         assert (p * q).exact_div(q) == p
 
+    @given(polys, polys)
+    @settings(deadline=None)
+    def test_floordiv_is_exact_div(self, p, q):
+        if q.is_zero():
+            return
+        assert (p * q) // q == (p * q).exact_div(q) == p
+
     def test_non_divisible_raises(self):
         x0, x1 = Poly.variable(0), Poly.variable(1)
         with pytest.raises(ValueError):
             (x0 * x1 + Poly.one()).exact_div(x0)
+        with pytest.raises(ValueError):
+            (x0 * x1 + Poly.one()) // x0
 
     def test_division_survives_display_order_ties(self):
         # x2^2 and x2*x3 tie in degree and compare inconsistently under the

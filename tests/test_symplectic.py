@@ -14,6 +14,7 @@ w = sum dx_{2i} ^ dx_{2i+1}): sharp(dx_{2i}) = e_{2i+1} and
 sharp(dx_{2i+1}) = -e_{2i}.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -273,3 +274,58 @@ class TestExplicitValidation:
         assert form.coefficient((0, 2)) == Poly.constant(-1)
         assert form.coefficient((1, 2)) == Poly.constant(3)
         assert form.coefficient((2, 3)) == Poly.constant(Fraction(1, 2))
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def congruent_standard(rng, n, rank):
+    """P^T J P for a seeded invertible rational P, where J pairs the first
+    ``rank`` coordinates as the standard form does and is zero elsewhere.
+
+    The result is antisymmetric, with rank ``rank`` because P is invertible
+    (a unit lower triangular times a diagonal times a unit upper triangular
+    matrix), so it is invertible exactly when ``rank == n``.
+    """
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    lower = [[entry() if j < i else Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    upper = [[entry() if j > i else Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    diagonal = [
+        [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) if i == j else Fraction(0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    p = matmul(matmul(lower, diagonal), upper)
+    j = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(0, rank, 2):
+        j[k][k + 1], j[k + 1][k] = Fraction(1), Fraction(-1)
+    transpose = [list(col) for col in zip(*p)]
+    return matmul(matmul(transpose, j), p)
+
+
+class TestExplicitInverse:
+    @pytest.mark.parametrize("n", [0, 2, 4, 6])
+    def test_inverse_is_exact(self, n):
+        rng = random.Random(900 + n)
+        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for _ in range(10):
+            matrix = congruent_standard(rng, n, n)
+            w = ConstantSymplectic.explicit(range(n), matrix)
+            assert matmul(matrix, w.inverse) == identity
+            assert matmul(w.inverse, matrix) == identity
+
+    @pytest.mark.parametrize("n, rank", [(2, 0), (4, 2), (6, 2), (6, 4), (5, 4)])
+    def test_singular_block_raises_with_kernel_witness(self, n, rank):
+        rng = random.Random(950 + 10 * n + rank)
+        block = tuple(range(1, 2 * n, 2))  # odd indices, to exercise the mapping
+        for _ in range(5):
+            matrix = congruent_standard(rng, n, rank)
+            with pytest.raises(NotInvertible) as info:
+                ConstantSymplectic.explicit(block, matrix)
+            witness = info.value.witness
+            vector = [witness.coefficient((i,)).constant_term() for i in block]
+            assert any(vector)
+            assert matmul(matrix, [[v] for v in vector]) == [[0]] * n
