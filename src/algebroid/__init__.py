@@ -29,7 +29,6 @@ from algebroid.cohomology import (
 )
 from algebroid.courant import (
     ComplementReport,
-    CourantReport,
     DiracReport,
     DiracStructure,
     GeneralizedSection,

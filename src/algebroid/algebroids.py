@@ -10,6 +10,11 @@ sections and functions, the four defining identities:
 3. the anchor is a homomorphism onto the Lie bracket of vector fields;
 4. the Leibniz rule  [s, f t] = f [s, t] + anchor(s)(f) t.
 
+Antisymmetry is checked on the section indices i <= j, Jacobi on
+i < j < k, the anchor on i < j, and Leibniz on every (i, j, function f);
+a failing check's witness is its first failing tuple in lexicographic index
+order.
+
 ``ce_differential`` is the Chevalley-Eilenberg differential of such a
 structure on alternating polynomial cochains, and
 ``contravariant_differential`` is its closed form for the cotangent
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from algebroid.errors import ArityError, GradeError
 from algebroid.exterior import KForm, KVector, lie_bracket, vector_apply
@@ -61,10 +67,6 @@ def cotangent_algebroid(w: ConstantSymplectic) -> AlgebroidStructure:
     )
 
 
-def _section_is_zero(value) -> bool:
-    return value.is_zero()
-
-
 @dataclass
 class AxiomCheck:
     axiom: str
@@ -78,88 +80,77 @@ class AxiomReport:
     checks: list
     first_failure: AxiomCheck = None
 
+    @classmethod
+    def of(cls, checks) -> "AxiomReport":
+        """The report over ``checks``, failing at the first failed check."""
+        first_failure = next((c for c in checks if not c.passed), None)
+        return cls(first_failure is None, checks, first_failure)
+
+
+def first_witness(axiom, cases) -> AxiomCheck:
+    """Check ``axiom`` on ``cases``, an iterable of ``(label, defect)`` pairs.
+
+    The check fails at the first defect that is not zero, with the witness
+    ``label`` followed by the defect, and visits no case after it; it passes
+    when every defect is zero (in particular when there are no cases).
+    """
+    for label, defect in cases:
+        if not defect.is_zero():
+            return AxiomCheck(axiom, False, f"{label}{defect}")
+    return AxiomCheck(axiom, True)
+
 
 def check_algebroid_axioms(structure, sections, functions) -> AxiomReport:
     """Verify the four algebroid axioms on the given sections and functions.
 
-    Each axiom is checked on every applicable tuple; the report records one
-    entry per axiom with the first counterexample as witness.
+    Each axiom is checked on every applicable tuple of section indices (and
+    function indices, for Leibniz); the report records one entry per axiom.
+    Its witness is the first failing tuple in lexicographic index order.
+    Every bracket [s_i, s_j] and anchor(s_i) is computed once.
     """
-    sections = list(sections)
+    s = list(sections)
     functions = [f if isinstance(f, Poly) else Poly.constant(f) for f in functions]
     bracket = structure.bracket
     anchor = structure.anchor
-    checks = []
+    n = len(s)
+    B = [[bracket(a, b) for b in s] for a in s]
+    A = [anchor(a) for a in s]
 
-    failure = None
-    for i in range(len(sections)):
-        for j in range(i, len(sections)):
-            defect = bracket(sections[i], sections[j]) + bracket(
-                sections[j], sections[i]
-            )
-            if not _section_is_zero(defect):
-                failure = f"[s{i}, s{j}] + [s{j}, s{i}] = {defect}"
-                break
-        if failure:
-            break
-    checks.append(AxiomCheck("antisymmetry", failure is None, failure))
-
-    failure = None
-    for i in range(len(sections)):
-        for j in range(i + 1, len(sections)):
-            for k in range(j + 1, len(sections)):
-                s1, s2, s3 = sections[i], sections[j], sections[k]
-                defect = (
-                    bracket(s1, bracket(s2, s3))
-                    + bracket(s2, bracket(s3, s1))
-                    + bracket(s3, bracket(s1, s2))
-                )
-                if not _section_is_zero(defect):
-                    failure = f"jacobiator(s{i}, s{j}, s{k}) = {defect}"
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    checks.append(AxiomCheck("jacobi", failure is None, failure))
-
-    failure = None
-    for i in range(len(sections)):
-        for j in range(i + 1, len(sections)):
-            defect = anchor(bracket(sections[i], sections[j])) - lie_bracket(
-                anchor(sections[i]), anchor(sections[j])
-            )
-            if not _section_is_zero(defect):
-                failure = f"anchor([s{i}, s{j}]) - [anchor(s{i}), anchor(s{j})] = {defect}"
-                break
-        if failure:
-            break
-    checks.append(AxiomCheck("anchor-homomorphism", failure is None, failure))
-
-    failure = None
-    for i in range(len(sections)):
-        for j in range(len(sections)):
-            for fi, f in enumerate(functions):
-                lhs = bracket(sections[i], f * sections[j])
-                rhs = f * bracket(sections[i], sections[j]) + vector_apply(
-                    anchor(sections[i]), f
-                ) * sections[j]
-                defect = lhs - rhs
-                if not _section_is_zero(defect):
-                    failure = (
-                        f"[s{i}, f{fi} s{j}] - f{fi} [s{i}, s{j}]"
-                        f" - anchor(s{i})(f{fi}) s{j} = {defect}"
-                    )
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    checks.append(AxiomCheck("leibniz", failure is None, failure))
-
-    first_failure = next((c for c in checks if not c.passed), None)
-    return AxiomReport(
-        passed=first_failure is None, checks=checks, first_failure=first_failure
+    antisymmetry = (
+        (f"[s{i}, s{j}] + [s{j}, s{i}] = ", B[i][j] + B[j][i])
+        for i in range(n)
+        for j in range(i, n)
+    )
+    jacobi = (
+        (
+            f"jacobiator(s{i}, s{j}, s{k}) = ",
+            bracket(s[i], B[j][k]) + bracket(s[j], B[k][i]) + bracket(s[k], B[i][j]),
+        )
+        for i, j, k in combinations(range(n), 3)
+    )
+    homomorphism = (
+        (
+            f"anchor([s{i}, s{j}]) - [anchor(s{i}), anchor(s{j})] = ",
+            anchor(B[i][j]) - lie_bracket(A[i], A[j]),
+        )
+        for i, j in combinations(range(n), 2)
+    )
+    leibniz = (
+        (
+            f"[s{i}, f{fi} s{j}] - f{fi} [s{i}, s{j}] - anchor(s{i})(f{fi}) s{j} = ",
+            bracket(s[i], f * s[j]) - (f * B[i][j] + vector_apply(A[i], f) * s[j]),
+        )
+        for i in range(n)
+        for j in range(n)
+        for fi, f in enumerate(functions)
+    )
+    return AxiomReport.of(
+        [
+            first_witness("antisymmetry", antisymmetry),
+            first_witness("jacobi", jacobi),
+            first_witness("anchor-homomorphism", homomorphism),
+            first_witness("leibniz", leibniz),
+        ]
     )
 
 

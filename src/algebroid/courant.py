@@ -15,15 +15,26 @@ The graph of a 2-form w collects the sections (X, i_X w).  For a closed w
 the graph is involutive; in general
 courant(graph X, graph Y) - graph([X, Y]) = (0, i_Y i_X dw), which
 ``check_dirac`` verifies trial by trial.
+
+``check_courant_axioms`` checks the Courant axioms on every tuple of
+section indices (i, j[, k]), and delta's defining property on every pair
+(function f, section i); a failing check's witness is its first failing
+tuple in lexicographic index order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from algebroid import linalg
-from algebroid.algebroids import AlgebroidStructure, check_algebroid_axioms
+from algebroid.algebroids import (
+    AlgebroidStructure,
+    AxiomReport,
+    check_algebroid_axioms,
+    first_witness,
+)
 from algebroid.errors import GradeError
 from algebroid.exterior import (
     KForm,
@@ -152,27 +163,13 @@ def anchor(section: GeneralizedSection) -> KVector:
     return section.vector
 
 
-@dataclass
-class CourantCheck:
-    axiom: str
-    passed: bool
-    witness: str = None
-
-
-@dataclass
-class CourantReport:
-    passed: bool
-    checks: list
-    first_failure: CourantCheck = None
-
-
 def check_courant_axioms(
     sections,
     functions,
     *,
     bracket=dorfman_bracket,
     pairing=tm_pairing,
-) -> CourantReport:
+) -> AxiomReport:
     """Verify the three Courant axioms on concrete sections:
 
     1. [s1, [s2, s3]] = [[s1, s2], s3] + [s2, [s1, s3]];
@@ -181,80 +178,62 @@ def check_courant_axioms(
 
     plus the defining property of delta, pairing(delta(f), s) = anchor(s)(f),
     on the supplied functions.  ``bracket`` and ``pairing`` are injectable so
-    deliberately corrupted structures can be probed.
+    deliberately corrupted structures can be probed.  Every bracket
+    [s_i, s_j], [s_i, [s_j, s_k]] and [[s_i, s_j], s_k] is computed once.
     """
-    sections = list(sections)
+    s = list(sections)
     functions = [f if isinstance(f, Poly) else Poly.constant(f) for f in functions]
-    checks = []
-    n = len(sections)
+    n = len(s)
+    B = [[bracket(a, b) for b in s] for a in s]
 
-    failure = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s1, s2, s3 = sections[i], sections[j], sections[k]
-                defect = (
-                    bracket(s1, bracket(s2, s3))
-                    - bracket(bracket(s1, s2), s3)
-                    - bracket(s2, bracket(s1, s3))
-                )
-                if not defect.is_zero():
-                    failure = f"leibniz-jacobi defect on (s{i}, s{j}, s{k}): {defect}"
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    checks.append(CourantCheck("bracket-jacobi", failure is None, failure))
+    def jacobi():
+        # The defects on (i, j, k) and (j, i, k) share the nested brackets
+        # [s_i, [s_j, s_k]] and [s_j, [s_i, s_k]]: both defects are computed
+        # when (i, j, k) comes up, and the one on (j, i, k) waits for its
+        # turn.  Only defects wait, so the n^3 nested brackets are never all
+        # held at once.
+        waiting = {}
+        for i, j, k in product(range(n), repeat=3):
+            if i > j:
+                defect = waiting.pop((i, j, k))
+            else:
+                x = bracket(s[i], B[j][k])
+                y = bracket(s[j], B[i][k]) if i < j else x
+                defect = x - bracket(B[i][j], s[k]) - y
+                if i < j:
+                    waiting[j, i, k] = y - bracket(B[j][i], s[k]) - x
+            yield f"leibniz-jacobi defect on (s{i}, s{j}, s{k}): ", defect
 
-    failure = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s1, s2, s3 = sections[i], sections[j], sections[k]
-                lhs = vector_apply(anchor(s1), pairing(s2, s3))
-                rhs = pairing(bracket(s1, s2), s3) + pairing(s2, bracket(s1, s3))
-                if lhs != rhs:
-                    failure = (
-                        f"pairing invariance fails on (s{i}, s{j}, s{k}): "
-                        f"{lhs - rhs}"
-                    )
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    checks.append(CourantCheck("pairing-invariance", failure is None, failure))
-
-    failure = None
-    for i in range(n):
-        for j in range(n):
-            s1, s2 = sections[i], sections[j]
-            defect = bracket(s1, s2) + bracket(s2, s1) - delta_operator(
-                pairing(s1, s2)
-            )
-            if not defect.is_zero():
-                failure = f"symmetric part defect on (s{i}, s{j}): {defect}"
-                break
-        if failure:
-            break
-    checks.append(CourantCheck("symmetric-part", failure is None, failure))
-
-    failure = None
-    for fi, f in enumerate(functions):
-        for i in range(n):
-            lhs = pairing(delta_operator(f), sections[i])
-            rhs = vector_apply(anchor(sections[i]), f)
-            if lhs != rhs:
-                failure = f"pairing(delta(f{fi}), s{i}) - anchor(s{i})(f{fi}) = {lhs - rhs}"
-                break
-        if failure:
-            break
-    checks.append(CourantCheck("delta-defining", failure is None, failure))
-
-    first_failure = next((c for c in checks if not c.passed), None)
-    return CourantReport(
-        passed=first_failure is None, checks=checks, first_failure=first_failure
+    invariance = (
+        (
+            f"pairing invariance fails on (s{i}, s{j}, s{k}): ",
+            vector_apply(anchor(s[i]), pairing(s[j], s[k]))
+            - (pairing(B[i][j], s[k]) + pairing(s[j], B[i][k])),
+        )
+        for i, j, k in product(range(n), repeat=3)
+    )
+    symmetric = (
+        (
+            f"symmetric part defect on (s{i}, s{j}): ",
+            B[i][j] + B[j][i] - delta_operator(pairing(s[i], s[j])),
+        )
+        for i, j in product(range(n), repeat=2)
+    )
+    delta = (
+        (
+            f"pairing(delta(f{fi}), s{i}) - anchor(s{i})(f{fi}) = ",
+            pairing(delta_operator(f), s[i]) - vector_apply(anchor(s[i]), f),
+        )
+        for fi, f in enumerate(functions)
+        for i in range(n)
+    )
+    return AxiomReport.of(
+        [
+            first_witness("bracket-jacobi", jacobi()),
+            first_witness("pairing-invariance", invariance),
+            first_witness("symmetric-part", symmetric),
+            first_witness("delta-defining", delta),
+        ]
     )
 
 

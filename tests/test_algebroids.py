@@ -12,6 +12,8 @@ Oracles:
   evaluated without ever materializing a cochain.
 """
 
+from math import comb
+
 import pytest
 
 from algebroid.algebroids import (
@@ -118,6 +120,99 @@ class TestAxiomChecks:
         assert not report.passed
         failed = {c.axiom for c in report.checks if not c.passed}
         assert "anchor-homomorphism" in failed or "leibniz" in failed
+
+
+def field(index, coefficient=1):
+    return KVector.blade((index,), coefficient)
+
+
+# s0 = e[0] and s_i = x_(i-1) e[i]: tangent sections with short brackets
+PLAIN = [field(i, Poly.variable(i - 1) if i else 1) for i in range(4)]
+
+
+def corrupt_bracket(first, second, term):
+    """The Lie bracket plus ``term`` on exactly the pair (first, second),
+    compared by identity, so only tuples built from that pair can fail."""
+
+    def bracket(a, b):
+        value = lie_bracket(a, b)
+        return value + term if a is first and b is second else value
+
+    return bracket
+
+
+class TestWitnessOrder:
+    """Each corruption fails on a late tuple only; the pinned witness is the
+    first failing tuple in lexicographic index order."""
+
+    @pytest.mark.parametrize(
+        "axiom, bracket, anchor, witness",
+        [
+            (
+                "antisymmetry",
+                corrupt_bracket(PLAIN[2], PLAIN[1], field(3)),
+                None,
+                "[s1, s2] + [s2, s1] = e[3]",
+            ),
+            (
+                "jacobi",
+                corrupt_bracket(PLAIN[2], PLAIN[3], field(0)),
+                None,
+                "jacobiator(s1, s2, s3) = -e[1]",
+            ),
+            (
+                "anchor-homomorphism",
+                lie_bracket,
+                lambda s: s + field(0, Poly.variable(1)) if s is PLAIN[2] else s,
+                "anchor([s1, s2]) - [anchor(s1), anchor(s2)] = -x0 * e[0] + x1 * e[1]",
+            ),
+            (
+                "leibniz",
+                corrupt_bracket(PLAIN[2], PLAIN[1], field(3)),
+                None,
+                "[s2, f1 s1] - f1 [s2, s1] - anchor(s2)(f1) s1 = -x0 * e[3]",
+            ),
+        ],
+        ids=["antisymmetry", "jacobi", "anchor-homomorphism", "leibniz"],
+    )
+    def test_first_failing_tuple(self, axiom, bracket, anchor, witness):
+        structure = AlgebroidStructure(
+            name="corrupted",
+            section_kind="vector",
+            anchor=anchor or (lambda s: s),
+            bracket=bracket,
+        )
+        report = check_algebroid_axioms(structure, PLAIN, [0, Poly.variable(0)])
+        by_axiom = {c.axiom: c for c in report.checks}
+        assert not by_axiom[axiom].passed
+        assert by_axiom[axiom].witness == witness
+
+
+class TestBracketTable:
+    @pytest.mark.parametrize("n, m", [(0, 0), (1, 1), (3, 2), (10, 4)])
+    def test_each_bracket_is_computed_once(self, n, m):
+        # n^2 table entries, 3 nested brackets per Jacobi triple, and one
+        # [s_i, f s_j] per Leibniz case
+        calls = []
+
+        def counting(a, b):
+            calls.append(None)
+            return lie_bracket(a, b)
+
+        structure = AlgebroidStructure("counted", "vector", lambda s: s, counting)
+        s = Sampler(407)
+        sections = [s.vector_field(SUPPORT, 1) for _ in range(n)]
+        functions = [s.nonzero_poly(SUPPORT, 1) for _ in range(m)]
+        report = check_algebroid_axioms(structure, sections, functions)
+        assert report.passed
+        assert len(calls) == n * n + 3 * comb(n, 3) + m * n * n
+
+    def test_empty_inputs_pass_vacuously(self):
+        for structure in (tangent_algebroid(), cotangent_algebroid(STD)):
+            report = check_algebroid_axioms(structure, [], [])
+            assert report.passed and report.first_failure is None
+            assert [c.passed for c in report.checks] == [True] * 4
+            assert all(c.witness is None for c in report.checks)
 
 
 class TestCeDifferential:

@@ -256,6 +256,37 @@ class TestCommandResults:
             "leibniz",
         }
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("check-axioms", "--structure", "tangent"),
+            ("check-axioms", "--structure", "cotangent"),
+            ("check-courant",),
+        ],
+    )
+    def test_axiom_checks_pass_vacuously_on_nothing(self, capsys, tmp_path, command):
+        document = tmp_path / "bare.adsl"
+        document.write_text("var x0 x1 x2 x3\nsymplectic std\n")
+        code, out, err = run_cli(
+            capsys,
+            *command,
+            "--input",
+            str(document),
+            "--format",
+            "json",
+            "--sections",
+            "0",
+            "--functions",
+            "0",
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert report["options"]["sections"] == 0
+        assert report["options"]["functions"] == 0
+        assert len(report["checks"]) == 4
+        assert all(c["passed"] and c["witness"] is None for c in report["checks"])
+
     def test_check_weak_symplectic_standard(self, capsys):
         code, report, _ = run_json(
             capsys, "check-weak-symplectic", "std_basic.adsl"

@@ -209,3 +209,111 @@ class TestInjectableCorruption:
         assert by_name["bracket-jacobi"]
         assert not by_name["pairing-invariance"]
         assert not by_name["symmetric-part"]
+
+
+# generalized sections whose pairwise brackets are easy to read off
+PLAIN = [
+    GeneralizedSection(KVector.coordinate(0), KForm.zero(1)),
+    GeneralizedSection(
+        KVector.blade((1,), Poly.variable(0)), KForm.blade((0,), Poly.variable(1))
+    ),
+    GeneralizedSection(
+        KVector.blade((2,), Poly.variable(1)), KForm.blade((1,), Poly.variable(2))
+    ),
+]
+
+
+def corrupt_dorfman(term):
+    """The Dorfman bracket plus ``term`` on exactly the pair (s2, s1),
+    compared by identity, so only tuples built from that pair can fail."""
+
+    def bracket(a, b):
+        value = dorfman_bracket(a, b)
+        return value + term if a is PLAIN[2] and b is PLAIN[1] else value
+
+    return bracket
+
+
+def pairing_off_at_s2(a, b):
+    """tm_pairing plus x3 when s2 is paired with a nonzero value that is
+    not a section.  delta(f0) = delta(0) is zero, so the delta-defining
+    check fails only at (f1, s2)."""
+    value = tm_pairing(a, b)
+    if b is PLAIN[2] and all(a is not s for s in PLAIN) and not a.is_zero():
+        return value + Poly.variable(3)
+    return value
+
+
+class TestWitnessOrder:
+    """Each corruption fails on a late tuple only; the pinned witness is the
+    first failing tuple in lexicographic index order."""
+
+    @pytest.mark.parametrize(
+        "axiom, bracket, pairing, witness",
+        [
+            (
+                "bracket-jacobi",
+                corrupt_dorfman(GeneralizedSection.of_vector(KVector.coordinate(2))),
+                tm_pairing,
+                "leibniz-jacobi defect on (s2, s1, s2): (0, -dx[1])",
+            ),
+            (
+                "pairing-invariance",
+                corrupt_dorfman(
+                    GeneralizedSection.of_form(KForm.blade((2,), Poly.variable(0)))
+                ),
+                tm_pairing,
+                "pairing invariance fails on (s2, s1, s2): -x0*x1",
+            ),
+            (
+                "symmetric-part",
+                corrupt_dorfman(GeneralizedSection.of_vector(KVector.coordinate(3))),
+                tm_pairing,
+                "symmetric part defect on (s1, s2): (e[3], 0)",
+            ),
+            (
+                "delta-defining",
+                dorfman_bracket,
+                pairing_off_at_s2,
+                "pairing(delta(f1), s2) - anchor(s2)(f1) = x3",
+            ),
+        ],
+        ids=[
+            "bracket-jacobi",
+            "pairing-invariance",
+            "symmetric-part",
+            "delta-defining",
+        ],
+    )
+    def test_first_failing_tuple(self, axiom, bracket, pairing, witness):
+        report = check_courant_axioms(
+            PLAIN, [0, Poly.variable(0)], bracket=bracket, pairing=pairing
+        )
+        by_axiom = {c.axiom: c for c in report.checks}
+        assert not by_axiom[axiom].passed
+        assert by_axiom[axiom].witness == witness
+
+
+class TestBracketTable:
+    @pytest.mark.parametrize("n, m", [(0, 0), (1, 1), (3, 2), (8, 4)])
+    def test_each_bracket_is_computed_once(self, n, m):
+        # n^2 entries [s_i, s_j], n^3 nested [s_i, [s_j, s_k]], and n^3
+        # [[s_i, s_j], s_k] for Jacobi; no check brackets anything else
+        calls = []
+
+        def counting(a, b):
+            calls.append(None)
+            return dorfman_bracket(a, b)
+
+        s = Sampler(518)
+        sections = [s.section(SUPPORT, 1) for _ in range(n)]
+        functions = [s.nonzero_poly(SUPPORT, 1) for _ in range(m)]
+        report = check_courant_axioms(sections, functions, bracket=counting)
+        assert report.passed
+        assert len(calls) == n * n + 2 * n**3
+
+    def test_empty_inputs_pass_vacuously(self):
+        report = check_courant_axioms([], [])
+        assert report.passed and report.first_failure is None
+        assert [c.passed for c in report.checks] == [True] * 4
+        assert all(c.witness is None for c in report.checks)

@@ -99,9 +99,29 @@ class TestRingLaws:
     @settings(deadline=None)
     def test_power_matches_repeated_product(self, p):
         expected = Poly.one()
-        for exponent in range(4):
+        for exponent in range(10):
             assert p**exponent == expected
             expected = expected * p
+
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        # p**8 is one product into the unit and three squarings; a fourth
+        # squaring would compute p**16 and throw it away.
+        calls = []
+        multiply = Poly.__mul__
+
+        def counting(a, b):
+            calls.append(None)
+            return multiply(a, b)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        p = Poly.variable(0) + Poly.variable(1) + 1
+        power = p**8
+        assert len(calls) == 4
+        monkeypatch.undo()
+        expected = Poly.one()
+        for _ in range(8):
+            expected = expected * p
+        assert power == expected
 
 
 class TestDerivatives:
