@@ -4,10 +4,15 @@ The coordinate arena is countable: variables are indexed by natural numbers
 and rendered ``x0, x1, x2, ...``.  A monomial is a tuple of
 ``(variable, exponent)`` pairs, strictly increasing in the variable index,
 with every exponent >= 1; the empty tuple is the constant monomial.  A
-polynomial maps monomials to nonzero ``fractions.Fraction`` coefficients.
-Zero coefficients are never stored, so every value is a canonical form and
-``==`` is exact structural equality.  Any single polynomial touches only
-finitely many variables even though the arena is unbounded.
+polynomial maps monomials to nonzero exact rational coefficients, each in
+one canonical form: a plain ``int`` when the value is integral, and a
+``fractions.Fraction`` with denominator > 1 otherwise (never a ``float`` or
+a ``bool``).  Integer coefficients, by far the common case, so never pay for
+``Fraction`` arithmetic.  Zero coefficients are never stored, so every value
+is a canonical form and ``==`` is exact structural equality.  Any single
+polynomial touches only finitely many variables even though the arena is
+unbounded.  The accessors ``coefficient`` and ``constant_term`` return a
+``Fraction`` whatever the stored form.
 
 Instances are treated as immutable: no method mutates ``self``, and callers
 must not poke at ``terms`` in place.
@@ -97,12 +102,30 @@ def monomial_division_key(mono):
     return (monomial_degree(mono), tuple((-v, e) for v, e in mono))
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coefficient(value):
+    """The canonical form of a scalar entering a polynomial."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return _normal(value)
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)  # bool and other int subclasses
     raise TypeError(f"expected an int or Fraction coefficient, got {value!r}")
+
+
+def _normal(value):
+    """An integral ``Fraction`` as its ``int``; any other value unchanged."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def _normalised(terms: dict) -> dict:
+    """Put every value of ``terms`` in canonical form, in place."""
+    for mono, coeff in terms.items():
+        if type(coeff) is Fraction and coeff.denominator == 1:
+            terms[mono] = coeff.numerator
+    return terms
 
 
 class Poly:
@@ -120,7 +143,7 @@ class Poly:
         cleaned = {}
         if terms:
             for mono, coeff in dict(terms).items():
-                coeff = _as_fraction(coeff)
+                coeff = _coefficient(coeff)
                 if not coeff:
                     continue
                 mono = tuple(mono)
@@ -145,11 +168,11 @@ class Poly:
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls._raw({CONSTANT_MONOMIAL: Fraction(1)})
+        return cls._raw({CONSTANT_MONOMIAL: 1})
 
     @classmethod
     def constant(cls, value) -> "Poly":
-        value = _as_fraction(value)
+        value = _coefficient(value)
         return cls._raw({CONSTANT_MONOMIAL: value} if value else {})
 
     @classmethod
@@ -160,7 +183,7 @@ class Poly:
             raise ValueError("negative powers are not representable")
         if power == 0:
             return cls.one()
-        return cls._raw({((index, power),): Fraction(1)})
+        return cls._raw({((index, power),): 1})
 
     # -- predicates ------------------------------------------------------
 
@@ -185,10 +208,10 @@ class Poly:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
         merged = dict(self.terms)
         for mono, coeff in other.terms.items():
             acc = merged.get(mono)
@@ -197,7 +220,7 @@ class Poly:
             else:
                 acc = acc + coeff
                 if acc:
-                    merged[mono] = acc
+                    merged[mono] = _normal(acc)
                 else:
                     del merged[mono]
         return Poly._raw(merged)
@@ -208,23 +231,23 @@ class Poly:
         return Poly._raw({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            coeff = _as_fraction(other)
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            coeff = _coefficient(other)
             if not coeff:
                 return Poly.zero()
-            return Poly._raw({m: c * coeff for m, c in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
+            return Poly._raw(_normalised({m: c * coeff for m, c in self.terms.items()}))
         out = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -238,7 +261,7 @@ class Poly:
                         out[mono] = acc
                     else:
                         del out[mono]
-        return Poly._raw(out)
+        return Poly._raw(_normalised(out))
 
     __rmul__ = __mul__
 
@@ -269,9 +292,9 @@ class Poly:
                     new = mono[:pos] + mono[pos + 1 :]
                 else:
                     new = mono[:pos] + ((var, exp - 1),) + mono[pos + 1 :]
-                out[new] = out.get(new, Fraction(0)) + coeff * exp
+                out[new] = out.get(new, 0) + coeff * exp
                 break
-        return Poly._raw({m: c for m, c in out.items() if c})
+        return Poly._raw(_normalised({m: c for m, c in out.items() if c}))
 
     def variables(self) -> set:
         seen = set()
@@ -287,10 +310,10 @@ class Poly:
         return max(monomial_degree(m) for m in self.terms)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(CONSTANT_MONOMIAL, Fraction(0))
+        return Fraction(self.terms.get(CONSTANT_MONOMIAL, 0))
 
     def coefficient(self, mono) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+        return Fraction(self.terms.get(tuple(mono), 0))
 
     def sorted_terms(self):
         """Terms in the canonical (graded-lex ascending) order."""
@@ -315,13 +338,14 @@ class Poly:
             qmono = monomial_div(mono, dmono)
             if qmono is None:
                 raise ValueError("polynomials do not divide exactly")
-            qcoeff = rem[mono] / dcoeff
+            # Fraction, not ``/``: true division of two ints is a float.
+            qcoeff = _normal(Fraction(rem[mono], dcoeff))
             quot[qmono] = qcoeff
             for m2, c2 in divisor.terms.items():
                 target = monomial_mul(qmono, m2)
-                acc = rem.get(target, Fraction(0)) - qcoeff * c2
+                acc = rem.get(target, 0) - qcoeff * c2
                 if acc:
-                    rem[target] = acc
+                    rem[target] = _normal(acc)
                 else:
                     rem.pop(target, None)
         return Poly._raw(quot)

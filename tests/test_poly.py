@@ -159,6 +159,64 @@ class TestScalarInterop:
         assert not Poly.zero() != 0
 
 
+def assert_canonical(p):
+    """Every stored coefficient is a nonzero int, or a Fraction that is not one."""
+    for coeff in p.terms.values():
+        assert coeff
+        if type(coeff) is not int:  # a bool fails here too
+            assert type(coeff) is Fraction and coeff.denominator > 1, repr(coeff)
+
+
+scalars = st.one_of(st.integers(min_value=-5, max_value=5), coefficients)
+
+
+class TestCanonicalCoefficients:
+    @given(polys, polys, scalars, st.integers(min_value=0, max_value=3))
+    @settings(deadline=None)
+    def test_every_operation_stores_the_canonical_form(self, p, q, c, e):
+        results = [p, p + q, p - q, p * q, -p, p * c, c * p, p + c, c - p, p**e]
+        results += [p.partial(var) for var in range(3)]
+        if q:
+            results.append((p * q).exact_div(q))
+        for result in results:
+            assert_canonical(result)
+
+    def test_integral_fractions_are_stored_as_ints(self):
+        x = Poly.variable(0)
+        half = x * Fraction(1, 2)
+        cases = [
+            half * 2,
+            half + half,
+            (half * x).partial(0),
+            (x * 2).exact_div(Poly.constant(2)),
+            Poly({((0, 1),): Fraction(4, 2)}),
+            Poly.constant(True),
+        ]
+        for p in cases:
+            assert [type(c) for c in p.terms.values()] == [int]
+        assert (half * 2).terms == {((0, 1),): 1}
+
+    def test_exact_div_by_an_int_constant_gives_fractions_not_floats(self):
+        x = Poly.variable(0)
+        quotient = (3 * x + 1).exact_div(Poly.constant(2))
+        assert quotient.terms == {((0, 1),): Fraction(3, 2), (): Fraction(1, 2)}
+        assert {type(c) for c in quotient.terms.values()} == {Fraction}
+
+    def test_accessors_return_fractions(self):
+        p = Poly.variable(0) * 3 + 5
+        assert type(p.coefficient(((0, 1),))) is Fraction
+        assert type(p.coefficient(((1, 1),))) is Fraction
+        assert type(p.constant_term()) is Fraction
+        assert type(Poly.zero().constant_term()) is Fraction
+        assert p.coefficient(((0, 1),)) == 3 and p.constant_term() == 5
+
+    def test_floats_are_rejected(self):
+        with pytest.raises(TypeError):
+            Poly.constant(0.5)
+        with pytest.raises(TypeError):
+            Poly.variable(0) + 0.5
+
+
 class TestExactDivision:
     @given(polys, polys)
     @settings(deadline=None)
