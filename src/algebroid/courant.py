@@ -179,12 +179,14 @@ def check_courant_axioms(
     plus the defining property of delta, pairing(delta(f), s) = anchor(s)(f),
     on the supplied functions.  ``bracket`` and ``pairing`` are injectable so
     deliberately corrupted structures can be probed.  Every bracket
-    [s_i, s_j], [s_i, [s_j, s_k]] and [[s_i, s_j], s_k] is computed once.
+    [s_i, s_j], [s_i, [s_j, s_k]] and [[s_i, s_j], s_k], and every pairing
+    pairing(s_j, s_k), is computed once.
     """
     s = list(sections)
     functions = [f if isinstance(f, Poly) else Poly.constant(f) for f in functions]
     n = len(s)
     B = [[bracket(a, b) for b in s] for a in s]
+    P = [[pairing(a, b) for b in s] for a in s]
 
     def jacobi():
         # The defects on (i, j, k) and (j, i, k) share the nested brackets
@@ -207,7 +209,7 @@ def check_courant_axioms(
     invariance = (
         (
             f"pairing invariance fails on (s{i}, s{j}, s{k}): ",
-            vector_apply(anchor(s[i]), pairing(s[j], s[k]))
+            vector_apply(anchor(s[i]), P[j][k])
             - (pairing(B[i][j], s[k]) + pairing(s[j], B[i][k])),
         )
         for i, j, k in product(range(n), repeat=3)
@@ -215,7 +217,7 @@ def check_courant_axioms(
     symmetric = (
         (
             f"symmetric part defect on (s{i}, s{j}): ",
-            B[i][j] + B[j][i] - delta_operator(pairing(s[i], s[j])),
+            B[i][j] + B[j][i] - delta_operator(P[i][j]),
         )
         for i, j in product(range(n), repeat=2)
     )

@@ -312,6 +312,24 @@ class TestBracketTable:
         assert report.passed
         assert len(calls) == n * n + 2 * n**3
 
+    @pytest.mark.parametrize("n, m", [(0, 0), (1, 1), (3, 2), (8, 4)])
+    def test_each_pairing_of_two_sections_is_computed_once(self, n, m):
+        # n^2 entries pairing(s_j, s_k), shared by invariance and the
+        # symmetric part; 2n^3 pairings with a bracket for invariance; n*m
+        # pairing(delta(f), s_i) for the defining property of delta
+        calls = []
+
+        def counting(a, b):
+            calls.append(None)
+            return tm_pairing(a, b)
+
+        s = Sampler(518)
+        sections = [s.section(SUPPORT, 1) for _ in range(n)]
+        functions = [s.nonzero_poly(SUPPORT, 1) for _ in range(m)]
+        report = check_courant_axioms(sections, functions, pairing=counting)
+        assert report.passed
+        assert len(calls) == n * n + 2 * n**3 + n * m
+
     def test_empty_inputs_pass_vacuously(self):
         report = check_courant_axioms([], [])
         assert report.passed and report.first_failure is None
