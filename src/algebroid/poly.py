@@ -7,8 +7,8 @@ with every exponent >= 1; the empty tuple is the constant monomial.  A
 polynomial maps monomials to nonzero exact rational coefficients, each in
 one canonical form: a plain ``int`` when the value is integral, and a
 ``fractions.Fraction`` with denominator > 1 otherwise (never a ``float`` or
-a ``bool``).  Integer coefficients, by far the common case, so never pay for
-``Fraction`` arithmetic.  Zero coefficients are never stored, so every value
+a ``bool``), so the common integer case never pays for ``Fraction``
+arithmetic.  Zero coefficients are never stored, so every value
 is a canonical form and ``==`` is exact structural equality.  Any single
 polynomial touches only finitely many variables even though the arena is
 unbounded.  The accessors ``coefficient`` and ``constant_term`` return a
@@ -123,8 +123,8 @@ def _normal(value):
 def _normalised(terms: dict) -> dict:
     """Put every value of ``terms`` in canonical form, in place."""
     for mono, coeff in terms.items():
-        if type(coeff) is Fraction and coeff.denominator == 1:
-            terms[mono] = coeff.numerator
+        if type(coeff) is Fraction:
+            terms[mono] = _normal(coeff)
     return terms
 
 
