@@ -342,27 +342,24 @@ def orthogonal_complement(structure: DiracStructure, support) -> ComplementRepor
         basis_rows.append(row)
 
     # pairing matrix in block form [[0, I], [I, 0]]
-    def pair_with(row):
-        return row[n:] + row[:n]
-
-    constraint_rows = [pair_with(row) for row in basis_rows]
+    constraint_rows = [row[n:] + row[:n] for row in basis_rows]
     perp_basis = linalg.nullspace(constraint_rows, 2 * n)
     dim_sub = linalg.rank(basis_rows, 2 * n)
     dim_perp = len(perp_basis)
 
-    isotropic = True
-    for row in basis_rows:
-        paired = pair_with(row)
-        for other in basis_rows:
-            if sum(a * b for a, b in zip(paired, other)):
-                isotropic = False
-                break
-        if not isotropic:
-            break
-
-    equals = dim_sub == dim_perp and all(
-        linalg.row_space_contains(basis_rows, list(vec), 2 * n) for vec in perp_basis
+    # Each row has about two nonzeros: pair over those only.
+    paired_supports = [
+        [(k, a) for k, a in enumerate(paired) if a] for paired in constraint_rows
+    ]
+    isotropic = all(
+        not sum(a * other[k] for k, a in support)
+        for support in paired_supports
+        for other in basis_rows
     )
+
+    # With equal dimensions, the complement lies inside the subbundle (so
+    # equals it) exactly when adjoining its basis leaves the rank at dim_sub.
+    equals = dim_sub == dim_perp and linalg.rank(basis_rows + perp_basis, 2 * n) == dim_sub
     witness = None
     if not equals:
         for vec in perp_basis:

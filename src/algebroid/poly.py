@@ -21,6 +21,7 @@ must not poke at ``terms`` in place.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 # (variable index, exponent) pairs, strictly increasing, exponents >= 1.
 Monomial = tuple
@@ -95,11 +96,32 @@ def monomial_division_key(mono):
     Ties in total degree are broken by the exponent vector read
     lexicographically from the lowest variable index; encoding each pair as
     ``(-variable, exponent)`` makes plain tuple comparison implement exactly
-    that.  ``exact_div`` relies on this key: a leading term chosen by a
+    that.  Division is by this order: a leading term chosen by a
     non-multiplicative order need not stay leading inside products, which
-    derails long division on exactly divisible inputs.
+    derails long division on exactly divisible inputs.  ``exact_div`` keeps
+    its remainder in a heap under ``monomial_heap_key``, the same order
+    reversed.
     """
     return (monomial_degree(mono), tuple((-v, e) for v, e in mono))
+
+
+def monomial_heap_key(mono):
+    """``monomial_division_key`` reversed, as one flat tuple for ``heapq``.
+
+    The key is ``(-degree, v0, -e0, v1, -e1, ..., mono)``.  At equal degree
+    no pair tuple is a prefix of another (the longer one would have the
+    larger degree), so negating the degree, each exponent and each (already
+    negated) variable reverses plain tuple comparison exactly: the smallest
+    key is the greatest monomial under the division order.  Keys of
+    distinct monomials differ before the last item, which carries the
+    monomial itself so that a heap pop recovers it.
+    """
+    degree = 0
+    flat = []
+    for v, e in mono:
+        degree += e
+        flat += (v, -e)
+    return (-degree, *flat, mono)
 
 
 def _coefficient(value):
@@ -327,27 +349,50 @@ class Poly:
         return mono, self.terms[mono]
 
     def exact_div(self, divisor: "Poly") -> "Poly":
-        """Exact quotient self/divisor; raises ValueError when not divisible."""
+        """Exact quotient self/divisor; raises ValueError when not divisible.
+
+        Long division under the division order.  The remainder's monomials
+        sit in a heap under ``monomial_heap_key``, so each leading term is a
+        pop, not a scan of the whole remainder.  A quotient term ``qmono``
+        cancels the leading term and adds ``qmono * m2`` for the other
+        divisor terms ``m2``; each ``m2`` is below the divisor's leading
+        monomial and the order is multiplicative, so every added term is
+        strictly below the one cancelled and the heap top stays the true
+        leading term.  A monomial is pushed only when it enters the
+        remainder; one cancelled since it was pushed is a stale entry,
+        skipped when popped.
+        """
         if not isinstance(divisor, Poly) or divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         rem = dict(self.terms)
+        heap = [monomial_heap_key(m) for m in rem]
+        heapify(heap)
         quot = {}
         dmono, dcoeff = divisor.leading()
-        while rem:
-            mono = max(rem, key=monomial_division_key)
+        tail = [(m, c) for m, c in divisor.terms.items() if m != dmono]
+        while heap:
+            mono = heappop(heap)[-1]
+            coeff = rem.pop(mono, None)
+            if coeff is None:  # stale: cancelled since it was pushed
+                continue
             qmono = monomial_div(mono, dmono)
             if qmono is None:
                 raise ValueError("polynomials do not divide exactly")
             # Fraction, not ``/``: true division of two ints is a float.
-            qcoeff = _normal(Fraction(rem[mono], dcoeff))
+            qcoeff = _normal(Fraction(coeff, dcoeff))
             quot[qmono] = qcoeff
-            for m2, c2 in divisor.terms.items():
+            for m2, c2 in tail:
                 target = monomial_mul(qmono, m2)
-                acc = rem.get(target, 0) - qcoeff * c2
-                if acc:
-                    rem[target] = _normal(acc)
+                acc = rem.get(target)
+                if acc is None:
+                    rem[target] = _normal(-qcoeff * c2)
+                    heappush(heap, monomial_heap_key(target))
                 else:
-                    rem.pop(target, None)
+                    acc -= qcoeff * c2
+                    if acc:
+                        rem[target] = _normal(acc)
+                    else:
+                        del rem[target]
         return Poly._raw(quot)
 
     def __floordiv__(self, divisor: "Poly") -> "Poly":

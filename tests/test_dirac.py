@@ -3,8 +3,12 @@
 Oracles: isotropy reduces to antisymmetry of the graphed 2-form; the
 involutivity defect of a non-closed graph must equal the contraction of the
 curvature 3-form, computed here directly from the exterior-calculus
-operators.
+operators.  The orthogonal complement is checked against dense Fraction
+elimination written out below.
 """
+
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +19,8 @@ from algebroid.courant import (
     orthogonal_complement,
     tm_pairing,
 )
-from algebroid.errors import GradeError
+from algebroid import linalg
+from algebroid.errors import GradeError, NotInvertible
 from algebroid.exterior import (
     KForm,
     KVector,
@@ -114,6 +119,129 @@ class TestUnpairedDirections:
     def test_polynomial_graph_rejected(self):
         with pytest.raises(TypeError):
             orthogonal_complement(DiracStructure(NONCLOSED), (0, 1, 2))
+
+
+def _reduced(rows, ncols):
+    """Gauss-Jordan over Fraction: (nonzero reduced rows, pivot columns)."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [a - row[c] * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def _kernel(rows, ncols):
+    reduced, pivots = _reduced(rows, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def brute_force_complement(structure, support):
+    """(isotropic, equals_complement) from the graph sections themselves.
+
+    Isotropy pairs every two generating sections with ``tm_pairing``.  The
+    complement is the kernel of the paired coordinate rows, and it equals
+    the subbundle when the dimensions agree and every kernel vector lies in
+    the row space.
+    """
+    w = structure.form
+    ambient = sorted(set(w.closure(support)) | set(support))
+    sections = [
+        structure.generate(KVector.coordinate(i))
+        for i in structure.generator_indices(support)
+        if i in ambient
+    ]
+    isotropic = all(tm_pairing(s, t).is_zero() for s in sections for t in sections)
+    rows = [
+        [s.vector.coefficient((j,)).constant_term() for j in ambient]
+        + [s.form.coefficient((j,)).constant_term() for j in ambient]
+        for s in sections
+    ]
+    n = len(ambient)
+    paired = [row[n:] + row[:n] for row in rows]
+    perp = _kernel(paired, 2 * n)
+    dim_sub = len(_reduced(rows, 2 * n)[1])
+    inside = len(_reduced(rows + perp, 2 * n)[1]) == dim_sub
+    return isotropic, dim_sub == len(perp) and inside
+
+
+def _seeded_structures(seed):
+    """Constant structures with a support: antisymmetric blocks, arbitrary
+    (non-antisymmetric) blocks built around ``explicit``'s checks, and the
+    standard structure."""
+    rng = random.Random(seed)
+    support = tuple(sorted(rng.sample(range(7), rng.randint(1, 5))))
+    size = rng.choice((2, 4))
+    block = tuple(sorted(rng.sample(range(6), size)))
+    upper = {(i, j): rng.randint(-2, 2) for i in range(size) for j in range(i + 1, size)}
+    antisymmetric = [
+        [upper.get((i, j), -upper.get((j, i), 0)) for j in range(size)] for i in range(size)
+    ]
+    out = [(STD, support)]
+    try:
+        out.append((ConstantSymplectic.explicit(block, antisymmetric), support))
+    except NotInvertible:
+        pass
+    arbitrary = [[Fraction(rng.randint(-2, 2)) for _ in range(size)] for _ in range(size)]
+    out.append((ConstantSymplectic("explicit", block, arbitrary), support))
+    return out
+
+
+class TestComplementAgainstBruteForce:
+    def test_unpaired_block_case(self):
+        structure = DiracStructure(BLOCK)
+        report = orthogonal_complement(structure, (0, 1, 2))
+        assert brute_force_complement(structure, (0, 1, 2)) == (True, False)
+        assert (report.isotropic, report.equals_complement) == (True, False)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_constant_structures(self, seed):
+        for w, support in _seeded_structures(seed):
+            structure = DiracStructure(w)
+            report = orthogonal_complement(structure, support)
+            expected = brute_force_complement(structure, support)
+            assert (report.isotropic, report.equals_complement) == expected
+
+    def test_seeds_reach_every_verdict(self):
+        verdicts = set()
+        for seed in range(12):
+            for w, support in _seeded_structures(seed):
+                verdicts.add(brute_force_complement(DiracStructure(w), support))
+        assert verdicts == {(True, True), (True, False), (False, False)}
+
+    def test_thirty_variables_take_a_few_ranks(self, monkeypatch):
+        # Testing each complement vector against the subbundle on its own
+        # re-ranks the subbundle once per vector; one rank of the subbundle
+        # with the whole complement adjoined answers the same question.
+        calls = {"rank": 0, "row_space_contains": 0}
+        for name in calls:
+            fn = getattr(linalg, name)
+
+            def counting(*args, _name=name, _fn=fn):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(linalg, name, counting)
+        report = orthogonal_complement(DiracStructure(STD), tuple(range(30)))
+        assert report.dim_subbundle == report.dim_complement == 30
+        assert report.isotropic and report.equals_complement
+        assert calls["rank"] <= 3
+        assert calls["row_space_contains"] == 0
 
 
 class TestNonClosedGraph:

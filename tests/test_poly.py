@@ -1,17 +1,20 @@
 """Sparse polynomial arithmetic: ring laws, derivatives, exact division,
 orderings, and canonical rendering."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebroid import poly
 from algebroid.poly import (
     Poly,
     monomial_degree,
     monomial_div,
     monomial_division_key,
+    monomial_heap_key,
     monomial_key,
     monomial_mul,
     render_fraction,
@@ -27,6 +30,12 @@ monomials = st.dictionaries(
     st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=3), max_size=3
 ).map(lambda d: tuple(sorted(d.items())))
 polys = st.dictionaries(monomials, coefficients, max_size=4).map(
+    lambda terms: Poly({m: c for m, c in terms.items() if c})
+)
+wide_monomials = st.dictionaries(
+    st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=4), max_size=4
+).map(lambda d: tuple(sorted(d.items())))
+wide_polys = st.dictionaries(wide_monomials, coefficients, max_size=7).map(
     lambda terms: Poly({m: c for m, c in terms.items() if c})
 )
 
@@ -255,6 +264,114 @@ class TestExactDivision:
             assert monomial_division_key(monomial_mul(a, c)) <= monomial_division_key(
                 monomial_mul(b, c)
             )
+
+
+def linear_scan_exact_div(dividend, divisor):
+    """Long division that finds each leading term by scanning the remainder.
+
+    The reference for ``Poly.exact_div``: it returns the quotient's terms
+    and the number of monomials that entered the remainder (the dividend's
+    terms, then each product term not already present).
+    """
+    rem = dict(dividend.terms)
+    entered = len(rem)
+    quot = {}
+    dmono = max(divisor.terms, key=monomial_division_key)
+    dcoeff = Fraction(divisor.terms[dmono])
+    while rem:
+        mono = max(rem, key=monomial_division_key)
+        qmono = monomial_div(mono, dmono)
+        if qmono is None:
+            raise ValueError("polynomials do not divide exactly")
+        qcoeff = rem[mono] / dcoeff
+        quot[qmono] = qcoeff
+        for m2, c2 in divisor.terms.items():
+            target = monomial_mul(qmono, m2)
+            if target not in rem:
+                entered += 1
+            acc = rem.get(target, 0) - qcoeff * c2
+            if acc:
+                rem[target] = acc
+            else:
+                rem.pop(target, None)
+    return quot, entered
+
+
+class TestHeapDivision:
+    @given(wide_polys, wide_polys)
+    @settings(deadline=None)
+    def test_quotient_matches_the_linear_scan_term_by_term(self, p, q):
+        if q.is_zero():
+            return
+        quotient = (p * q).exact_div(q)
+        expected, _ = linear_scan_exact_div(p * q, q)
+        assert list(quotient.terms.items()) == list(expected.items())
+        assert quotient == p
+
+    @given(wide_polys, wide_polys)
+    @settings(deadline=None)
+    def test_any_dividend_divides_or_fails_as_the_linear_scan_does(self, f, q):
+        if q.is_zero():
+            return
+        try:
+            expected, _ = linear_scan_exact_div(f, q)
+        except ValueError:
+            with pytest.raises(ValueError):
+                f.exact_div(q)
+        else:
+            assert list(f.exact_div(q).terms.items()) == list(expected.items())
+
+    @given(wide_monomials, wide_monomials)
+    def test_heap_key_reverses_the_division_order(self, a, b):
+        ka, kb = monomial_division_key(a), monomial_division_key(b)
+        ha, hb = monomial_heap_key(a), monomial_heap_key(b)
+        assert (ha < hb) == (ka > kb)
+        assert (ha == hb) == (a == b)
+
+    def test_failure_after_some_quotient_terms_raises(self):
+        # The leading terms of p*q divide; the stray x3 below them does not.
+        x0, x1, x2, x3 = (Poly.variable(i) for i in range(4))
+        p = x0**2 * x1 + Fraction(1, 2) * x2
+        q = x0 * x1 - 3 * x2**2
+        with pytest.raises(ValueError):
+            (p * q + x3).exact_div(q)
+
+    def test_each_monomial_entering_the_remainder_is_keyed_once(self, monkeypatch):
+        # A scan of the remainder per quotient term evaluates an order key
+        # for every remaining monomial each time; the heap keys each
+        # monomial once, when it enters the remainder.
+        rng = random.Random(2009)
+
+        def sample(count):
+            terms = {}
+            while len(terms) < count:
+                mono = tuple(
+                    (v, rng.randint(1, 3)) for v in range(6) if rng.random() < 0.5
+                )
+                terms[mono] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            return Poly(terms)
+
+        p, q = sample(24), sample(12)
+        dividend = p * q
+        assert len(dividend.terms) >= 200
+        _, entered = linear_scan_exact_div(dividend, q)
+        calls = {"heap": 0, "division": 0}
+
+        def counting(name, fn):
+            def wrapped(mono):
+                calls[name] += 1
+                return fn(mono)
+
+            return wrapped
+
+        monkeypatch.setattr(poly, "monomial_heap_key", counting("heap", monomial_heap_key))
+        monkeypatch.setattr(
+            poly, "monomial_division_key", counting("division", monomial_division_key)
+        )
+        assert dividend.exact_div(q) == p
+        assert calls["heap"] <= entered
+        # Only the divisor's own leading term is found with the order key.
+        assert calls["division"] <= len(q.terms)
 
 
 class TestOrderingAndRendering:
