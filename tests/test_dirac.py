@@ -181,9 +181,10 @@ def brute_force_complement(structure, support):
 
 
 def _seeded_structures(seed):
-    """Constant structures with a support: antisymmetric blocks, arbitrary
-    (non-antisymmetric) blocks built around ``explicit``'s checks, and the
-    standard structure."""
+    """Constant structures with a seeded support: the standard structure, an
+    invertible antisymmetric block, and an arbitrary block, which only the
+    raw constructor accepts (``explicit`` demands antisymmetry), so that
+    isotropy can fail."""
     rng = random.Random(seed)
     support = tuple(sorted(rng.sample(range(7), rng.randint(1, 5))))
     size = rng.choice((2, 4))
