@@ -29,6 +29,7 @@ from itertools import combinations
 
 from algebroid.errors import ArityError, GradeError
 from algebroid.exterior import KForm, KVector, lie_bracket, vector_apply
+from algebroid.exterior import _add_term, _insert_into_blade
 from algebroid.poly import Poly
 from algebroid.symplectic import (
     ConstantSymplectic,
@@ -231,11 +232,13 @@ def contravariant_differential(w: ConstantSymplectic, field) -> KVector:
     multivector fields: the Chevalley-Eilenberg differential of its
     cotangent structure, materialized on the coordinate coframe.
 
-    For a function f it returns the grade-1 field with dx_j-component
-    sharp(dx_j)(f); in general the coefficient on a blade J is the
-    alternating sum over positions of sharp(dx_{j_i}) applied to the
-    coefficient of J minus that index.  Coframe brackets vanish for a
-    constant 2-form, so no bracket terms appear.
+    For a function f it returns the grade-1 field with e_j-component
+    sharp(dx_j)(f).  In general, each term c e_S, each variable v of c and
+    each component (j, s) of sharp(dx_v) contribute -s del_v(c), times the
+    sign of inserting j into S, to the blade of e_j ^ e_S.  This is the same
+    sum because W^-1 is antisymmetric: sharp(dx_j) has coefficient -s on
+    e_v.  Coframe brackets vanish for a constant 2-form, so no bracket terms
+    appear.
     """
     if isinstance(field, (Poly, int, Fraction)):
         field = KVector.from_poly(
@@ -243,45 +246,15 @@ def contravariant_differential(w: ConstantSymplectic, field) -> KVector:
         )
     if type(field) is not KVector:
         raise GradeError("contravariant_differential acts on KVectors")
-    grade = field.grade
-
-    candidates = set()
-    for blade, coeff in field.terms.items():
-        partners = set()
-        for var in coeff.variables():
-            if w.kind == "standard":
-                partners.add(var ^ 1)
-            elif var in w.block:
-                a = w.block.index(var)
-                for b in range(len(w.block)):
-                    if w.inverse[a][b]:
-                        partners.add(w.block[b])
-        for j in partners:
-            if j not in blade:
-                pos = sum(1 for value in blade if value < j)
-                candidates.add(blade[:pos] + (j,) + blade[pos:])
-
     out = {}
-    for target in sorted(candidates):
-        total = Poly.zero()
-        for pos, j in enumerate(target):
-            source = target[:pos] + target[pos + 1 :]
-            coeff = field.terms.get(source)
-            if coeff is None:
-                continue
-            components = w.sharp_components(j)
+    for blade, coeff in field.terms.items():
+        for var in coeff.variables():
+            components = w.sharp_components(var)
             if not components:
                 continue
-            piece = Poly.zero()
-            for index, scale in components:
-                partial = coeff.partial(index)
-                if not partial.is_zero():
-                    piece = piece + partial * scale
-            if piece.is_zero():
-                continue
-            if pos & 1:
-                piece = -piece
-            total = total + piece
-        if not total.is_zero():
-            out[target] = total
-    return KVector._raw(grade + 1, out)
+            partial = coeff.partial(var)
+            for j, scale in components:
+                sign, target = _insert_into_blade(blade, j)
+                if sign != 0:
+                    _add_term(out, target, partial * (-scale if sign > 0 else scale))
+    return KVector._raw(field.grade + 1, out)

@@ -61,6 +61,7 @@ from algebroid.exterior import (
 from algebroid.poly import Poly, render_fraction
 from algebroid.sampling import Sampler
 from algebroid.symplectic import (
+    ConstantSymplectic,
     check_weak_symplectic,
     oneform_bracket,
     poisson_bracket,
@@ -282,12 +283,17 @@ def _cmd_check_courant(args, document, report):
     return result.passed
 
 
+def _target_form(document, name):
+    """The 2-form bound to ``--target``."""
+    binding = _require_binding(document, name, ("form",), "--target")
+    if binding.value.grade != 2:
+        raise UsageError(f"--target: {name!r} must be a 2-form")
+    return binding.value
+
+
 def _dirac_structure(args, document):
     if args.target:
-        binding = _require_binding(document, args.target, ("form",), "--target")
-        if binding.value.grade != 2:
-            raise UsageError(f"--target: {args.target!r} must be a 2-form")
-        return DiracStructure(binding.value)
+        return DiracStructure(_target_form(document, args.target))
     if document.symplectic is not None:
         return DiracStructure(document.symplectic)
     raise UsageError("check-dirac needs a symplectic declaration or --target")
@@ -316,11 +322,8 @@ def _cmd_check_dirac(args, document, report):
     report["defect_matches_prediction"] = result.defect_matches_prediction
     report["axioms"] = _axiom_entries(result.axioms)
     passed = result.passed
-    try:
+    if isinstance(structure.form, ConstantSymplectic):
         complement = orthogonal_complement(structure, support)
-    except TypeError:
-        complement = None
-    if complement is not None:
         report["complement"] = {
             "ambient": list(complement.ambient_indices),
             "fiber_dimension": complement.fiber_dimension,
@@ -337,10 +340,7 @@ def _cmd_check_dirac(args, document, report):
 
 def _cmd_check_weak_symplectic(args, document, report):
     if args.target:
-        binding = _require_binding(document, args.target, ("form",), "--target")
-        if binding.value.grade != 2:
-            raise UsageError(f"--target: {args.target!r} must be a 2-form")
-        target = binding.value
+        target = _target_form(document, args.target)
     else:
         target = _require_symplectic(document)
     support = _model_support(document, args)

@@ -335,10 +335,8 @@ def orthogonal_complement(structure: DiracStructure, support) -> ComplementRepor
     for i in generators:
         row = [Fraction(0)] * (2 * n)
         row[position[i]] = Fraction(1)
-        for j in ambient:
-            value = w.entry(i, j)
-            if value:
-                row[n + position[j]] = value
+        for j, value in w.flat_components(i):
+            row[n + position[j]] = value
         basis_rows.append(row)
 
     # pairing matrix in block form [[0, I], [I, 0]]

@@ -15,6 +15,11 @@ Conventions, fixed once and used everywhere:
   L_X f = X(f) in grade 0;
 - Schouten bracket: see ``schouten_bracket``.
 
+Terms are kept canonical: a value stores one entry per blade and no zero
+coefficient, so equal values have equal ``terms``.  The validating
+constructor enforces this on input; every operation that sums terms into a
+blade goes through ``_add_term``, the one place that keeps the rule.
+
 Values are immutable; all operations return fresh objects.
 """
 
@@ -63,6 +68,17 @@ def _insert_into_blade(blade, index):
             break
     sign = -1 if pos & 1 else 1
     return sign, blade[:pos] + (index,) + blade[pos:]
+
+
+def _add_term(terms, blade, value):
+    """Add ``value`` into ``terms[blade]``: store no zero, drop a cancelled sum."""
+    acc = terms.get(blade)
+    if acc is not None:
+        value = acc + value
+    if value.is_zero():
+        terms.pop(blade, None)
+    else:
+        terms[blade] = value
 
 
 def _det(matrix):
@@ -194,15 +210,7 @@ class _Alternating:
             )
         merged = dict(self.terms)
         for blade, coeff in other.terms.items():
-            acc = merged.get(blade)
-            if acc is None:
-                merged[blade] = coeff
-            else:
-                acc = acc + coeff
-                if acc.is_zero():
-                    del merged[blade]
-                else:
-                    merged[blade] = acc
+            _add_term(merged, blade, coeff)
         return type(self)._raw(self.grade, merged)
 
     def __neg__(self):
@@ -218,12 +226,10 @@ class _Alternating:
             factor = _coerce_poly(other)
             if factor.is_zero():
                 return type(self).zero(self.grade)
-            out = {}
-            for blade, coeff in self.terms.items():
-                value = coeff * factor
-                if not value.is_zero():
-                    out[blade] = value
-            return type(self)._raw(self.grade, out)
+            # A product of two nonzero polynomials is nonzero.
+            return type(self)._raw(
+                self.grade, {blade: coeff * factor for blade, coeff in self.terms.items()}
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -241,17 +247,7 @@ class _Alternating:
                 if sign == 0:
                     continue
                 value = ca * cb
-                if sign < 0:
-                    value = -value
-                acc = out.get(blade)
-                if acc is None:
-                    out[blade] = value
-                else:
-                    acc = acc + value
-                    if acc.is_zero():
-                        del out[blade]
-                    else:
-                        out[blade] = acc
+                _add_term(out, blade, value if sign > 0 else -value)
         return type(self)._raw(self.grade + other.grade, out)
 
     # -- evaluation ----------------------------------------------------------
@@ -371,20 +367,9 @@ def interior_product(contractor, target):
                 pos = blade.index(index)
             except ValueError:
                 continue
-            reduced = blade[:pos] + blade[pos + 1 :]
             value = component * coeff
-            if pos & 1:
-                value = -value
-            acc = out.get(reduced)
-            if acc is None:
-                out[reduced] = value
-            else:
-                acc = acc + value
-                if acc.is_zero():
-                    del out[reduced]
-                else:
-                    out[reduced] = acc
-    return type(target)._raw(target.grade - 1, {b: c for b, c in out.items() if not c.is_zero()})
+            _add_term(out, blade[:pos] + blade[pos + 1 :], -value if pos & 1 else value)
+    return type(target)._raw(target.grade - 1, out)
 
 
 def vector_apply(field, function: Poly) -> Poly:
@@ -410,11 +395,11 @@ def lie_bracket(left, right):
         for (i,), yi in right.terms.items():
             dy = yi.partial(j)
             if not dy.is_zero():
-                out[(i,)] = out.get((i,), Poly.zero()) + xj * dy
+                _add_term(out, (i,), xj * dy)
             dx = xj.partial(i)
             if not dx.is_zero():
-                out[(j,)] = out.get((j,), Poly.zero()) - yi * dx
-    return KVector._raw(1, {b: c for b, c in out.items() if not c.is_zero()})
+                _add_term(out, (j,), -(yi * dx))
+    return KVector._raw(1, out)
 
 
 def de_rham(form) -> KForm:
@@ -426,22 +411,11 @@ def de_rham(form) -> KForm:
     out = {}
     for blade, coeff in form.terms.items():
         for var in coeff.variables():
-            partial = coeff.partial(var)
-            if partial.is_zero():
-                continue
             sign, new_blade = _insert_into_blade(blade, var)
             if sign == 0:
                 continue
-            value = partial if sign > 0 else -partial
-            acc = out.get(new_blade)
-            if acc is None:
-                out[new_blade] = value
-            else:
-                acc = acc + value
-                if acc.is_zero():
-                    del out[new_blade]
-                else:
-                    out[new_blade] = acc
+            partial = coeff.partial(var)
+            _add_term(out, new_blade, partial if sign > 0 else -partial)
     return KForm._raw(form.grade + 1, out)
 
 
@@ -483,37 +457,20 @@ def schouten_bracket(left, right) -> KVector:
         right = KVector.from_poly(right)
     if type(left) is not KVector or type(right) is not KVector:
         raise GradeError("schouten_bracket is defined for KVectors")
-    grade = max(left.grade + right.grade - 1, 0)
-    total = KVector.zero(grade)
-    sign_a = -1 if left.grade & 1 else 1
+    out = {}
+    a = left.grade
     for blade_i, f in left.terms.items():
         for blade_j, g in right.terms.items():
             for k, i_k in enumerate(blade_i):
+                sign, blade = _merge_blades(blade_i[:k] + blade_i[k + 1 :], blade_j)
                 dg = g.partial(i_k)
-                if dg.is_zero():
-                    continue
-                coeff = f * dg
-                if k & 1:
-                    coeff = -coeff
-                piece = KVector._raw(
-                    len(blade_i) - 1, {blade_i[:k] + blade_i[k + 1 :]: coeff}
-                )
-                total = total + piece.wedge(
-                    KVector._raw(len(blade_j), {blade_j: Poly.one()})
-                )
+                if sign and not dg.is_zero():
+                    coeff = f * dg
+                    _add_term(out, blade, coeff if sign * (-1) ** k > 0 else -coeff)
             for l, j_l in enumerate(blade_j):
+                sign, blade = _merge_blades(blade_i, blade_j[:l] + blade_j[l + 1 :])
                 df = f.partial(j_l)
-                if df.is_zero():
-                    continue
-                coeff = g * df
-                if l & 1:
-                    coeff = -coeff
-                if sign_a < 0:
-                    coeff = -coeff
-                piece = KVector._raw(
-                    len(blade_j) - 1, {blade_j[:l] + blade_j[l + 1 :]: coeff}
-                )
-                total = total + KVector._raw(
-                    len(blade_i), {blade_i: Poly.one()}
-                ).wedge(piece)
-    return total
+                if sign and not df.is_zero():
+                    coeff = g * df
+                    _add_term(out, blade, coeff if sign * (-1) ** (a + l) > 0 else -coeff)
+    return KVector._raw(max(a + right.grade - 1, 0), out)

@@ -10,6 +10,13 @@ coefficients, in one of two kinds:
   finite index block.  The matrix must be invertible on its block (checked
   eagerly); coordinates outside the block are simply unpaired.
 
+Both musical maps read one index table.  flat(e_i) is row i of W (column
+i of -W), and sharp(dx_j) is column j of W^{-1}; for the standard pairing
+both are ``[(j ^ 1, +1 if j is even else -1)]``.  ``flat_components`` and
+``sharp_components`` give these lists, ``entry`` and ``materialize`` read
+flat's, and ``flat``, ``sharp``, ``bivector_sharp`` and the Koszul
+brackets share one loop over them.
+
 Musical conventions, fixed once:
 
 - ``flat(w, X) = interior(X, w)``;
@@ -34,6 +41,7 @@ from fractions import Fraction
 from algebroid import linalg
 from algebroid.errors import GradeError, NotInvertible
 from algebroid.exterior import KForm, KVector, de_rham, interior_product, lie_derivative
+from algebroid.exterior import _add_term
 from algebroid.poly import Poly
 
 
@@ -47,7 +55,7 @@ class ConstantSymplectic:
         self.block = block
         self.matrix = matrix
         self.inverse = inverse
-        self._columns = None
+        self._columns = {}
 
     @classmethod
     def standard(cls) -> "ConstantSymplectic":
@@ -93,20 +101,36 @@ class ConstantSymplectic:
 
     # -- entries and pairing ------------------------------------------------
 
+    def flat_components(self, i: int):
+        """flat(e_i), row i of W, as [(index, Fraction)]; empty if unpaired."""
+        return self._column(False, i) or []
+
+    def sharp_components(self, j: int):
+        """sharp(dx_j), column j of W^-1, as [(index, Fraction)]; None if unpaired."""
+        return self._column(True, j)
+
+    def _column(self, inverse: bool, j: int):
+        """The table behind both musical maps: column j of W^-1 if ``inverse``,
+        else row j of W (column j of -W); None when j is unpaired."""
+        if self.kind == "standard":
+            return [(j ^ 1, Fraction(1 if j % 2 == 0 else -1))]
+        key = (inverse, j)
+        cached = self._columns.get(key)
+        if cached is None:
+            if j not in self.block:
+                return None
+            b = self.block.index(j)
+            values = [row[b] for row in self.inverse] if inverse else self.matrix[b]
+            cached = [(self.block[a], value) for a, value in enumerate(values) if value]
+            self._columns[key] = cached
+        return cached
+
     def entry(self, i: int, j: int) -> Fraction:
         """The coefficient w(e_i, e_j)."""
-        if self.kind == "standard":
-            if j == i + 1 and i % 2 == 0:
-                return Fraction(1)
-            if j == i - 1 and i % 2 == 1:
-                return Fraction(-1)
-            return Fraction(0)
-        try:
-            a = self.block.index(i)
-            b = self.block.index(j)
-        except ValueError:
-            return Fraction(0)
-        return self.matrix[a][b]
+        for index, value in self.flat_components(i):
+            if index == j:
+                return value
+        return Fraction(0)
 
     def closure(self, indices) -> tuple:
         """Smallest index set containing ``indices`` and closed under pairing."""
@@ -119,45 +143,12 @@ class ConstantSymplectic:
 
     def is_closed_support(self, indices) -> bool:
         indices = set(indices)
-        if self.kind == "standard":
-            return all(i ^ 1 in indices for i in indices)
-        return set(self.block) <= indices
+        return set(self.closure(indices)) == indices
 
     def materialize(self, cover) -> KForm:
         """The 2-form as a KForm, restricted to blades meeting ``cover``."""
-        terms = {}
-        if self.kind == "standard":
-            pairs = sorted({i // 2 for i in cover})
-            for p in pairs:
-                terms[(2 * p, 2 * p + 1)] = Poly.one()
-        else:
-            n = len(self.block)
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if self.matrix[a][b]:
-                        terms[(self.block[a], self.block[b])] = Poly.constant(
-                            self.matrix[a][b]
-                        )
-        return KForm(2, terms)
-
-    def sharp_components(self, j: int):
-        """Components of sharp(dx_j) as [(index, Fraction)], or None if unpaired."""
-        if self.kind == "standard":
-            return [(j + 1, Fraction(1))] if j % 2 == 0 else [(j - 1, Fraction(-1))]
-        if j not in self.block:
-            return None
-        if self._columns is None:
-            self._columns = {}
-        cached = self._columns.get(j)
-        if cached is None:
-            col = self.block.index(j)
-            cached = [
-                (self.block[a], self.inverse[a][col])
-                for a in range(len(self.block))
-                if self.inverse[a][col]
-            ]
-            self._columns[j] = cached
-        return cached
+        rows = ((i, self.flat_components(i)) for i in self.closure(cover))
+        return KForm(2, {(i, j): Poly.constant(v) for i, row in rows for j, v in row if i < j})
 
     def __repr__(self):
         if self.kind == "standard":
@@ -175,62 +166,41 @@ def _check_vector(value, what):
         raise GradeError(f"{what} must be a grade-1 KVector")
 
 
-def flat(w: ConstantSymplectic, field: KVector) -> KForm:
-    """flat(X) = interior(X, w)."""
-    _check_vector(field, "flat's argument")
+def _musical(components, value, cls, lenient):
+    """sum_i value_i * components(i) as a grade-1 ``cls``; an unpaired index
+    (components None) is skipped when ``lenient``, else raises NotInvertible."""
     terms = {}
-    for (i,), component in field.terms.items():
-        if w.kind == "standard":
-            images = [(i + 1, Fraction(1))] if i % 2 == 0 else [(i - 1, Fraction(-1))]
-        else:
-            if i not in w.block:
-                continue
-            a = w.block.index(i)
-            images = [
-                (w.block[b], w.matrix[a][b])
-                for b in range(len(w.block))
-                if w.matrix[a][b]
-            ]
-        for target, scale in images:
-            acc = terms.get((target,), Poly.zero()) + component * scale
-            if acc.is_zero():
-                terms.pop((target,), None)
-            else:
-                terms[(target,)] = acc
-    return KForm(1, terms)
-
-
-def _sharp_with(w, oneform, lenient):
-    terms = {}
-    for (j,), component in oneform.terms.items():
-        images = w.sharp_components(j)
+    for (i,), coeff in value.terms.items():
+        images = components(i)
         if images is None:
             if lenient:
                 continue
             error = NotInvertible(
-                f"the 2-form is singular on the needed support: dx[{j}] is unpaired"
+                f"the 2-form is singular on the needed support: dx[{i}] is unpaired"
             )
-            error.witness = j
+            error.witness = i
             raise error
         for target, scale in images:
-            acc = terms.get((target,), Poly.zero()) + component * scale
-            if acc.is_zero():
-                terms.pop((target,), None)
-            else:
-                terms[(target,)] = acc
-    return KVector(1, terms)
+            _add_term(terms, (target,), coeff * scale)
+    return cls._raw(1, terms)
+
+
+def flat(w: ConstantSymplectic, field: KVector) -> KForm:
+    """flat(X) = interior(X, w)."""
+    _check_vector(field, "flat's argument")
+    return _musical(w.flat_components, field, KForm, lenient=True)
 
 
 def sharp(w: ConstantSymplectic, oneform: KForm) -> KVector:
     """The unique X with interior(X, w) = -a; raises NotInvertible off the block."""
     _check_oneform(oneform, "sharp's argument")
-    return _sharp_with(w, oneform, lenient=False)
+    return _musical(w.sharp_components, oneform, KVector, lenient=False)
 
 
 def bivector_sharp(w: ConstantSymplectic, oneform: KForm) -> KVector:
     """The Poisson bivector's anchor: sharp on the block, zero on unpaired indices."""
     _check_oneform(oneform, "bivector_sharp's argument")
-    return _sharp_with(w, oneform, lenient=True)
+    return _musical(w.sharp_components, oneform, KVector, lenient=True)
 
 
 def hamiltonian_vf(w: ConstantSymplectic, function: Poly) -> KVector:
@@ -254,8 +224,8 @@ def induced_pairing(w: ConstantSymplectic, a: KForm, b: KForm) -> Poly:
 
 
 def _koszul_bracket(w, a, b, lenient):
-    xa = _sharp_with(w, a, lenient)
-    xb = _sharp_with(w, b, lenient)
+    xa = _musical(w.sharp_components, a, KVector, lenient)
+    xb = _musical(w.sharp_components, b, KVector, lenient)
     pairing = b.evaluate(xa)
     return lie_derivative(xa, b) - lie_derivative(xb, a) - de_rham(pairing)
 

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 import algebroid
+from algebroid.errors import NotInvertible
+from algebroid.poly import Poly
+from algebroid.symplectic import ConstantSymplectic
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -77,6 +83,70 @@ def graded_zero_sum(values) -> bool:
             return False
         total = total + value
     return total.is_zero()
+
+
+# -- hypothesis strategies for the constant-structure calculus ----------------
+
+# Indices run past every explicit block below, so values reach unpaired
+# coordinates too.
+INDICES = tuple(range(8))
+
+coefficients = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3)
+)
+monomials = st.dictionaries(
+    st.sampled_from(INDICES), st.integers(min_value=1, max_value=2), max_size=2
+).map(lambda d: tuple(sorted(d.items())))
+polys = st.dictionaries(monomials, coefficients, max_size=3).map(Poly)
+
+
+def blades(grade):
+    return st.sets(st.sampled_from(INDICES), min_size=grade, max_size=grade).map(
+        lambda s: tuple(sorted(s))
+    )
+
+
+def alternating(cls, grade):
+    """Values of ``cls`` (KForm or KVector) of one grade over ``INDICES``."""
+    return st.dictionaries(blades(grade), polys, max_size=3).map(
+        lambda terms: cls(grade, terms)
+    )
+
+
+@st.composite
+def constant_structures(draw):
+    """The standard structure, or an invertible explicit block of size 2 or 4
+    on indices below 6 with rational entries."""
+    if draw(st.booleans()):
+        return ConstantSymplectic.standard()
+    size = draw(st.sampled_from((2, 4)))
+    block = sorted(
+        draw(st.sets(st.integers(min_value=0, max_value=5), min_size=size, max_size=size))
+    )
+    matrix = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            matrix[i][j] = draw(coefficients)
+            matrix[j][i] = -matrix[i][j]
+    try:
+        return ConstantSymplectic.explicit(block, matrix)
+    except NotInvertible:
+        assume(False)
+
+
+def reference_sharp_components(w, j):
+    """Components of sharp(dx_j) read straight off the closed form or the
+    inverse matrix, as [(index, Fraction)], or None if unpaired."""
+    if w.kind == "standard":
+        return [(j + 1, Fraction(1))] if j % 2 == 0 else [(j - 1, Fraction(-1))]
+    if j not in w.block:
+        return None
+    col = w.block.index(j)
+    return [
+        (w.block[a], w.inverse[a][col])
+        for a in range(len(w.block))
+        if w.inverse[a][col]
+    ]
 
 
 @pytest.fixture

@@ -15,6 +15,8 @@ Oracles:
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroid.algebroids import (
     AlgebroidStructure,
@@ -44,7 +46,13 @@ from algebroid.symplectic import (
     poisson_bracket,
 )
 
-from conftest import graded_zero_sum, sgn
+from conftest import (
+    alternating,
+    constant_structures,
+    graded_zero_sum,
+    reference_sharp_components,
+    sgn,
+)
 
 STD = ConstantSymplectic.standard()
 SUPPORT = (0, 1, 2, 3)
@@ -346,4 +354,53 @@ class TestContravariantDifferential:
         g = Poly.variable(0)
         assert contravariant_differential(w, g) == -bivector_sharp(
             w, de_rham(g)
+        )
+
+
+def reference_contravariant_differential(w, field):
+    """The contravariant differential by target enumeration: collect every
+    blade J that some term can reach, then sum over the positions of J the
+    sharp of that index applied to the coefficient of J minus the index."""
+    candidates = set()
+    for blade, coeff in field.terms.items():
+        partners = set()
+        for var in coeff.variables():
+            if w.kind == "standard":
+                partners.add(var ^ 1)
+            elif var in w.block:
+                a = w.block.index(var)
+                for b in range(len(w.block)):
+                    if w.inverse[a][b]:
+                        partners.add(w.block[b])
+        for j in partners:
+            if j not in blade:
+                pos = sum(1 for value in blade if value < j)
+                candidates.add(blade[:pos] + (j,) + blade[pos:])
+
+    out = {}
+    for target in sorted(candidates):
+        total = Poly.zero()
+        for pos, j in enumerate(target):
+            coeff = field.terms.get(target[:pos] + target[pos + 1 :])
+            components = reference_sharp_components(w, j)
+            if coeff is None or not components:
+                continue
+            piece = Poly.zero()
+            for index, scale in components:
+                piece = piece + coeff.partial(index) * scale
+            total = total - piece if pos & 1 else total + piece
+        if not total.is_zero():
+            out[target] = total
+    return KVector(field.grade + 1, out)
+
+
+class TestContravariantAgainstReference:
+    @given(
+        constant_structures(),
+        st.integers(min_value=0, max_value=3).flatmap(lambda g: alternating(KVector, g)),
+    )
+    @settings(deadline=None)
+    def test_matches_target_enumeration(self, w, field):
+        assert contravariant_differential(w, field) == reference_contravariant_differential(
+            w, field
         )

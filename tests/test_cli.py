@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from algebroid import cli
+from algebroid import cli, linalg
 
 from conftest import child_env, console_script, fixture_path
 
@@ -338,6 +338,21 @@ class TestMathematicalFailures:
         assert code == 1
         assert report["complement"]["equals_complement"] is False
         assert report["complement"]["witness"] == "(e[2], 0)"
+
+    def test_a_type_error_inside_the_complement_propagates(self, capsys, monkeypatch):
+        def broken_rank(*_args, **_kwargs):
+            raise TypeError("broken rank")
+
+        monkeypatch.setattr(linalg, "rank", broken_rank)
+        with pytest.raises(TypeError, match="broken rank"):
+            run_json(capsys, "check-dirac", "std_basic.adsl")
+
+    def test_a_polynomial_graph_has_no_complement(self, capsys):
+        code, report, _ = run_json(
+            capsys, "check-dirac", "nonclosed_form.adsl", "--target", "B"
+        )
+        assert code == 1
+        assert "complement" not in report
 
 
 class TestUsageErrors:

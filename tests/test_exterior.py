@@ -17,8 +17,11 @@ oracles:
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from algebroid.errors import ArityError, GradeError
+from algebroid.algebroids import contravariant_differential
+from algebroid.errors import ArityError, GradeError, NotInvertible
 from algebroid.exterior import (
     KForm,
     KVector,
@@ -26,13 +29,15 @@ from algebroid.exterior import (
     interior_product,
     lie_bracket,
     lie_derivative,
+    schouten_bracket,
     vector_apply,
     wedge,
 )
 from algebroid.poly import Poly
 from algebroid.sampling import Sampler
+from algebroid.symplectic import bivector_sharp, flat, sharp
 
-from conftest import sgn
+from conftest import alternating, constant_structures, polys, sgn
 
 SUPPORT = (0, 1, 2, 3)
 
@@ -327,3 +332,67 @@ class TestGradeAndArityErrors:
             KForm(2, {(1, 0): Poly.one()})
         with pytest.raises(ValueError):
             KForm(2, {(1, 1): Poly.one()})
+
+
+def assert_canonical_terms(value):
+    """Every stored coefficient is a nonzero Poly, and the validating
+    constructor rebuilds the value unchanged."""
+    for coeff in value.terms.values():
+        assert type(coeff) is Poly and not coeff.is_zero(), repr(coeff)
+    assert value == type(value)(value.grade, value.terms)
+
+
+multivectors = st.integers(min_value=0, max_value=3).flatmap(
+    lambda grade: alternating(KVector, grade)
+)
+
+
+class TestCanonicalTerms:
+    @given(
+        alternating(KVector, 1),
+        alternating(KVector, 1),
+        alternating(KForm, 1),
+        alternating(KForm, 2),
+        multivectors,
+        multivectors,
+        polys,
+    )
+    @settings(deadline=None)
+    def test_every_operation_stores_canonical_terms(self, x, y, a, b, p, q, f):
+        results = [
+            a + a, a - a, a + (-a), b + b, b - b, p + p, p - p, p + (-p),
+            a.wedge(a), a.wedge(b), b.wedge(b), x.wedge(y), p.wedge(q),
+            interior_product(x, b), interior_product(x, interior_product(x, b)),
+            interior_product(a, p.wedge(x)), interior_product(a, x.wedge(x)),
+            de_rham(f), de_rham(de_rham(f)), de_rham(a), de_rham(de_rham(a)), de_rham(b),
+            lie_bracket(x, y), lie_bracket(x, x), lie_bracket(y, x) + lie_bracket(x, y),
+            lie_derivative(x, a), lie_derivative(x, b), lie_derivative(x, p),
+            lie_derivative(x, x),
+            schouten_bracket(p, q), schouten_bracket(x, x), schouten_bracket(p, p),
+            schouten_bracket(f, p), schouten_bracket(x, y) - lie_bracket(x, y),
+        ]
+        for value in results:
+            assert_canonical_terms(value)
+
+    @given(
+        constant_structures(),
+        alternating(KVector, 1),
+        alternating(KForm, 1),
+        multivectors,
+        polys,
+    )
+    @settings(deadline=None)
+    def test_musical_maps_and_contravariant_differential(self, w, x, a, p, f):
+        results = [
+            flat(w, x), flat(w, x) + flat(w, -x), bivector_sharp(w, a),
+            contravariant_differential(w, f), contravariant_differential(w, p),
+            contravariant_differential(w, contravariant_differential(w, p)),
+        ]
+        try:
+            xa = sharp(w, a)
+        except NotInvertible:
+            pass
+        else:
+            results += [xa, flat(w, xa) + a]
+        for value in results:
+            assert_canonical_terms(value)

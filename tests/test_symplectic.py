@@ -18,9 +18,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroid.errors import NotInvertible
-from algebroid.exterior import KForm, KVector, de_rham, interior_product, wedge
+from algebroid.exterior import (
+    KForm,
+    KVector,
+    de_rham,
+    interior_product,
+    lie_derivative,
+    wedge,
+)
 from algebroid.poly import Poly
 from algebroid.sampling import Sampler
 from algebroid.symplectic import (
@@ -34,6 +43,13 @@ from algebroid.symplectic import (
     poisson_bracket,
     poisson_oneform_bracket,
     sharp,
+)
+
+from conftest import (
+    INDICES,
+    alternating,
+    constant_structures,
+    reference_sharp_components,
 )
 
 STD = ConstantSymplectic.standard()
@@ -329,3 +345,155 @@ class TestExplicitInverse:
             vector = [witness.coefficient((i,)).constant_term() for i in block]
             assert any(vector)
             assert matmul(matrix, [[v] for v in vector]) == [[0]] * n
+
+
+# -- references: the musical maps and the table readers as they were written
+# before both musical maps read ``flat_components``/``sharp_components`` ----
+
+
+def reference_flat(w, field):
+    """flat with its own standard/explicit branch, reading rows of W."""
+    terms = {}
+    for (i,), component in field.terms.items():
+        if w.kind == "standard":
+            images = [(i + 1, Fraction(1))] if i % 2 == 0 else [(i - 1, Fraction(-1))]
+        else:
+            if i not in w.block:
+                continue
+            a = w.block.index(i)
+            images = [
+                (w.block[b], w.matrix[a][b])
+                for b in range(len(w.block))
+                if w.matrix[a][b]
+            ]
+        for target, scale in images:
+            acc = terms.get((target,), Poly.zero()) + component * scale
+            if acc.is_zero():
+                terms.pop((target,), None)
+            else:
+                terms[(target,)] = acc
+    return KForm(1, terms)
+
+
+def reference_sharp(w, oneform, lenient):
+    """sharp (strict) and bivector_sharp (lenient), reading columns of W^-1."""
+    terms = {}
+    for (j,), component in oneform.terms.items():
+        images = reference_sharp_components(w, j)
+        if images is None:
+            if lenient:
+                continue
+            error = NotInvertible(
+                f"the 2-form is singular on the needed support: dx[{j}] is unpaired"
+            )
+            error.witness = j
+            raise error
+        for target, scale in images:
+            acc = terms.get((target,), Poly.zero()) + component * scale
+            if acc.is_zero():
+                terms.pop((target,), None)
+            else:
+                terms[(target,)] = acc
+    return KVector(1, terms)
+
+
+def reference_entry(w, i, j):
+    if w.kind == "standard":
+        if j == i + 1 and i % 2 == 0:
+            return Fraction(1)
+        if j == i - 1 and i % 2 == 1:
+            return Fraction(-1)
+        return Fraction(0)
+    try:
+        a = w.block.index(i)
+        b = w.block.index(j)
+    except ValueError:
+        return Fraction(0)
+    return w.matrix[a][b]
+
+
+def reference_materialize(w, cover):
+    terms = {}
+    if w.kind == "standard":
+        for p in sorted({i // 2 for i in cover}):
+            terms[(2 * p, 2 * p + 1)] = Poly.one()
+    else:
+        n = len(w.block)
+        for a in range(n):
+            for b in range(a + 1, n):
+                if w.matrix[a][b]:
+                    terms[(w.block[a], w.block[b])] = Poly.constant(w.matrix[a][b])
+    return KForm(2, terms)
+
+
+def reference_is_closed_support(w, indices):
+    indices = set(indices)
+    if w.kind == "standard":
+        return all(i ^ 1 in indices for i in indices)
+    return set(w.block) <= indices
+
+
+def outcome(function, *args):
+    """The value of ``function(*args)``, or the message and witness of the
+    NotInvertible it raises."""
+    try:
+        return function(*args)
+    except NotInvertible as error:
+        return ("NotInvertible", str(error), error.witness)
+
+
+class TestMusicalMapsAgainstReference:
+    @given(constant_structures(), alternating(KVector, 1))
+    @settings(deadline=None)
+    def test_flat(self, w, field):
+        assert flat(w, field) == reference_flat(w, field)
+
+    @given(constant_structures(), alternating(KForm, 1))
+    @settings(deadline=None)
+    def test_sharp_and_bivector_sharp(self, w, oneform):
+        assert outcome(sharp, w, oneform) == outcome(reference_sharp, w, oneform, False)
+        assert bivector_sharp(w, oneform) == reference_sharp(w, oneform, True)
+
+    @given(constant_structures(), alternating(KForm, 1), alternating(KForm, 1))
+    @settings(deadline=None, max_examples=50)
+    def test_koszul_brackets_use_the_same_sharp(self, w, a, b):
+        xa = reference_sharp(w, a, True)
+        xb = reference_sharp(w, b, True)
+        expected = (
+            lie_derivative(xa, b) - lie_derivative(xb, a) - de_rham(b.evaluate(xa))
+        )
+        assert poisson_oneform_bracket(w, a, b) == expected
+
+    @given(constant_structures(), st.sampled_from(INDICES))
+    @settings(deadline=None)
+    def test_component_tables(self, w, index):
+        assert w.sharp_components(index) == reference_sharp_components(w, index)
+        row = [(j, reference_entry(w, index, j)) for j in range(10)]
+        assert w.flat_components(index) == [(j, v) for j, v in row if v]
+
+    @given(constant_structures())
+    @settings(deadline=None)
+    def test_entry_reads_the_matrix(self, w):
+        for i in range(10):
+            for j in range(10):
+                value = w.entry(i, j)
+                assert type(value) is Fraction
+                assert value == reference_entry(w, i, j)
+                if w.kind == "explicit" and i in w.block and j in w.block:
+                    assert value == w.matrix[w.block.index(i)][w.block.index(j)]
+
+    def test_standard_entry_closed_form(self):
+        # w = sum_p dx_{2p} ^ dx_{2p+1}: w(e_i, e_j) is +1 for (2p, 2p+1),
+        # -1 for (2p+1, 2p) and 0 elsewhere.
+        pairs = {(2 * p, 2 * p + 1): 1 for p in range(6)}
+        pairs.update({(2 * p + 1, 2 * p): -1 for p in range(6)})
+        for i in range(12):
+            for j in range(12):
+                assert STD.entry(i, j) == pairs.get((i, j), 0)
+
+    @given(constant_structures(), st.sets(st.sampled_from(INDICES)))
+    @settings(deadline=None)
+    def test_materialize_and_closed_support(self, w, cover):
+        assert w.materialize(cover) == reference_materialize(w, cover)
+        assert w.is_closed_support(cover) == reference_is_closed_support(w, cover)
+        assert w.is_closed_support(w.closure(cover))
