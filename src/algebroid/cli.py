@@ -216,6 +216,14 @@ def _model_support(document, args, default=None):
     raise UsageError("no coordinates declared and no --support given")
 
 
+def _sampling_support(document, args, default=None):
+    """The support random inputs are drawn over; it must be nonempty."""
+    support = _model_support(document, args, default)
+    if not support:
+        raise UsageError("the sampling support is empty")
+    return support
+
+
 def _axiom_entries(report):
     return [
         {"axiom": check.axiom, "passed": check.passed, "witness": check.witness}
@@ -241,7 +249,7 @@ def _cmd_check_axioms(args, document, report):
             sections.append(binding.value)
     functions = [b.value for b in document.bindings if b.kind == "fn"]
     sampler = Sampler(args.seed)
-    support = _model_support(document, args)
+    support = _sampling_support(document, args)
     while len(sections) < args.sections:
         if pool_kind == "vector":
             sections.append(sampler.vector_field(support, args.degree))
@@ -266,7 +274,7 @@ def _cmd_check_courant(args, document, report):
     sections = [b.value for b in document.bindings if b.kind == "section"]
     functions = [b.value for b in document.bindings if b.kind == "fn"]
     sampler = Sampler(args.seed)
-    support = _model_support(document, args)
+    support = _sampling_support(document, args)
     while len(sections) < args.sections:
         sections.append(sampler.section(support, args.degree))
     while len(functions) < args.functions:
@@ -301,7 +309,7 @@ def _dirac_structure(args, document):
 
 def _cmd_check_dirac(args, document, report):
     structure = _dirac_structure(args, document)
-    support = _model_support(document, args, default=structure.default_support())
+    support = _sampling_support(document, args, default=structure.default_support())
     result = check_dirac(
         structure, args.trials, args.seed, support=support, degree=args.degree
     )
@@ -442,8 +450,8 @@ def _cmd_sigma(args, document, report):
     return True
 
 
-def _truncation(args, document, complex_name, w):
-    spec = TruncationSpec(support=_model_support(document, args), degree=args.degree)
+def _truncation(args, support, complex_name, w):
+    spec = TruncationSpec(support=support, degree=args.degree)
     try:
         _validate_support(complex_name, w, spec)
     except ValueError as exc:
@@ -466,7 +474,7 @@ def _cmd_cohomology(args, document, report):
     w = None
     if args.complex in ("lp", "ce-cotangent"):
         w = _require_symplectic(document)
-    spec = _truncation(args, document, args.complex, w)
+    spec = _truncation(args, _model_support(document, args), args.complex, w)
     grades = _parse_index_list(args.grades, "grades")
     result = compute_cohomology(
         args.complex, w, spec, grades, max_basis=args.max_basis
@@ -486,7 +494,7 @@ def _cmd_cohomology(args, document, report):
 def _cmd_theorem_check(args, document, report):
     w = _require_symplectic(document)
     # ce-cotangent needs the same support closure as lp
-    spec = _truncation(args, document, "lp", w)
+    spec = _truncation(args, _sampling_support(document, args), "lp", w)
     grades = _parse_index_list(args.grades, "grades")
     result = check_lp_ce_agreement(
         w, spec, grades, args.trials, args.seed, max_basis=args.max_basis

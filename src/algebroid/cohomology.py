@@ -69,10 +69,8 @@ def blade_basis(support, grade):
 
 
 def _domain_size(spec, grade, degree):
-    nmono = sum(
-        comb(len(spec.support) + d - 1, d) for d in range(degree + 1)
-    )
-    return comb(len(spec.support), grade) * nmono
+    m = len(spec.support)
+    return comb(m, grade) * comb(m + degree, degree)
 
 
 def _guard_basis(spec, grade, degree, max_basis):
@@ -93,12 +91,9 @@ def _validate_support(complex_name, w, spec):
     if not isinstance(w, ConstantSymplectic):
         raise TypeError(f"the {complex_name} complex needs a ConstantSymplectic")
     if not w.is_closed_support(spec.support):
-        if w.kind == "standard":
-            raise ValueError(
-                "the truncation support must be closed under the standard pairing"
-            )
         raise ValueError(
-            "the truncation support must contain the explicit block"
+            "the truncation support must be closed under the pairing; "
+            f"its closure is {list(w.closure(spec.support))}"
         )
 
 

@@ -266,23 +266,15 @@ class DiracStructure:
         """The graph section over a vector field."""
         return GeneralizedSection(field, self.flatten(field))
 
-    def generator_indices(self, support):
-        """Indices whose coordinate fields generate the subbundle fiber."""
-        if isinstance(self.form, ConstantSymplectic):
-            if self.form.kind == "standard":
-                return self.form.closure(support)
-            return self.form.block
-        return tuple(sorted(set(support) | self.form.support()))
-
     def default_support(self):
         """The sampling support of check_dirac when none is given: the
-        form's own support, the first two pairs of the standard structure,
-        or an explicit structure's block."""
+        indices the form itself forces (an explicit block, or a polynomial
+        form's support), or (0, 1, 2, 3) when it forces none."""
         if isinstance(self.form, ConstantSymplectic):
-            if self.form.kind == "standard":
-                return (0, 1, 2, 3)
-            return self.form.block
-        return tuple(sorted(self.form.support()))
+            forced = self.form.paired_indices(())
+        else:
+            forced = tuple(sorted(self.form.support()))
+        return forced or (0, 1, 2, 3)
 
     def curvature(self) -> KForm:
         """d of the defining 2-form (zero exactly when the graph is involutive)."""
@@ -317,8 +309,13 @@ def orthogonal_complement(structure: DiracStructure, support) -> ComplementRepor
 
     The fiber over the generic point is spanned by the coordinate frame and
     coframe over the pairing-closure of ``support``; the subbundle is
-    generated by graph sections of the structure's own block.  Everything is
-    exact integer linear algebra.
+    generated by the graph sections of the indices the pairing pairs.
+    Everything is exact integer linear algebra.
+
+    The fiber pairing [[0, I], [I, 0]] is nondegenerate on the 2n-dimensional
+    fiber, so the complement has dimension 2n - dim L, and an isotropic L
+    (L inside its complement) equals its complement exactly when dim L = n.
+    A complement basis is computed only to find a witness when it does not.
     """
     if not isinstance(structure.form, ConstantSymplectic):
         raise TypeError(
@@ -326,13 +323,12 @@ def orthogonal_complement(structure: DiracStructure, support) -> ComplementRepor
             "polynomial graphs are handled by check_dirac"
         )
     w = structure.form
-    ambient = tuple(sorted(set(w.closure(support)) | set(support)))
-    generators = tuple(i for i in structure.generator_indices(support) if i in ambient)
+    ambient = w.closure(support)
     n = len(ambient)
     position = {index: k for k, index in enumerate(ambient)}
 
     basis_rows = []
-    for i in generators:
+    for i in w.paired_indices(support):
         row = [Fraction(0)] * (2 * n)
         row[position[i]] = Fraction(1)
         for j, value in w.flat_components(i):
@@ -341,9 +337,7 @@ def orthogonal_complement(structure: DiracStructure, support) -> ComplementRepor
 
     # pairing matrix in block form [[0, I], [I, 0]]
     constraint_rows = [row[n:] + row[:n] for row in basis_rows]
-    perp_basis = linalg.nullspace(constraint_rows, 2 * n)
     dim_sub = linalg.rank(basis_rows, 2 * n)
-    dim_perp = len(perp_basis)
 
     # Each row has about two nonzeros: pair over those only.
     paired_supports = [
@@ -355,36 +349,20 @@ def orthogonal_complement(structure: DiracStructure, support) -> ComplementRepor
         for other in basis_rows
     )
 
-    # With equal dimensions, the complement lies inside the subbundle (so
-    # equals it) exactly when adjoining its basis leaves the rank at dim_sub.
-    equals = dim_sub == dim_perp and linalg.rank(basis_rows + perp_basis, 2 * n) == dim_sub
+    equals = isotropic and dim_sub == n
     witness = None
     if not equals:
-        for vec in perp_basis:
+        for vec in linalg.nullspace(constraint_rows, 2 * n):
             if not linalg.row_space_contains(basis_rows, list(vec), 2 * n):
-                vector = KVector(
-                    1,
-                    {
-                        (ambient[k],): Fraction(vec[k])
-                        for k in range(n)
-                        if vec[k]
-                    },
-                )
-                form = KForm(
-                    1,
-                    {
-                        (ambient[k],): Fraction(vec[n + k])
-                        for k in range(n)
-                        if vec[n + k]
-                    },
-                )
-                witness = GeneralizedSection(vector, form)
+                vector = {(ambient[k],): Fraction(vec[k]) for k in range(n) if vec[k]}
+                form = {(ambient[k],): Fraction(vec[n + k]) for k in range(n) if vec[n + k]}
+                witness = GeneralizedSection(KVector(1, vector), KForm(1, form))
                 break
     return ComplementReport(
         ambient_indices=ambient,
         fiber_dimension=2 * n,
         dim_subbundle=dim_sub,
-        dim_complement=dim_perp,
+        dim_complement=2 * n - dim_sub,
         isotropic=isotropic,
         equals_complement=equals,
         witness=witness,

@@ -15,7 +15,10 @@ i of -W), and sharp(dx_j) is column j of W^{-1}; for the standard pairing
 both are ``[(j ^ 1, +1 if j is even else -1)]``.  ``flat_components`` and
 ``sharp_components`` give these lists, ``entry`` and ``materialize`` read
 flat's, and ``flat``, ``sharp``, ``bivector_sharp`` and the Koszul
-brackets share one loop over them.
+brackets share one loop over them.  ``closure`` (the smallest index set
+closed under the pairing) and ``paired_indices`` (the part of it that the
+pairing pairs) answer the other modules; only the DSL serializer reads the
+kind, to write the declaration back.
 
 Musical conventions, fixed once:
 
@@ -140,6 +143,12 @@ class ConstantSymplectic:
         else:
             out |= set(self.block)
         return tuple(sorted(out))
+
+    def paired_indices(self, indices) -> tuple:
+        """The indices of ``closure(indices)`` that the pairing pairs."""
+        if self.kind == "standard":
+            return self.closure(indices)
+        return self.block
 
     def is_closed_support(self, indices) -> bool:
         indices = set(indices)
@@ -271,7 +280,7 @@ def check_weak_symplectic(target, support) -> WeakSymplecticReport:
     support = tuple(sorted(set(support)))
     if isinstance(target, ConstantSymplectic):
         form = target.materialize(support)
-        columns = sorted(set(support) | set(target.closure(support)))
+        columns = target.closure(support)
     else:
         if type(target) is not KForm or target.grade != 2:
             raise GradeError("check_weak_symplectic needs a grade-2 KForm")

@@ -339,6 +339,19 @@ class TestMathematicalFailures:
         assert report["complement"]["equals_complement"] is False
         assert report["complement"]["witness"] == "(e[2], 0)"
 
+    def test_empty_explicit_block_samples_the_default_support(self, capsys, tmp_path):
+        document = tmp_path / "empty_block.adsl"
+        document.write_text("var x0 x1\nsymplectic explicit support {} matrix []\n")
+        code, out, err = run_cli(
+            capsys, "check-dirac", "--input", str(document), "--format", "json"
+        )
+        report = json.loads(out)
+        assert code == 1
+        assert err == ""
+        assert report["options"]["support"] == [0, 1, 2, 3]
+        assert report["complement"]["dim_subbundle"] == 0
+        assert report["complement"]["witness"] == "(e[0], 0)"
+
     def test_a_type_error_inside_the_complement_propagates(self, capsys, monkeypatch):
         def broken_rank(*_args, **_kwargs):
             raise TypeError("broken rank")
@@ -429,6 +442,12 @@ class TestUsageErrors:
             ("check-courant", "courant_sections.adsl", ("--sections", "-1"), "--sections"),
             ("check-dirac", "dirac_std.adsl", ("--degree", "-1"), "--degree"),
             ("check-dirac", "dirac_std.adsl", ("--support=-1..3",), "negative support"),
+            ("check-axioms", "std_basic.adsl", ("--structure", "tangent", "--support", "{}"),
+             "support is empty"),
+            ("check-courant", "courant_sections.adsl", ("--support", "{}"), "support is empty"),
+            ("check-dirac", "dirac_std.adsl", ("--support", "{}"), "support is empty"),
+            ("theorem-check", "std_basic.adsl", ("--support", "{}", "--degree", "1"),
+             "support is empty"),
         ],
     )
     def test_bad_argument_values_exit_two(self, capsys, command, fixture, extra, reason):

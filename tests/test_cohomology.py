@@ -366,13 +366,20 @@ class TestGuards:
             _validate_support("lp", None, TruncationSpec((0, 1), 1))
 
     def test_lp_needs_closed_support(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="closed under the pairing"):
             _validate_support("lp", STD, TruncationSpec((0,), 1))
 
     def test_explicit_support_must_contain_block(self):
         w = ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="closed under the pairing"):
             _validate_support("lp", w, TruncationSpec((1, 2), 1))
+
+    @pytest.mark.parametrize("complex_name", ["lp", "ce-tangent", "ce-cotangent"])
+    def test_empty_support_leaves_only_constants(self, complex_name):
+        # With no coordinates the one cochain is the constant function, a
+        # cocycle that nothing bounds.
+        report = compute_cohomology(complex_name, STD, TruncationSpec((), 2), [0, 1, 2])
+        assert report.table() == {0: (1, 0, 1), 1: (0, 0, 0), 2: (0, 0, 0)}
 
     def test_ce_tangent_ignores_structure(self):
         _validate_support("ce-tangent", None, TruncationSpec((0,), 1))
