@@ -207,7 +207,7 @@ def _parse_index_list(text, what):
 
 
 def _model_support(document, args, default=None):
-    if getattr(args, "support", None):
+    if getattr(args, "support", None) is not None:
         return _parse_index_list(args.support, "support")
     if default is not None:
         return default

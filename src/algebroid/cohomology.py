@@ -2,15 +2,20 @@
 
 A ``TruncationSpec`` fixes a finite coordinate support and a coefficient
 degree bound D.  Grade-k cochains are spanned by (blade over the support,
-monomial of degree <= bound) pairs.  Every differential handled here lowers
-the coefficient degree by exactly one, so the degree window rule is:
+monomial of degree <= bound) pairs.  Every differential handled here maps
+a cochain of coefficient degree exactly d to one of degree exactly d - 1,
+so each differential is a direct sum of strands, one sparse matrix per
+(grade, exact degree), and its rank on a window is the sum of the strand
+ranks.  A term of any other degree is an internal error.
 
-- cocycles at grade k are taken with coefficient degree <= D;
+- cocycles at grade k are taken with coefficient degree <= D: the strands
+  (k, 0..D);
 - coboundaries at grade k are images of grade-(k-1) cochains with
-  coefficient degree <= D + 1 (those images land inside degree <= D).
+  coefficient degree <= D + 1: the strands (k - 1, 0..D + 1).
 
 The quotient dimension is nullity(d restricted to degree <= D) minus
-rank(d from degree <= D + 1).  All ranks and kernels are exact (fraction-
+rank(d from degree <= D + 1).  Each strand is assembled and ranked once,
+however many windows need it.  All ranks and kernels are exact (fraction-
 free elimination over the integers after row scaling).
 
 Three complexes are supported:
@@ -39,8 +44,8 @@ from algebroid.algebroids import (
 )
 from algebroid.errors import TruncationTooLarge
 from algebroid.exterior import KForm, KVector
-from algebroid.poly import Poly
-from algebroid.sampling import Sampler, monomials_up_to
+from algebroid.poly import Poly, monomial_degree
+from algebroid.sampling import Sampler, monomials_of_degree
 from algebroid.symplectic import ConstantSymplectic
 
 DEFAULT_MAX_BASIS = 20000
@@ -139,36 +144,39 @@ def _image_support(blade, mono, w, complex_name):
     return w.closure(touched)
 
 
-def _assemble_matrix(complex_name, w, spec, grade, degree, permute=None):
-    """Rows of the differential matrix from grade/degree, plus the domain size.
+def _assemble_strand(complex_name, w, spec, grade, degree, permute=None):
+    """Sparse rows of the differential on one strand, plus its domain.
 
-    Rows are indexed by (target blade, target monomial) pairs encountered in
-    the images; columns by the domain basis (blade-major, monomials in
-    canonical order).  Entries are exact rationals.
+    The domain is the grade-``grade`` basis with coefficient degree exactly
+    ``degree`` (blade-major, monomials in canonical order; ``permute``
+    shuffles it); it indexes the columns.  Rows are indexed by the (target
+    blade, target monomial) pairs in the order the images first reach them,
+    and every target monomial must have degree ``degree - 1``.  Entries are
+    exact rationals.
     """
-    blades = blade_basis(spec.support, grade)
-    monos = monomials_up_to(spec.support, degree)
-    domain = [(blade, mono) for blade in blades for mono in monos]
+    monos = monomials_of_degree(spec.support, degree)
+    domain = [(blade, mono) for blade in blade_basis(spec.support, grade) for mono in monos]
     if permute is not None:
         permute.shuffle(domain)
     image = _differential(complex_name, w)
-    images = [image(grade, blade, mono) for blade, mono in domain]
-
     row_index = {}
-    entries = []
-    for col, value in enumerate(images):
-        for blade, coeff in value.sorted_terms():
-            for mono, scalar in coeff.sorted_terms():
-                key = (blade, mono)
+    rows = []
+    for col, (blade, mono) in enumerate(domain):
+        for target, coeff in image(grade, blade, mono).terms.items():
+            for out_mono, scalar in coeff.terms.items():
+                if monomial_degree(out_mono) != degree - 1:
+                    raise AssertionError(
+                        f"the {complex_name} image of {(blade, mono)} has a term of degree "
+                        f"{monomial_degree(out_mono)}, outside strand ({grade}, {degree})"
+                    )
+                key = (target, out_mono)
                 row = row_index.get(key)
                 if row is None:
-                    row = len(row_index)
-                    row_index[key] = row
-                entries.append((row, col, scalar))
-    rows = [[0] * len(domain) for _ in range(len(row_index))]
-    for row, col, scalar in entries:
-        rows[row][col] = scalar
-    return rows, len(domain)
+                    row_index[key] = len(rows)
+                    rows.append([(col, scalar)])
+                else:
+                    rows[row].append((col, scalar))
+    return rows, domain
 
 
 @dataclass
@@ -184,7 +192,6 @@ class CohomologyReport:
     support: tuple
     degree: int
     grades: dict  # grade -> GradeDims
-    domain_sizes: dict  # grade -> basis size at the cocycle window
 
     def table(self):
         return {k: (v.cocycles, v.coboundaries, v.dim) for k, v in sorted(self.grades.items())}
@@ -205,28 +212,22 @@ def compute_cohomology(
         raise ValueError("grades are nonnegative")
 
     out = {}
-    sizes = {}
-    rank_cache = {}
+    strand_ranks = {}
 
-    def matrix_rank(grade, degree):
-        key = (grade, degree)
-        if key not in rank_cache:
-            _guard_basis(spec, grade, degree, max_basis)
-            rows, ncols = _assemble_matrix(
-                complex_name, w, spec, grade, degree, permute=_permute
-            )
-            rank_cache[key] = (linalg.rank(rows, ncols), ncols)
-        return rank_cache[key]
+    def window_rank(grade, degree):
+        """(rank, size) of the differential on grade-``grade`` cochains of
+        coefficient degree <= ``degree``."""
+        size = _guard_basis(spec, grade, degree, max_basis)
+        for d in range(degree + 1):
+            if (grade, d) not in strand_ranks:
+                rows, domain = _assemble_strand(complex_name, w, spec, grade, d, _permute)
+                strand_ranks[grade, d] = linalg.rank(rows, len(domain))
+        return sum(strand_ranks[grade, d] for d in range(degree + 1)), size
 
     for grade in grades:
-        rank_here, ncols_here = matrix_rank(grade, spec.degree)
-        sizes[grade] = ncols_here
-        cocycles = ncols_here - rank_here
-        if grade == 0:
-            coboundaries = 0
-        else:
-            rank_prev, _ = matrix_rank(grade - 1, spec.degree + 1)
-            coboundaries = rank_prev
+        rank_here, size_here = window_rank(grade, spec.degree)
+        cocycles = size_here - rank_here
+        coboundaries = window_rank(grade - 1, spec.degree + 1)[0] if grade else 0
         quotient = cocycles - coboundaries
         # image sits inside the kernel (d^2 = 0), so the quotient is a dimension
         if quotient < 0:
@@ -239,7 +240,6 @@ def compute_cohomology(
         support=spec.support,
         degree=spec.degree,
         grades=out,
-        domain_sizes=sizes,
     )
 
 
@@ -248,12 +248,11 @@ def casimir_space(w: ConstantSymplectic, spec: TruncationSpec, max_basis: int = 
     functions (grade-0 cocycles of the "lp" complex)."""
     _validate_support("lp", w, spec)
     _guard_basis(spec, 0, spec.degree, max_basis)
-    monos = monomials_up_to(spec.support, spec.degree)
-    rows, ncols = _assemble_matrix("lp", w, spec, 0, spec.degree)
     basis = []
-    for vector in linalg.nullspace(rows, ncols):
-        poly = Poly({monos[i]: value for i, value in enumerate(vector) if value})
-        basis.append(poly)
+    for degree in range(spec.degree + 1):
+        rows, domain = _assemble_strand("lp", w, spec, 0, degree)
+        for vector in linalg.nullspace(rows, len(domain)):
+            basis.append(Poly({domain[i][1]: value for i, value in vector}))
     return basis
 
 

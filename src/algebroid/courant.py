@@ -329,33 +329,30 @@ def orthogonal_complement(structure: DiracStructure, support) -> ComplementRepor
 
     basis_rows = []
     for i in w.paired_indices(support):
-        row = [Fraction(0)] * (2 * n)
-        row[position[i]] = Fraction(1)
-        for j, value in w.flat_components(i):
-            row[n + position[j]] = value
+        row = [(position[i], Fraction(1))]
+        row.extend((n + position[j], value) for j, value in w.flat_components(i))
         basis_rows.append(row)
 
-    # pairing matrix in block form [[0, I], [I, 0]]
-    constraint_rows = [row[n:] + row[:n] for row in basis_rows]
-    dim_sub = linalg.rank(basis_rows, 2 * n)
+    # pairing matrix in block form [[0, I], [I, 0]]: swap the two halves
+    constraint_rows = [[(k + n if k < n else k - n, a) for k, a in row] for row in basis_rows]
+    # Row i has a 1 in generator i's frame column and no other row touches
+    # that column, so the rows are independent and the rank is their count.
+    dim_sub = len(basis_rows)
 
-    # Each row has about two nonzeros: pair over those only.
-    paired_supports = [
-        [(k, a) for k, a in enumerate(paired) if a] for paired in constraint_rows
-    ]
+    lookup = [dict(row) for row in basis_rows]
     isotropic = all(
-        not sum(a * other[k] for k, a in support)
-        for support in paired_supports
-        for other in basis_rows
+        not sum(a * other.get(k, 0) for k, a in paired)
+        for paired in constraint_rows
+        for other in lookup
     )
 
     equals = isotropic and dim_sub == n
     witness = None
     if not equals:
         for vec in linalg.nullspace(constraint_rows, 2 * n):
-            if not linalg.row_space_contains(basis_rows, list(vec), 2 * n):
-                vector = {(ambient[k],): Fraction(vec[k]) for k in range(n) if vec[k]}
-                form = {(ambient[k],): Fraction(vec[n + k]) for k in range(n) if vec[n + k]}
+            if not linalg.row_space_contains(basis_rows, vec, 2 * n):
+                vector = {(ambient[k],): Fraction(v) for k, v in vec if k < n}
+                form = {(ambient[k - n],): Fraction(v) for k, v in vec if k >= n}
                 witness = GeneralizedSection(KVector(1, vector), KForm(1, form))
                 break
     return ComplementReport(

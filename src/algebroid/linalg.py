@@ -3,20 +3,22 @@
 One kernel, ``_row_echelon``, eliminates for the whole package: one-step
 fraction-free Bareiss (Bareiss 1968) in pure Python, on arbitrary-precision
 integers or on ``Poly`` entries, so every result is exact.  A rational
-matrix is split into connected blocks first: columns that share a nonzero
-row are joined by union-find over the row supports, and each block is
-reduced on its own columns.  Ranks add up over blocks and kernel vectors
-vanish outside their block, so the results equal those of eliminating the
-whole matrix; a dense matrix is one block.  The cochain differentials hold
-about two nonzeros per row and split into blocks of a few columns, so
+matrix is split into connected blocks first: columns that share a row are
+joined by union-find over the row supports, and each block is reduced on
+its own columns.  Ranks add up over blocks and kernel vectors vanish
+outside their block, so the results equal those of eliminating the whole
+matrix; a dense matrix is one block.  The cochain differentials hold about
+two nonzeros per row and split into blocks of a few columns, so
 elimination cost follows the largest block, not the size of the matrix.
 A ``Poly`` matrix is reduced whole, so its pivot entries (the caveats of a
 generic rank) are those of the dense matrix.
 
-Matrices are lists of rows; callers pass the column count explicitly so
-empty matrices keep their shape.  Rational input rows are scaled by the
-lcm of their denominators before elimination — row scaling preserves both
-the row space and the kernel exactly.
+A rational matrix is a list of sparse rows, and a sparse row is a list of
+``(column, nonzero value)`` pairs; kernel vectors come back in the same
+form.  Callers pass the column count explicitly so empty matrices keep
+their shape.  Each row is scaled by the lcm of its denominators before
+elimination — row scaling preserves both the row space and the kernel
+exactly.  ``Poly`` matrices stay dense lists of rows.
 """
 
 from __future__ import annotations
@@ -75,15 +77,14 @@ def _row_echelon(rows, ncols):
 
 
 def _blocks(rows, ncols):
-    """Split a rational matrix into its connected blocks.
+    """Split a sparse rational matrix into its connected blocks.
 
-    Zero entries are dropped from each row, and the row is scaled by the lcm
-    of its denominators.  Columns that share a row are joined (union-find
-    over row supports), so no row has entries in two blocks.  Returns a list
-    of (columns, integer_rows): the block's columns in ascending order, and
-    its rows as dense integer lists over those columns, in input order.
-    Blocks come in the order of their first column; all-zero columns belong
-    to no block.
+    Each row is scaled by the lcm of its denominators.  Columns that share a
+    row are joined (union-find over row supports), so no row has entries in
+    two blocks.  Returns a list of (columns, integer_rows): the block's
+    columns in ascending order, and its rows as dense integer lists over
+    those columns, in input order.  Blocks come in the order of their first
+    column; columns no row touches belong to no block.
     """
     parent = list(range(ncols))
 
@@ -93,32 +94,31 @@ def _blocks(rows, ncols):
             c = parent[c]
         return c
 
-    sparse = []
-    used = [False] * ncols
+    scaled = []
     for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        entries = [(j, value) for j, value in enumerate(row) if value]
-        if not entries:
+        if not row:
             continue
         scale = 1
-        root = find(entries[0][0])
-        for j, value in entries:
-            used[j] = True
+        for j, value in row:
+            if not 0 <= j < ncols:
+                raise ValueError(f"column {j} is out of range for {ncols} columns")
             if isinstance(value, Fraction):
                 scale = lcm(scale, value.denominator)
+        root = find(row[0][0])
+        for j, _ in row:
             other = find(j)
             if other != root:
                 parent[other] = root
-        sparse.append([(j, int(value * scale)) for j, value in entries])
+        scaled.append([(j, int(value * scale)) for j, value in row])
 
+    block_rows = {}  # root -> rows, keyed in first-row order
+    for row in scaled:
+        block_rows.setdefault(find(row[0][0]), []).append(row)
     columns = {}  # root -> columns in ascending order, keyed in first-column order
     for j in range(ncols):
-        if used[j]:
-            columns.setdefault(find(j), []).append(j)
-    block_rows = {root: [] for root in columns}
-    for row in sparse:
-        block_rows[find(row[0][0])].append(row)
+        root = find(j)
+        if root in block_rows:
+            columns.setdefault(root, []).append(j)
     out = []
     for root, cols in columns.items():
         local = {j: position for position, j in enumerate(cols)}
@@ -186,32 +186,28 @@ def _block_kernel(block, width):
 
 
 def nullspace(rows, ncols):
-    """Integer kernel basis, one vector per free column, in column order.
+    """Integer kernel basis, one sparse vector per free column, in column order.
 
     Each vector is scaled to integer entries with content 1 and a positive
     coordinate at its free column, so the basis is canonical.  It is solved
-    inside the block of its free column and is zero outside it; an all-zero
-    column gets its unit vector.
+    inside the block of its free column and is zero outside it; a column no
+    row touches gets its unit vector.
     """
     basis = {}
-    in_block = [False] * ncols
+    untouched = set(range(ncols))
     for columns, block in _blocks(rows, ncols):
-        for j in columns:
-            in_block[j] = True
+        untouched.difference_update(columns)
         for free, values in _block_kernel(block, len(columns)):
-            vector = [0] * ncols
-            for j, value in zip(columns, values):
-                vector[j] = value
-            basis[columns[free]] = tuple(vector)
-    for j in range(ncols):
-        if not in_block[j]:
-            basis[j] = tuple(int(i == j) for i in range(ncols))
+            basis[columns[free]] = [(j, value) for j, value in zip(columns, values) if value]
+    for j in untouched:
+        basis[j] = [(j, 1)]
     return [basis[j] for j in sorted(basis)]
 
 
 def row_space_contains(rows, vector, ncols) -> bool:
+    """Whether the sparse ``vector`` lies in the span of the sparse ``rows``."""
     base = rank(rows, ncols)
-    return rank(list(rows) + [list(vector)], ncols) == base
+    return rank(list(rows) + [vector], ncols) == base
 
 
 # -- elimination over polynomial entries -----------------------------------

@@ -13,29 +13,33 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from algebroid.exterior import KForm, KVector
-from algebroid.poly import Poly, monomial_key
+from algebroid.poly import Poly
 
 _COEFFS = (-3, -2, -1, 1, 2, 3)
+
+
+def monomials_of_degree(support, degree):
+    """All monomials over ``support`` with total degree exactly ``degree``,
+    in canonical order."""
+    out = []
+    for combo in combinations_with_replacement(tuple(sorted(set(support))), degree):
+        mono = []
+        for var in combo:
+            if mono and mono[-1][0] == var:
+                mono[-1] = (var, mono[-1][1] + 1)
+            else:
+                mono.append((var, 1))
+        out.append(tuple(mono))
+    return sorted(out)
 
 
 def monomials_up_to(support, degree):
     """All monomials over ``support`` with total degree <= ``degree``.
 
     Returned in the canonical (graded-lex ascending) order used everywhere
-    a deterministic basis enumeration is needed.
+    a deterministic basis enumeration is needed: degree by degree.
     """
-    support = tuple(sorted(set(support)))
-    out = [()]
-    for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(support, d):
-            mono = []
-            for var in combo:
-                if mono and mono[-1][0] == var:
-                    mono[-1] = (var, mono[-1][1] + 1)
-                else:
-                    mono.append((var, 1))
-            out.append(tuple(mono))
-    return sorted(out, key=monomial_key)
+    return [mono for d in range(degree + 1) for mono in monomials_of_degree(support, d)]
 
 
 class Sampler:

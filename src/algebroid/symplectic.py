@@ -81,11 +81,10 @@ class ConstantSymplectic:
             for j in range(i + 1, n):
                 if rows[i][j] != -rows[j][i]:
                     raise ValueError("matrix must be antisymmetric")
-        kernel = linalg.nullspace(rows, n)
+        sparse = [[(j, value) for j, value in enumerate(row) if value] for row in rows]
+        kernel = linalg.nullspace(sparse, n)
         if kernel:
-            witness = KVector(
-                1, {(block[i],): Fraction(v) for i, v in enumerate(kernel[0]) if v}
-            )
+            witness = KVector(1, {(block[i],): Fraction(v) for i, v in kernel[0]})
             error = NotInvertible(
                 f"the matrix is singular on its block; kernel contains {witness}"
             )
@@ -95,10 +94,11 @@ class ConstantSymplectic:
         # free columns of [W | -I] are its last n, and the kernel vector v of
         # free column n + j is a multiple of (W^-1 e_j, e_j): column j of
         # W^-1 is v[:n] / v[n + j].
-        augmented = [row + [-int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-        columns = linalg.nullspace(augmented, 2 * n)
+        augmented = [row + [(n + i, -1)] for i, row in enumerate(sparse)]
+        columns = [dict(v) for v in linalg.nullspace(augmented, 2 * n)]
         inverse = [
-            [Fraction(columns[j][i], columns[j][n + j]) for j in range(n)] for i in range(n)
+            [Fraction(columns[j].get(i, 0), columns[j][n + j]) for j in range(n)]
+            for i in range(n)
         ]
         return cls("explicit", block, rows, inverse)
 

@@ -65,6 +65,12 @@ def sgn(n: int) -> int:
     return -1 if n % 2 else 1
 
 
+def sparse_rows(rows):
+    """Dense reference rows as the sparse rows ``linalg`` takes: lists of
+    (column, nonzero value) pairs."""
+    return [[(j, value) for j, value in enumerate(row) if value] for row in rows]
+
+
 def graded_zero_sum(values) -> bool:
     """True when the values sum to zero, ignoring identically zero terms.
 

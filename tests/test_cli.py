@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from algebroid import cli, linalg
+from algebroid import cli
 
 from conftest import child_env, console_script, fixture_path
 
@@ -353,11 +353,11 @@ class TestMathematicalFailures:
         assert report["complement"]["witness"] == "(e[0], 0)"
 
     def test_a_type_error_inside_the_complement_propagates(self, capsys, monkeypatch):
-        def broken_rank(*_args, **_kwargs):
-            raise TypeError("broken rank")
+        def broken_complement(*_args, **_kwargs):
+            raise TypeError("broken complement")
 
-        monkeypatch.setattr(linalg, "rank", broken_rank)
-        with pytest.raises(TypeError, match="broken rank"):
+        monkeypatch.setattr(cli, "orthogonal_complement", broken_complement)
+        with pytest.raises(TypeError, match="broken complement"):
             run_json(capsys, "check-dirac", "std_basic.adsl")
 
     def test_a_polynomial_graph_has_no_complement(self, capsys):
@@ -418,6 +418,31 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "basis" in err
+
+    @pytest.mark.parametrize(
+        "command,extra,expect_exit",
+        [
+            ("check-weak-symplectic", (), 0),
+            ("cohomology", ("--complex", "lp", "--degree", "1"), 0),
+            ("check-axioms", ("--structure", "cotangent"), 2),
+        ],
+    )
+    def test_an_empty_string_support_is_the_empty_support(
+        self, capsys, command, extra, expect_exit
+    ):
+        # "" must not fall back to the declared coordinates: it is {}.
+        outcomes = [
+            run_cli(capsys, command, "--input", str(fixture_path("std_basic.adsl")),
+                    "--format", "json", "--support", support, *extra)
+            for support in ("", "{}")
+        ]
+        assert outcomes[0] == outcomes[1]
+        code, out, err = outcomes[0]
+        assert code == expect_exit
+        if expect_exit == 2:
+            assert (out, err) == ("", "error: the sampling support is empty\n")
+        else:
+            assert json.loads(out)["options"]["support"] == []
 
     @pytest.mark.parametrize(
         "command,fixture,extra,reason",

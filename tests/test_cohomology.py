@@ -12,7 +12,9 @@ Oracles:
   grade.  Transporting the primitive back certifies, cocycle by cocycle,
   that the quotient vanishes — exactly, with no floating point anywhere;
 * a closed-form count from the polynomial Poincaré lemma, which fixes every
-  cocycle and coboundary dimension of the standard structure's complexes.
+  cocycle and coboundary dimension of the standard structure's complexes;
+* a closed-form count by Künneth for a paired block beside unpaired
+  coordinates, whose cohomology does not vanish above grade 0.
 """
 
 import random
@@ -21,7 +23,10 @@ from functools import lru_cache
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from algebroid import cohomology, linalg
 from algebroid.algebroids import contravariant_differential
 from algebroid.cohomology import (
     TruncationSpec,
@@ -39,7 +44,7 @@ from algebroid.poly import Poly
 from algebroid.sampling import Sampler, monomials_up_to
 from algebroid.symplectic import ConstantSymplectic, flat, sharp
 
-from conftest import sgn
+from conftest import sgn, sparse_rows
 
 STD = ConstantSymplectic.standard()
 
@@ -248,6 +253,76 @@ class TestPoincareLemma:
         ]
 
 
+def kunneth_counts(s, degree, grade):
+    """dim H^grade on the degree-<= ``degree`` window of a constant structure
+    whose support is a paired block plus ``s`` unpaired coordinates.
+
+    Write the support's polynomials as Q[x] (x the 2p block coordinates)
+    tensor Q[y] (y the s spectators), and the cochains likewise.  The
+    structure pairs only block coordinates, so the differential acts on the
+    x-factor alone: the complex is the block's complex tensored with
+    Lambda(y) tensor Q[y] under the zero differential.  Through the musical
+    isomorphism of the invertible block, the block's complex is the de Rham
+    complex of Q[x], whose cohomology is the constants (polynomial Poincaré
+    lemma).  The differential lowers total degree by one, so the window is
+    a sum over strands of total degree d <= D, and by Künneth strand d
+    contributes Lambda^k(y) tensor Q[y]_d: C(s, k) * C(s + d - 1, d)
+    classes.  Summing over d (hockey stick) gives C(s, k) * C(s + D, D).
+    At s = 0 this is the Poincaré count: 1 at grade 0 and 0 above.
+    """
+    return comb(s, grade) * comb(s + degree, degree)
+
+
+# The unit 2x2 block (p = 1) and a non-unit explicit 4x4 block (p = 2).
+PAIRED_BLOCKS = {
+    1: [[0, 1], [-1, 0]],
+    2: [[0, 2, 1, 0], [-2, 0, 0, 3], [-1, 0, 0, 1], [0, -3, -1, 0]],
+}
+
+
+@st.composite
+def block_with_spectators(draw, max_m):
+    """(structure, m, s, D): a paired block of 2p coordinates placed among
+    s unpaired ones on support range(m), with m <= ``max_m``."""
+    p = draw(st.sampled_from(sorted(PAIRED_BLOCKS)))
+    s = draw(st.integers(min_value=0, max_value=min(3, max_m - 2 * p)))
+    m = 2 * p + s
+    block = sorted(draw(st.permutations(range(m)))[: 2 * p])
+    degree = draw(st.integers(min_value=0, max_value=3))
+    return ConstantSymplectic.explicit(block, PAIRED_BLOCKS[p]), m, s, degree
+
+
+class TestKunneth:
+    @pytest.mark.parametrize("complex_name,max_m", [("lp", 6), ("ce-cotangent", 4)])
+    @settings(deadline=None, max_examples=20)
+    @given(data=st.data())
+    def test_every_grade_matches_closed_form(self, complex_name, max_m, data):
+        w, m, s, degree = data.draw(block_with_spectators(max_m))
+        report = compute_cohomology(complex_name, w, TruncationSpec(range(m), degree), range(m + 1))
+        assert [dims.dim for _, dims in sorted(report.grades.items())] == [
+            kunneth_counts(s, degree, grade) for grade in range(m + 1)
+        ]
+
+    @settings(deadline=None, max_examples=10)
+    @given(block_with_spectators(4))
+    def test_theorem_check_agrees(self, case):
+        w, m, s, degree = case
+        report = check_lp_ce_agreement(
+            w, TruncationSpec(range(m), degree), range(m + 1), trials=2, seed=m + degree
+        )
+        assert report.passed and report.tables_equal
+        assert [report.lp_table[grade][2] for grade in range(m + 1)] == [
+            kunneth_counts(s, degree, grade) for grade in range(m + 1)
+        ]
+
+    def test_two_spectators_at_degree_two(self):
+        assert [kunneth_counts(2, 2, k) for k in range(5)] == [6, 12, 6, 0, 0]
+        w = ConstantSymplectic.explicit((0, 1), PAIRED_BLOCKS[1])
+        for complex_name in ("lp", "ce-cotangent"):
+            report = compute_cohomology(complex_name, w, TruncationSpec(range(4), 2), range(5))
+            assert [report.grades[k].dim for k in range(5)] == [6, 12, 6, 0, 0]
+
+
 class TestIndependentAssembly:
     """Recompute the small-support table from scratch."""
 
@@ -256,7 +331,7 @@ class TestIndependentAssembly:
 
     def counts(self, grade):
         rows, ncols = sigma_matrix(self.SUPPORT, grade, self.DEGREE)
-        r = rank(rows, ncols) if rows else 0
+        r = rank(sparse_rows(rows), ncols)
         cocycles = ncols - r
         if grade == 0:
             coboundaries = 0
@@ -264,7 +339,7 @@ class TestIndependentAssembly:
             prev_rows, prev_ncols = sigma_matrix(
                 self.SUPPORT, grade - 1, self.DEGREE + 1
             )
-            coboundaries = rank(prev_rows, prev_ncols) if prev_rows else 0
+            coboundaries = rank(sparse_rows(prev_rows), prev_ncols)
         return cocycles, coboundaries
 
     def test_matches_library_table(self):
@@ -280,13 +355,12 @@ class TestIndependentAssembly:
         for grade in (1, 2):
             rows, ncols = sigma_matrix(self.SUPPORT, grade, self.DEGREE)
             basis = kvector_basis(self.SUPPORT, grade, self.DEGREE)
-            kernel = nullspace(rows, ncols)
-            assert len(kernel) == ncols - rank(rows, ncols)
+            kernel = nullspace(sparse_rows(rows), ncols)
+            assert len(kernel) == ncols - rank(sparse_rows(rows), ncols)
             for vector in kernel:
                 cocycle = KVector.zero(grade)
-                for coord, (blade, mono) in zip(vector, basis):
-                    if coord:
-                        cocycle = cocycle + basis_field(blade, mono) * coord
+                for j, coord in vector:
+                    cocycle = cocycle + basis_field(*basis[j]) * coord
                 assert contravariant_differential(STD, cocycle).is_zero()
                 form = lower(cocycle)
                 primitive = euler_primitive(form, self.SUPPORT)
@@ -296,13 +370,13 @@ class TestIndependentAssembly:
 
     def test_grade_zero_cocycles_are_constants(self):
         rows, ncols = sigma_matrix(self.SUPPORT, 0, self.DEGREE)
-        kernel = nullspace(rows, ncols)
+        kernel = nullspace(sparse_rows(rows), ncols)
         assert len(kernel) == 1
         basis = kvector_basis(self.SUPPORT, 0, self.DEGREE)
         (vector,) = kernel
         poly = Poly.zero()
-        for coord, (_, mono) in zip(vector, basis):
-            poly = poly + Poly({mono: Fraction(coord)})
+        for j, coord in vector:
+            poly = poly + Poly({basis[j][1]: Fraction(coord)})
         assert poly.is_constant()
 
 
@@ -395,3 +469,68 @@ class TestGuards:
             "lp", STD, spec, [0, 1, 2], _permute=random.Random(7)
         )
         assert base.table() == shuffled.table()
+
+
+def wrap_differential(monkeypatch, around):
+    """Replace each image map built by ``cohomology._differential`` with
+    ``around(image, grade, blade, mono)``."""
+    build = cohomology._differential
+
+    def wrapped(complex_name, w):
+        image = build(complex_name, w)
+        return lambda grade, blade, mono: around(image, grade, blade, mono)
+
+    monkeypatch.setattr(cohomology, "_differential", wrapped)
+
+
+class TestStrands:
+    """Each differential is assembled one (grade, exact degree) strand at a time."""
+
+    def test_each_basis_element_is_imaged_once(self, monkeypatch):
+        seen = []
+
+        def counting(image, grade, blade, mono):
+            seen.append((grade, blade, mono))
+            return image(grade, blade, mono)
+
+        wrap_differential(monkeypatch, counting)
+        # The lp job of the benchmark gate.  Grades 0 and 1 are needed up to
+        # degree 5 (coboundaries of grades 1 and 2) and grade 2 up to degree
+        # 4: 126 + 4 * 126 + 6 * 70 basis elements; windows taken one by one
+        # would image the 70 + 280 degree-<= 4 elements of grades 0 and 1
+        # twice, 1,400 calls in all.
+        report = compute_cohomology("lp", STD, TruncationSpec(range(4), 4), [0, 1, 2])
+        assert report.table() == {k: poincare_counts(4, 4, k) for k in range(3)}
+        assert len(seen) == len(set(seen)) == 126 + 4 * 126 + 6 * 70 == 1050
+
+    @pytest.mark.parametrize("complex_name", ["lp", "ce-tangent", "ce-cotangent"])
+    def test_an_off_strand_term_raises(self, monkeypatch, complex_name):
+        def leaking(image, grade, blade, mono):
+            # a term of the domain's own degree, one above the strand's target
+            value = image(grade, blade, mono)
+            return value + type(value).blade(tuple(range(grade + 1)), Poly({mono: 1}))
+
+        wrap_differential(monkeypatch, leaking)
+        with pytest.raises(AssertionError, match=r"term of degree 0, outside strand \(0, 0\)"):
+            compute_cohomology(complex_name, STD, TruncationSpec(range(2), 1), [0])
+
+    @pytest.mark.parametrize("complex_name", ["lp", "ce-tangent", "ce-cotangent"])
+    def test_rows_reach_rank_as_nonzero_pairs(self, monkeypatch, complex_name):
+        calls = []
+        rank_ = linalg.rank
+
+        def checking(rows, ncols):
+            calls.append(ncols)
+            for row in rows:
+                assert type(row) is list and row
+                assert all(type(pair) is tuple and len(pair) == 2 for pair in row)
+                columns = [j for j, _ in row]
+                assert columns == sorted(set(columns)) and 0 <= columns[0] <= columns[-1] < ncols
+                assert all(value != 0 for _, value in row)
+            return rank_(rows, ncols)
+
+        monkeypatch.setattr(linalg, "rank", checking)
+        report = compute_cohomology(complex_name, STD, TruncationSpec(range(4), 2), range(5))
+        assert report.table() == {k: poincare_counts(4, 2, k) for k in range(5)}
+        # one call per strand: grades 0..3 at degrees 0..3, grade 4 at 0..2
+        assert len(calls) == 4 * 4 + 3
