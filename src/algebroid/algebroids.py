@@ -16,9 +16,9 @@ a failing check's witness is its first failing tuple in lexicographic index
 order.
 
 ``ce_differential`` is the Chevalley-Eilenberg differential of such a
-structure on alternating polynomial cochains, and
-``contravariant_differential`` is its closed form for the cotangent
-structure of a constant symplectic form, extended to multivector fields.
+structure on alternating polynomial cochains; for the cotangent structure
+of a constant symplectic form it is ``contravariant_differential``,
+sigma = -[pi, .], the Schouten bracket with the Poisson bivector negated.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import combinations
 
 from algebroid.errors import ArityError, GradeError
 from algebroid.exterior import KForm, KVector, lie_bracket, vector_apply
-from algebroid.exterior import _add_term, _insert_into_blade
+from algebroid.exterior import schouten_bracket
 from algebroid.poly import Poly
 from algebroid.symplectic import (
     ConstantSymplectic,
@@ -228,33 +228,15 @@ def ce_differential(structure, cochain, sections) -> Poly:
 
 
 def contravariant_differential(w: ConstantSymplectic, field) -> KVector:
-    """The differential induced by a constant symplectic structure on
-    multivector fields: the Chevalley-Eilenberg differential of its
-    cotangent structure, materialized on the coordinate coframe.
+    """sigma = -[pi, .], the Schouten bracket with the Poisson bivector pi of
+    ``w`` (over the pairing-closure of the field's variables) negated.
 
-    For a function f it returns the grade-1 field with e_j-component
-    sharp(dx_j)(f).  In general, each term c e_S, each variable v of c and
-    each component (j, s) of sharp(dx_v) contribute -s del_v(c), times the
-    sign of inserting j into S, to the blade of e_j ^ e_S.  This is the same
-    sum because W^-1 is antisymmetric: sharp(dx_j) has coefficient -s on
-    e_v.  Coframe brackets vanish for a constant 2-form, so no bracket terms
-    appear.
+    It is the Chevalley-Eilenberg differential of the cotangent structure,
+    materialized on the coordinate coframe; sigma f = -X_f = -[pi, f].
     """
     if isinstance(field, (Poly, int, Fraction)):
-        field = KVector.from_poly(
-            field if isinstance(field, Poly) else Poly.constant(field)
-        )
+        field = KVector.from_poly(field)
     if type(field) is not KVector:
         raise GradeError("contravariant_differential acts on KVectors")
-    out = {}
-    for blade, coeff in field.terms.items():
-        for var in coeff.variables():
-            components = w.sharp_components(var)
-            if not components:
-                continue
-            partial = coeff.partial(var)
-            for j, scale in components:
-                sign, target = _insert_into_blade(blade, j)
-                if sign != 0:
-                    _add_term(out, target, partial * (-scale if sign > 0 else scale))
-    return KVector._raw(field.grade + 1, out)
+    variables = set().union(*(coeff.variables() for coeff in field.terms.values()))
+    return schouten_bracket(-w.bivector(variables), field)

@@ -20,8 +20,8 @@ free elimination over the integers after row scaling).
 
 Three complexes are supported:
 
-- ``"lp"``: multivector fields with the contravariant differential of a
-  constant symplectic structure;
+- ``"lp"``: multivector fields with the contravariant differential
+  sigma = -[pi, .] of a constant symplectic structure's Poisson bivector;
 - ``"ce-tangent"``: the Chevalley-Eilenberg complex of the tangent
   structure (polynomial forms with the exterior derivative);
 - ``"ce-cotangent"``: the Chevalley-Eilenberg complex of the cotangent
@@ -43,7 +43,7 @@ from algebroid.algebroids import (
     tangent_algebroid,
 )
 from algebroid.errors import TruncationTooLarge
-from algebroid.exterior import KForm, KVector
+from algebroid.exterior import KForm, KVector, schouten_bracket
 from algebroid.poly import Poly, monomial_degree
 from algebroid.sampling import Sampler, monomials_of_degree
 from algebroid.symplectic import ConstantSymplectic
@@ -102,14 +102,14 @@ def _validate_support(complex_name, w, spec):
         )
 
 
-def _differential(complex_name, w):
+def _differential(complex_name, w, spec):
     """A map (grade, blade, monomial) -> image object of grade + 1."""
     if complex_name == "lp":
+        # sigma = -[pi, .], with pi over the support, which is pairing-closed
+        minus_pi = -w.bivector(spec.support)
 
         def image(grade, blade, mono):
-            return contravariant_differential(
-                w, KVector._raw(grade, {blade: Poly({mono: 1})})
-            )
+            return schouten_bracket(minus_pi, KVector._raw(grade, {blade: Poly({mono: 1})}))
 
         return image
 
@@ -158,7 +158,7 @@ def _assemble_strand(complex_name, w, spec, grade, degree, permute=None):
     domain = [(blade, mono) for blade in blade_basis(spec.support, grade) for mono in monos]
     if permute is not None:
         permute.shuffle(domain)
-    image = _differential(complex_name, w)
+    image = _differential(complex_name, w, spec)
     row_index = {}
     rows = []
     for col, (blade, mono) in enumerate(domain):

@@ -44,6 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from algebroid.courant import GeneralizedSection
 from algebroid.errors import DslError, GradeError
@@ -69,6 +70,16 @@ KEYWORDS = {
 }
 
 _COORD_RE = re.compile(r"^x(\d+)$")
+
+# The expression budget.  A ``^``, ``*`` or ``^^`` whose result could hold
+# more than EXPANSION_TERMS terms, or a ``*`` or ``^^`` that would make more
+# than EXPANSION_MULTIPLICATIONS term multiplications, is rejected before it
+# is expanded: unbounded, a two-line document such as
+# ``(x0 + x1 + x2 + x3 + 1)^40`` expands 135,751 terms for minutes.  The
+# largest benchmark power, ``(x0 + 2*x1 + 1/3*x2*x3)^5``, may hold
+# C(14, 4) = 1,001 terms.
+EXPANSION_TERMS = 2_000
+EXPANSION_MULTIPLICATIONS = 250_000
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -250,6 +261,7 @@ class _LineParser:
             exponent = self.expect_int()
             if not isinstance(value, Poly):
                 raise self.error("only scalars can be raised to a power", op)
+            self.check_expansion(_power_terms(value, exponent), 0, op)
             return value**exponent
         return value
 
@@ -326,8 +338,25 @@ class _LineParser:
                 op,
             ) from None
 
+    def check_expansion(self, terms, multiplications, op):
+        """Reject an operation past the expression budget before expanding it.
+
+        The message gives the limit, not the bound: a power's bound can have
+        more digits than an int may print."""
+        if terms > EXPANSION_TERMS:
+            raise self.error(
+                f"{op.text!r} could expand to more than {EXPANSION_TERMS} terms", op
+            )
+        if multiplications > EXPANSION_MULTIPLICATIONS:
+            raise self.error(
+                f"{op.text!r} would make more than {EXPANSION_MULTIPLICATIONS} term "
+                "multiplications",
+                op,
+            )
+
     def combine_product(self, left, right, op):
         if isinstance(left, Poly) or isinstance(right, Poly):
+            self.check_expansion(*_product_size(left, right), op)
             try:
                 return left * right
             except (GradeError, TypeError):
@@ -341,6 +370,7 @@ class _LineParser:
     def combine_wedge(self, left, right, op):
         if isinstance(left, GeneralizedSection) or isinstance(right, GeneralizedSection):
             raise self.error("sections have no exterior product", op)
+        self.check_expansion(*_product_size(left, right), op)
         try:
             return wedge(left, right)
         except (GradeError, TypeError):
@@ -358,6 +388,50 @@ class _LineParser:
         if type(second) is not KForm or second.grade != 1:
             raise self.error("a section's second component must be a 1-form", token)
         return GeneralizedSection(first, second)
+
+
+def _power_terms(base: Poly, exponent: int) -> int:
+    """A bound on the terms of ``base ** exponent``: the monomials of degree
+    <= d * e in the base's n variables, C(n + d e, n), and the multisets of
+    e of its k terms, C(k - 1 + e, e).  A monomial's power is one term."""
+    k = len(base.terms)
+    if k <= 1:
+        return 1
+    n = len(base.variables())
+    d = base.total_degree()
+    return min(comb(n + d * exponent, n), comb(k - 1 + exponent, exponent))
+
+
+def _product_size(left, right):
+    """(bound on result terms, term multiplications) of a product or wedge.
+
+    Every coefficient c of one side meets every coefficient c' of the other:
+    |c| |c'| term multiplications, giving at most min(|c| |c'|,
+    C(n + d + d', n)) terms, with n their variables and d, d' their degrees.
+    The multiplications bound the terms, so a product within the term limit
+    by that count alone needs no binomial.
+    """
+    a, b = _coefficients(left), _coefficients(right)
+    multiplications = sum(len(c.terms) for c in a) * sum(len(c.terms) for c in b)
+    if multiplications <= EXPANSION_TERMS:
+        return multiplications, multiplications
+    terms = 0
+    for c in a:
+        for c2 in b:
+            n = len(c.variables() | c2.variables())
+            degree = c.total_degree() + c2.total_degree()
+            terms += min(len(c.terms) * len(c2.terms), comb(n + degree, n))
+    return terms, multiplications
+
+
+def _coefficients(value):
+    """The polynomials a product multiplies: a scalar itself, or each
+    coefficient of a form or multivector (a section has none)."""
+    if isinstance(value, Poly):
+        return [value]
+    if type(value) in (KForm, KVector):
+        return list(value.terms.values())
+    return []
 
 
 def _kind_name(value) -> str:

@@ -450,6 +450,8 @@ def schouten_bracket(left, right) -> KVector:
     [P, Q] = (-1)^(pq) [Q, P], restricts to the Lie bracket on vector
     fields and to X(f) for a field against a function, and is a graded
     right-derivation in each slot.
+    A position whose index does not occur in the coefficient it would
+    differentiate adds nothing, and is skipped before blades are merged.
     """
     if isinstance(left, (Poly, int, Fraction)):
         left = KVector.from_poly(left)
@@ -459,18 +461,20 @@ def schouten_bracket(left, right) -> KVector:
         raise GradeError("schouten_bracket is defined for KVectors")
     out = {}
     a = left.grade
+    right_terms = [(blade_j, g, g.variables()) for blade_j, g in right.terms.items()]
     for blade_i, f in left.terms.items():
-        for blade_j, g in right.terms.items():
+        f_vars = f.variables()
+        for blade_j, g, g_vars in right_terms:
             for k, i_k in enumerate(blade_i):
-                sign, blade = _merge_blades(blade_i[:k] + blade_i[k + 1 :], blade_j)
-                dg = g.partial(i_k)
-                if sign and not dg.is_zero():
-                    coeff = f * dg
-                    _add_term(out, blade, coeff if sign * (-1) ** k > 0 else -coeff)
+                if i_k in g_vars:
+                    sign, blade = _merge_blades(blade_i[:k] + blade_i[k + 1 :], blade_j)
+                    if sign:
+                        coeff = f * g.partial(i_k)
+                        _add_term(out, blade, coeff if sign * (-1) ** k > 0 else -coeff)
             for l, j_l in enumerate(blade_j):
-                sign, blade = _merge_blades(blade_i, blade_j[:l] + blade_j[l + 1 :])
-                df = f.partial(j_l)
-                if sign and not df.is_zero():
-                    coeff = g * df
-                    _add_term(out, blade, coeff if sign * (-1) ** (a + l) > 0 else -coeff)
+                if j_l in f_vars:
+                    sign, blade = _merge_blades(blade_i, blade_j[:l] + blade_j[l + 1 :])
+                    if sign:
+                        coeff = g * f.partial(j_l)
+                        _add_term(out, blade, coeff if sign * (-1) ** (a + l) > 0 else -coeff)
     return KVector._raw(max(a + right.grade - 1, 0), out)

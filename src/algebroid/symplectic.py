@@ -29,10 +29,10 @@ Musical conventions, fixed once:
 - ``poisson_bracket(w, f, g) = w(X_f, X_g)``.
 
 ``sharp`` is strict: it raises NotInvertible when the 1-form touches an
-unpaired coordinate.  ``bivector_sharp`` is the induced Poisson bivector's
-anchor: identical on the paired block, zero on unpaired coordinates.  The
-Poisson-side machinery (cotangent brackets, contravariant differentials,
-Casimir and cohomology computations) goes through ``bivector_sharp`` so
+unpaired coordinate.  ``bivector`` is the Poisson bivector pi, read off
+sharp's table, and ``bivector_sharp`` its anchor: sharp on the paired block,
+zero on unpaired coordinates.  The Poisson side (cotangent brackets,
+sigma = -[pi, .], Casimirs, cohomology) goes through these two, so
 degenerate blocks still carry their Poisson calculus.
 """
 
@@ -153,6 +153,16 @@ class ConstantSymplectic:
     def is_closed_support(self, indices) -> bool:
         indices = set(indices)
         return set(self.closure(indices)) == indices
+
+    def bivector(self, indices) -> KVector:
+        """pi over ``closure(indices)``: sharp(dx_i)_j on e_i ^ e_j for paired
+        i < j, so [pi, f] = bivector_sharp(w, df) for f in those variables."""
+        terms = {}
+        for i in self.paired_indices(indices):
+            for j, value in self.sharp_components(i):
+                if i < j:
+                    terms[i, j] = Poly.constant(value)
+        return KVector._raw(2, terms)
 
     def materialize(self, cover) -> KForm:
         """The 2-form as a KForm, restricted to blades meeting ``cover``."""

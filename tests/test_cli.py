@@ -394,6 +394,13 @@ class TestUsageErrors:
         assert code == 2
         assert "nope" in err
 
+    def test_an_expression_past_the_budget_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "power.adsl"
+        path.write_text("var x0 x1 x2 x3\nfn f = (x0 + x1 + x2 + x3 + 1)^40\n")
+        code, out, err = run_cli(capsys, "d", "--input", str(path), "--target", "f")
+        assert (code, out) == (2, "")
+        assert "line 2, column 31: '^' could expand to more than 2000 terms" in err
+
     def test_missing_file(self, capsys):
         code, out, err = run_cli(
             capsys, "d", "--input", "/does/not/exist.adsl", "--target", "f"

@@ -247,6 +247,20 @@ class TestPoincareLemma:
             grade: poincare_counts(m, degree, grade) for grade in range(m + 1)
         }
 
+    @settings(deadline=None, max_examples=15)
+    @given(
+        pairs=st.sets(st.integers(min_value=0, max_value=5), max_size=3),
+        degree=st.integers(min_value=0, max_value=5),
+    )
+    def test_lp_on_any_standard_support(self, pairs, degree):
+        # m <= 6: up to three standard pairs {2p, 2p + 1}, anywhere in 0..11
+        support = [i for p in pairs for i in (2 * p, 2 * p + 1)]
+        m = len(support)
+        report = compute_cohomology("lp", STD, TruncationSpec(support, degree), range(m + 1))
+        assert report.table() == {
+            grade: poincare_counts(m, degree, grade) for grade in range(m + 1)
+        }
+
     def test_closed_form_reproduces_frozen_table(self):
         assert [poincare_counts(4, 3, k) for k in range(1, 5)] == [
             (69, 69, 0), (155, 155, 0), (125, 125, 0), (35, 35, 0)
@@ -476,8 +490,8 @@ def wrap_differential(monkeypatch, around):
     ``around(image, grade, blade, mono)``."""
     build = cohomology._differential
 
-    def wrapped(complex_name, w):
-        image = build(complex_name, w)
+    def wrapped(*args):
+        image = build(*args)
         return lambda grade, blade, mono: around(image, grade, blade, mono)
 
     monkeypatch.setattr(cohomology, "_differential", wrapped)

@@ -175,6 +175,48 @@ class TestValidation:
             parse("var x0 x1\nform a = e[0] ^^ e[1]\n")
 
 
+class TestExpressionBudget:
+    """A ``^``, ``*`` or ``^^`` past the expression budget is a DslError at
+    its operator, raised before anything is expanded."""
+
+    def test_a_power_past_the_term_bound(self, monkeypatch):
+        def expand(base, exponent):
+            raise AssertionError("the power was expanded")
+
+        monkeypatch.setattr(Poly, "__pow__", expand)
+        # C(4 + 40, 4) = 135,751 possible terms
+        with pytest.raises(DslError, match="could expand to more than 2000 terms") as err:
+            parse("var x0 x1 x2 x3\nfn f = (x0 + x1 + x2 + x3 + 1)^40\n")
+        assert (err.value.line, err.value.column) == (2, 31)
+        # a bound of about 8,000 digits, more than an int may print
+        with pytest.raises(DslError, match="could expand to more than 2000 terms"):
+            parse("var x0 x1\nfn f = (x0 + x1 + 1)^" + "9" * 4000 + "\n")
+
+    def test_powers_inside_the_bound_expand(self):
+        # the benchmark's largest power: C(4 + 2 * 5, 4) = 1,001 possible terms
+        doc = parse("var x0 x1 x2 x3\nfn g = (x0 + 2*x1 + 1/3*x2*x3)^5\n")
+        g = x(0) + 2 * x(1) + Fraction(1, 3) * x(2) * x(3)
+        assert doc.lookup("g").value == g**5
+        # the power of a monomial is one term, whatever its degree
+        assert parse("var x0\nfn f = 2*x0^5000\n").lookup("f").value == 2 * x(0) ** 5000
+
+    @pytest.mark.parametrize("op", ["*", "^^"])
+    def test_a_product_past_the_term_bound(self, op):
+        # f has C(4 + 9, 4) = 715 terms; f * f may hold C(4 + 18, 4) = 7,315
+        with pytest.raises(DslError, match="could expand to more than 2000 terms") as err:
+            parse(f"var x0 x1 x2 x3\nfn f = (x0 + x1 + x2 + x3 + 1)^9\nfn g = f {op} f\n")
+        assert (err.value.line, err.value.column) == (3, 10)
+
+    def test_a_product_past_the_multiplication_bound(self):
+        # 601 terms on each side: at most 1,201 terms, but 601^2 multiplications
+        message = "would make more than 250000 term multiplications"
+        with pytest.raises(DslError, match=message) as err:
+            parse("var x0 x1\nfn f = (x0 + 1)^600\nform a = (f * dx[0]) ^^ (f * dx[1])\n")
+        assert (err.value.line, err.value.column) == (3, 22)
+        with pytest.raises(DslError, match=message):
+            parse("var x0\nfn f = (x0 + 1)^600\nfn g = f * f\n")
+
+
 class TestRendering:
     def test_render_value_round_trips(self):
         doc = parse(

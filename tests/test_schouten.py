@@ -174,3 +174,40 @@ class TestSchoutenOracle:
         P = KVector.blade((0, 1))
         Q = KVector.blade((2,), x1)
         assert schouten_bracket(P, Q) == -KVector.blade((0, 2))
+
+
+class TestDifferentiatedIndices:
+    """The bracket differentiates a coefficient only along its own variables."""
+
+    def record_partials(self, monkeypatch):
+        calls = []
+        partial = Poly.partial
+
+        def recording(poly, index):
+            calls.append((tuple(sorted(poly.variables())), index))
+            return partial(poly, index)
+
+        monkeypatch.setattr(Poly, "partial", recording)
+        return calls
+
+    def test_partials_only_along_occurring_indices(self, monkeypatch):
+        calls = self.record_partials(monkeypatch)
+        s = Sampler(208)
+        for _ in range(60):
+            a = s.kvector(s.rng.randint(0, 3), SUPPORT, 2)
+            b = s.kvector(s.rng.randint(0, 3), SUPPORT, 2)
+            schouten_bracket(a, b)
+        assert calls
+        assert all(index in variables for variables, index in calls)
+
+    def test_a_constant_bivector_differentiates_only_the_field(self, monkeypatch):
+        # [e0 ^ e1 + e2 ^ e3, x0 x2 e4]: the bivector's blades hold 0..3 and
+        # the field's coefficient depends on x0 and x2, so exactly d/dx0 and
+        # d/dx2 of that coefficient are taken, and nothing of the constants.
+        calls = self.record_partials(monkeypatch)
+        pi = KVector.blade((0, 1)) + KVector.blade((2, 3))
+        field = KVector.blade((4,), Poly.variable(0) * Poly.variable(2))
+        assert schouten_bracket(pi, field) == KVector.blade(
+            (1, 4), Poly.variable(2)
+        ) + KVector.blade((3, 4), Poly.variable(0))
+        assert calls == [((0, 2), 0), ((0, 2), 2)]

@@ -28,6 +28,7 @@ from algebroid.exterior import (
     de_rham,
     interior_product,
     lie_derivative,
+    schouten_bracket,
     wedge,
 )
 from algebroid.poly import Poly
@@ -49,6 +50,7 @@ from conftest import (
     INDICES,
     alternating,
     constant_structures,
+    polys,
     reference_sharp_components,
 )
 
@@ -470,6 +472,25 @@ class TestMusicalMapsAgainstReference:
         assert w.sharp_components(index) == reference_sharp_components(w, index)
         row = [(j, reference_entry(w, index, j)) for j in range(10)]
         assert w.flat_components(index) == [(j, v) for j, v in row if v]
+
+    @given(constant_structures(), polys)
+    @settings(deadline=None)
+    def test_bivector_brackets_a_function_to_its_bivector_sharp(self, w, f):
+        pi = w.bivector(f.variables())
+        assert pi.grade == 2
+        assert schouten_bracket(pi, f) == bivector_sharp(w, de_rham(f))
+        closure = w.closure(f.variables())
+        for (i, j), coeff in pi.terms.items():
+            assert i < j and i in closure and j in closure
+            # no blade on an unpaired index; the coefficient is sharp(dx_i)_j
+            assert reference_sharp_components(w, j) is not None
+            assert coeff == dict(reference_sharp_components(w, i))[j]
+
+    def test_bivector_closed_forms(self):
+        assert STD.bivector((0, 3)) == KVector.blade((0, 1)) + KVector.blade((2, 3))
+        w = ConstantSymplectic.explicit((1, 2), [[0, 2], [-2, 0]])
+        # sharp(dx_1) = 1/2 e_2, column 1 of W^-1; the unpaired 0 and 3 get no blade
+        assert w.bivector((0, 3)) == KVector.blade((1, 2), Fraction(1, 2))
 
     @given(constant_structures())
     @settings(deadline=None)
