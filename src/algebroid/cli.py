@@ -7,7 +7,8 @@ printed with sorted keys and a trailing newline, so reports are byte-stable
 under a fixed seed.  Timing is recorded only when ``--timing`` is given.
 
 Exit codes: 0 when every verdict passes, 1 on a mathematical failure (the
-report carries a witness), 2 on usage, parse, or validation errors.
+report carries a witness), 2 on usage, parse, or validation errors, 3 on an
+internal error (a broken invariant of this program).
 """
 
 from __future__ import annotations
@@ -643,6 +644,9 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def _run(args) -> int:

@@ -27,6 +27,15 @@ Three complexes are supported:
 - ``"ce-cotangent"``: the Chevalley-Eilenberg complex of the cotangent
   structure of a constant symplectic form (cochains are multivectors,
   evaluated on coordinate coframes).
+
+Both CE complexes read two tables built once per strand through the
+structure: anchor(e_j) for each j in the support, and the nonzero e_l
+components of [e_a, e_b] for a < b (for the cotangent structure, the Koszul
+bracket, never sigma).  On coordinate sections mono * e_blade evaluates as
+a signed lookup, so the CE formula keeps two sparse sums: the anchor term
+(-1)^pos(j) anchor(e_j)(mono) on T = blade + {j}, and for each l in blade
+the bracket term (-1)^(pos(a) + pos(b) + pos(l)) [e_a, e_b]^l mono on
+T = blade - {l} + {a, b}, with pos(l) taken in blade and the others in T.
 """
 
 from __future__ import annotations
@@ -37,13 +46,16 @@ from math import comb
 
 from algebroid import linalg
 from algebroid.algebroids import (
+    _COCHAIN_KIND,
+    _SECTION_KIND,
     ce_differential,
     contravariant_differential,
     cotangent_algebroid,
     tangent_algebroid,
 )
 from algebroid.errors import TruncationTooLarge
-from algebroid.exterior import KForm, KVector, schouten_bracket
+from algebroid.exterior import KVector, _add_term, _insert_into_blade
+from algebroid.exterior import schouten_bracket, vector_apply
 from algebroid.poly import Poly, monomial_degree
 from algebroid.sampling import Sampler, monomials_of_degree
 from algebroid.symplectic import ConstantSymplectic
@@ -73,13 +85,9 @@ def blade_basis(support, grade):
     return list(combinations(tuple(sorted(set(support))), grade))
 
 
-def _domain_size(spec, grade, degree):
-    m = len(spec.support)
-    return comb(m, grade) * comb(m + degree, degree)
-
-
 def _guard_basis(spec, grade, degree, max_basis):
-    size = _domain_size(spec, grade, degree)
+    m = len(spec.support)
+    size = comb(m, grade) * comb(m + degree, degree)
     if size > max_basis:
         raise TruncationTooLarge(
             f"grade {grade} at degree {degree} needs {size} basis elements "
@@ -113,35 +121,40 @@ def _differential(complex_name, w, spec):
 
         return image
 
-    if complex_name == "ce-tangent":
-        structure = tangent_algebroid()
-        cochain_cls, section_cls = KForm, KVector
-    else:
-        structure = cotangent_algebroid(w)
-        cochain_cls, section_cls = KVector, KForm
+    structure = tangent_algebroid() if complex_name == "ce-tangent" else cotangent_algebroid(w)
+    return _ce_image(structure, spec.support)
 
-    def image(grade, blade, mono, _structure=structure):
-        cochain = cochain_cls._raw(grade, {blade: Poly({mono: 1})})
-        support = _image_support(blade, mono, w, complex_name)
+
+def _ce_image(structure, support):
+    """The Chevalley-Eilenberg image map of ``structure`` on the coordinate
+    basis over ``support``, built from its anchor and bracket tables."""
+    section = _SECTION_KIND[structure.section_kind].coordinate
+    cochain_cls = _COCHAIN_KIND[structure.section_kind]
+    anchors = [(j, structure.anchor(section(j))) for j in support]
+    brackets = {}  # l -> [(a, b, e_l component of [e_a, e_b])]
+    for a, b in combinations(support, 2):
+        for (l,), coeff in structure.bracket(section(a), section(b)).terms.items():
+            brackets.setdefault(l, []).append((a, b, coeff))
+
+    def image(grade, blade, mono):
+        f = Poly._raw({mono: 1})
         out = {}
-        for target in combinations(support, grade + 1):
-            value = ce_differential(
-                _structure, cochain, [section_cls.coordinate(j) for j in target]
-            )
-            if not value.is_zero():
-                out[target] = value
-        return cochain_cls._raw(grade + 1, out)
+        for j, field in anchors:
+            sign, target = _insert_into_blade(blade, j)
+            if sign:
+                value = vector_apply(field, f)
+                _add_term(out, target, value if sign > 0 else -value)
+        for pos, l in enumerate(blade):
+            rest = blade[:pos] + blade[pos + 1 :]
+            for a, b, coeff in brackets.get(l, ()):
+                sign_a, with_a = _insert_into_blade(rest, a)
+                sign, target = _insert_into_blade(with_a, b) if sign_a else (0, None)
+                if sign:
+                    value = coeff * f
+                    _add_term(out, target, value if sign * sign_a == (-1) ** pos else -value)
+        return cochain_cls._raw(grade + 1, dict(sorted(out.items())))
 
     return image
-
-
-def _image_support(blade, mono, w, complex_name):
-    touched = set(blade)
-    for var, _ in mono:
-        touched.add(var)
-    if complex_name == "ce-tangent":
-        return tuple(sorted(touched))
-    return w.closure(touched)
 
 
 def _assemble_strand(complex_name, w, spec, grade, degree, permute=None):

@@ -71,6 +71,10 @@ KEYWORDS = {
 
 _COORD_RE = re.compile(r"^x(\d+)$")
 
+# Python converts no decimal string of more than 4,300 digits to an int, so
+# a longer number or coordinate index is rejected where it is lexed.
+MAX_DIGITS = 4300
+
 # The expression budget.  A ``^``, ``*`` or ``^^`` whose result could hold
 # more than EXPANSION_TERMS terms, or a ``*`` or ``^^`` that would make more
 # than EXPANSION_MULTIPLICATIONS term multiplications, is rejected before it
@@ -109,15 +113,13 @@ def _lex_line(text, line_no):
             column = len(text) - len(stripped) + 1
             raise DslError(f"unexpected character {stripped[0]!r}", line_no, column)
         pos = match.end()
-        column = match.start(match.lastgroup) + 1
-        if match.lastgroup == "int":
-            tokens.append(_Token("int", match.group("int"), line_no, column))
-        elif match.lastgroup == "name":
-            tokens.append(_Token("name", match.group("name"), line_no, column))
-        elif match.lastgroup == "wedge":
-            tokens.append(_Token("sym", "^^", line_no, column))
-        else:
-            tokens.append(_Token("sym", match.group("sym"), line_no, column))
+        kind = match.lastgroup
+        value = match.group(kind)
+        column = match.start(kind) + 1
+        digits = value if kind == "int" else value[1:] if _COORD_RE.match(value) else ""
+        if len(digits) > MAX_DIGITS:
+            raise DslError(f"a number may have at most {MAX_DIGITS} digits", line_no, column)
+        tokens.append(_Token("sym" if kind == "wedge" else kind, value, line_no, column))
     tokens.append(_Token("end", "", line_no, len(text) + 1))
     return tokens
 

@@ -401,6 +401,14 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert "line 2, column 31: '^' could expand to more than 2000 terms" in err
 
+    def test_a_number_past_the_digit_limit_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "digits.adsl"
+        path.write_text("var x0 x1\nfn f = x0^" + "9" * 5000 + "\n")
+        code, out, err = run_cli(capsys, "d", "--input", str(path), "--target", "f")
+        assert (code, out) == (2, "")
+        assert "line 2, column 11: a number may have at most 4300 digits" in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, out, err = run_cli(
             capsys, "d", "--input", "/does/not/exist.adsl", "--target", "f"

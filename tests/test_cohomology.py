@@ -14,20 +14,30 @@ Oracles:
 * a closed-form count from the polynomial Poincaré lemma, which fixes every
   cocycle and coboundary dimension of the standard structure's complexes;
 * a closed-form count by Künneth for a paired block beside unpaired
-  coordinates, whose cohomology does not vanish above grade 0.
+  coordinates, whose cohomology does not vanish above grade 0;
+* the Chevalley-Eilenberg formula evaluated entry by entry
+  (``reference_ce_image``) must reproduce every CE image the library builds
+  from its anchor and bracket tables.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroid import cohomology, linalg
-from algebroid.algebroids import contravariant_differential
+from algebroid import cli, cohomology, linalg
+from algebroid.algebroids import (
+    AlgebroidStructure,
+    ce_differential,
+    contravariant_differential,
+    cotangent_algebroid,
+    tangent_algebroid,
+)
 from algebroid.cohomology import (
     TruncationSpec,
     _validate_support,
@@ -337,6 +347,76 @@ class TestKunneth:
             assert [report.grades[k].dim for k in range(5)] == [6, 12, 6, 0, 0]
 
 
+def reference_ce_image(structure, support, grade, blade, mono):
+    """The Chevalley-Eilenberg image of mono * e_blade, entry by entry: the
+    property-tested ``ce_differential`` on every (grade + 1)-subset of
+    coordinate sections over ``support``, independent of the library's
+    anchor and bracket tables."""
+    cochain_cls = KForm if structure.section_kind == "vector" else KVector
+    section_cls = KVector if structure.section_kind == "vector" else KForm
+    cochain = cochain_cls._raw(grade, {blade: Poly({mono: 1})})
+    out = {}
+    for target in combinations(support, grade + 1):
+        sections = [section_cls.coordinate(j) for j in target]
+        value = ce_differential(structure, cochain, sections)
+        if not value.is_zero():
+            out[target] = value
+    return cochain_cls(grade + 1, out)
+
+
+def so3_structure(scale):
+    """Zero anchor and [e0, e1] = scale e2 cyclically on coordinate vector
+    fields, extended bilinearly over functions; e3 brackets to zero.  With
+    ``scale`` constant it is so(3), whose CE differential keeps degree."""
+    third = {(0, 1): 2, (1, 2): 0, (2, 0): 1}  # [e_i, e_j] = scale e_third[i, j]
+
+    def bracket(left, right):
+        out = KVector.zero(1)
+        for (a,), xa in left.terms.items():
+            for (b,), yb in right.terms.items():
+                for (i, j), l in third.items():
+                    sign = 1 if (a, b) == (i, j) else -1 if (a, b) == (j, i) else 0
+                    if sign:
+                        out = out + KVector.blade((l,), xa * yb * scale * sign)
+        return out
+
+    return AlgebroidStructure("so3", "vector", lambda section: KVector.zero(1), bracket)
+
+
+class TestCeImages:
+    """The table-driven CE images equal the entry-by-entry CE formula."""
+
+    SUPPORT = tuple(range(4))
+
+    def assert_images_match(self, image, structure):
+        for grade in range(len(self.SUPPORT) + 1):
+            for blade, mono in kvector_basis(self.SUPPORT, grade, 3):
+                got = image(grade, blade, mono)
+                assert list(got.terms) == sorted(got.terms)
+                assert got == reference_ce_image(structure, self.SUPPORT, grade, blade, mono)
+
+    @pytest.mark.parametrize(
+        "w",
+        [STD, ConstantSymplectic.explicit((1, 3), PAIRED_BLOCKS[1]),
+         ConstantSymplectic.explicit(range(4), PAIRED_BLOCKS[2])],
+        ids=["standard", "block-with-spectators", "non-unit-block"],
+    )
+    @pytest.mark.parametrize("complex_name", ["ce-tangent", "ce-cotangent"])
+    def test_every_basis_element_matches_the_reference(self, complex_name, w):
+        spec = TruncationSpec(self.SUPPORT, 3)
+        _validate_support(complex_name, w, spec)
+        structure = tangent_algebroid() if complex_name == "ce-tangent" else cotangent_algebroid(w)
+        self.assert_images_match(cohomology._differential(complex_name, w, spec), structure)
+
+    @pytest.mark.parametrize("scale", [Poly.one(), Poly.variable(3) - 2], ids=["so3", "scaled"])
+    def test_bracket_terms_match_the_reference(self, scale):
+        structure = so3_structure(scale)
+        # d(dx[2]) (e0, e1) = -dx[2]([e0, e1]) = -scale
+        image = cohomology._ce_image(structure, self.SUPPORT)
+        assert image(1, (2,), ()) == KForm(2, {(0, 1): -scale})
+        self.assert_images_match(image, structure)
+
+
 class TestIndependentAssembly:
     """Recompute the small-support table from scratch."""
 
@@ -517,16 +597,28 @@ class TestStrands:
         assert report.table() == {k: poincare_counts(4, 4, k) for k in range(3)}
         assert len(seen) == len(set(seen)) == 126 + 4 * 126 + 6 * 70 == 1050
 
+    @staticmethod
+    def leaking(image, grade, blade, mono):
+        # a term of the domain's own degree, one above the strand's target
+        value = image(grade, blade, mono)
+        return value + type(value).blade(tuple(range(grade + 1)), Poly({mono: 1}))
+
     @pytest.mark.parametrize("complex_name", ["lp", "ce-tangent", "ce-cotangent"])
     def test_an_off_strand_term_raises(self, monkeypatch, complex_name):
-        def leaking(image, grade, blade, mono):
-            # a term of the domain's own degree, one above the strand's target
-            value = image(grade, blade, mono)
-            return value + type(value).blade(tuple(range(grade + 1)), Poly({mono: 1}))
-
-        wrap_differential(monkeypatch, leaking)
+        wrap_differential(monkeypatch, self.leaking)
         with pytest.raises(AssertionError, match=r"term of degree 0, outside strand \(0, 0\)"):
             compute_cohomology(complex_name, STD, TruncationSpec(range(2), 1), [0])
+
+    def test_an_internal_error_exits_three(self, monkeypatch, capsys, tmp_path):
+        wrap_differential(monkeypatch, self.leaking)
+        document = tmp_path / "std2.adsl"
+        document.write_text("var x0 x1\nsymplectic std\n")
+        code = cli.run(["cohomology", "--complex", "ce-cotangent", "--support", "0..1",
+                        "--degree", "1", "--grades", "0", "--input", str(document)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("internal error: the ce-cotangent image of")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("complex_name", ["lp", "ce-tangent", "ce-cotangent"])
     def test_rows_reach_rank_as_nonzero_pairs(self, monkeypatch, complex_name):

@@ -175,6 +175,30 @@ class TestValidation:
             parse("var x0 x1\nform a = e[0] ^^ e[1]\n")
 
 
+class TestDigitLimit:
+    """Python converts no decimal string of more than 4,300 digits to an int;
+    a longer number or coordinate index is a DslError where it is lexed."""
+
+    @pytest.mark.parametrize(
+        "text,line,column",
+        [
+            ("var x0 x1\nfn f = x0^" + "9" * 5000 + "\n", 2, 11),
+            ("var x" + "1" * 5000 + "\n", 1, 5),
+            ("var x0\nfn f = x0 + 1/" + "7" * 4301 + "\n", 2, 15),
+            ("var x0\nform a = dx[" + "0" * 4301 + "]\n", 2, 13),
+        ],
+        ids=["exponent", "coordinate", "denominator", "index"],
+    )
+    def test_a_number_past_the_limit(self, text, line, column):
+        with pytest.raises(DslError, match="a number may have at most 4300 digits") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_a_number_at_the_limit_parses(self):
+        doc = parse("var x0\nfn f = " + "7" * 4300 + " * x0\n")
+        assert doc.lookup("f").value == int("7" * 4300) * x(0)
+
+
 class TestExpressionBudget:
     """A ``^``, ``*`` or ``^^`` past the expression budget is a DslError at
     its operator, raised before anything is expanded."""
