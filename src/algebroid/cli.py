@@ -641,7 +641,9 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except UsageError as exc:
+    except (UsageError, AlgebroidError) as exc:
+        # An AlgebroidError gets here only from writing the report out, as
+        # ResultTooLarge does; _run handles the ones its handlers raise.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

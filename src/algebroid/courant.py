@@ -8,6 +8,10 @@ Conventions:
 - dorfman_bracket((X, a), (Y, b)) = ([X, Y], L_X b - i_Y da);
 - courant_bracket = the antisymmetrization,
   ([X, Y], L_X b - L_Y a + (1/2) d(a(Y) - b(X)));
+- both are computed in Cartan form, L_X b = i_X db + d(b(X)):
+  ([X, Y], i_X db - i_Y da + d(b(X))) and
+  ([X, Y], i_X db - i_Y da + (1/2) d(b(X) - a(Y))), so the only new
+  derivative per call is of a function; da and db are memoized on the forms;
 - delta_operator(f) = (0, d f), which satisfies
   pairing(delta(f), s) = anchor(s)(f).
 
@@ -42,7 +46,6 @@ from algebroid.exterior import (
     de_rham,
     interior_product,
     lie_bracket,
-    lie_derivative,
     vector_apply,
 )
 from algebroid.poly import Poly
@@ -127,27 +130,28 @@ def tm_pairing(s1: GeneralizedSection, s2: GeneralizedSection) -> Poly:
 def dorfman_bracket(
     s1: GeneralizedSection, s2: GeneralizedSection
 ) -> GeneralizedSection:
-    """([X, Y], L_X b - i_Y da)."""
+    """([X, Y], L_X b - i_Y da), in Cartan form (see the module docstring)."""
     _check_section(s1, "dorfman_bracket's first argument")
     _check_section(s2, "dorfman_bracket's second argument")
     return GeneralizedSection(
         lie_bracket(s1.vector, s2.vector),
-        lie_derivative(s1.vector, s2.form)
-        - interior_product(s2.vector, de_rham(s1.form)),
+        interior_product(s1.vector, de_rham(s2.form))
+        - interior_product(s2.vector, de_rham(s1.form))
+        + de_rham(s2.form.evaluate(s1.vector)),
     )
 
 
 def courant_bracket(
     s1: GeneralizedSection, s2: GeneralizedSection
 ) -> GeneralizedSection:
-    """([X, Y], L_X b - L_Y a + (1/2) d(a(Y) - b(X)))."""
+    """([X, Y], L_X b - L_Y a + (1/2) d(a(Y) - b(X))), in Cartan form."""
     _check_section(s1, "courant_bracket's first argument")
     _check_section(s2, "courant_bracket's second argument")
-    correction = s1.form.evaluate(s2.vector) - s2.form.evaluate(s1.vector)
+    correction = s2.form.evaluate(s1.vector) - s1.form.evaluate(s2.vector)
     return GeneralizedSection(
         lie_bracket(s1.vector, s2.vector),
-        lie_derivative(s1.vector, s2.form)
-        - lie_derivative(s2.vector, s1.form)
+        interior_product(s1.vector, de_rham(s2.form))
+        - interior_product(s2.vector, de_rham(s1.form))
         + de_rham(correction) * Fraction(1, 2),
     )
 

@@ -21,6 +21,10 @@ class TruncationTooLarge(AlgebroidError):
     """A truncated computation would enumerate more basis elements than allowed."""
 
 
+class ResultTooLarge(AlgebroidError):
+    """A result has a number too long for Python to convert to decimal."""
+
+
 class DslError(AlgebroidError):
     """A model document failed to lex, parse, or validate.
 

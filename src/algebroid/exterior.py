@@ -20,7 +20,9 @@ coefficient, so equal values have equal ``terms``.  The validating
 constructor enforces this on input; every operation that sums terms into a
 blade goes through ``_add_term``, the one place that keeps the rule.
 
-Values are immutable; all operations return fresh objects.
+Values are immutable, so ``de_rham`` keeps each KForm's derivative on it
+and returns that object on every later call; all other operations return
+fresh objects.
 """
 
 from __future__ import annotations
@@ -290,7 +292,7 @@ class _Alternating:
 class KForm(_Alternating):
     """A differential form with polynomial coefficients."""
 
-    __slots__ = ()
+    __slots__ = ("_d",)  # the derivative, once de_rham has computed it
     _symbol = "dx"
 
 
@@ -403,11 +405,14 @@ def lie_bracket(left, right):
 
 
 def de_rham(form) -> KForm:
-    """Exterior derivative, computed coordinatewise."""
+    """Exterior derivative, computed coordinatewise once per KForm."""
     if isinstance(form, (Poly, int, Fraction)):
         form = KForm.from_poly(form)
     if type(form) is not KForm:
         raise GradeError("de_rham expects a KForm or a polynomial")
+    memo = getattr(form, "_d", None)
+    if memo is not None:
+        return memo
     out = {}
     for blade, coeff in form.terms.items():
         for var in coeff.variables():
@@ -416,7 +421,8 @@ def de_rham(form) -> KForm:
                 continue
             partial = coeff.partial(var)
             _add_term(out, new_blade, partial if sign > 0 else -partial)
-    return KForm._raw(form.grade + 1, out)
+    form._d = memo = KForm._raw(form.grade + 1, out)
+    return memo
 
 
 def lie_derivative(field, form):

@@ -20,8 +20,11 @@ must not poke at ``terms`` in place.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+
+from algebroid.errors import ResultTooLarge
 
 # (variable index, exponent) pairs, strictly increasing, exponents >= 1.
 Monomial = tuple
@@ -409,9 +412,14 @@ class Poly:
 
 
 def render_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # past Python's int-to-decimal digit limit
+        raise ResultTooLarge(
+            f"a result has a number of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _render_monomial(mono) -> str:

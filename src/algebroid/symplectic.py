@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from algebroid import linalg
 from algebroid.errors import GradeError, NotInvertible
-from algebroid.exterior import KForm, KVector, de_rham, interior_product, lie_derivative
+from algebroid.exterior import KForm, KVector, de_rham, interior_product
 from algebroid.exterior import _add_term
 from algebroid.poly import Poly
 
@@ -243,10 +243,16 @@ def induced_pairing(w: ConstantSymplectic, a: KForm, b: KForm) -> Poly:
 
 
 def _koszul_bracket(w, a, b, lenient):
+    # L_{xa} b - L_{xb} a - d(b(xa)) in Cartan form (L_X b = i_X db + d(b(X))):
+    # i_{xa} db - i_{xb} da - d(a(xb)).  No antisymmetry of pi is used, so it
+    # holds on the lenient path too; da and db are memoized on the forms.
     xa = _musical(w.sharp_components, a, KVector, lenient)
     xb = _musical(w.sharp_components, b, KVector, lenient)
-    pairing = b.evaluate(xa)
-    return lie_derivative(xa, b) - lie_derivative(xb, a) - de_rham(pairing)
+    return (
+        interior_product(xa, de_rham(b))
+        - interior_product(xb, de_rham(a))
+        - de_rham(a.evaluate(xb))
+    )
 
 
 def oneform_bracket(w: ConstantSymplectic, a: KForm, b: KForm) -> KForm:

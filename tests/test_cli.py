@@ -409,6 +409,19 @@ class TestUsageErrors:
         assert "line 2, column 11: a number may have at most 4300 digits" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_result_past_the_digit_limit_exits_two(self, capsys, tmp_path, fmt):
+        # Each literal is inside the lexer's limit; their product, 6,000
+        # digits, is past what Python converts to decimal.
+        big = "7" * 3000
+        path = tmp_path / "product.adsl"
+        path.write_text(f"var x0\nfn f = {big} * {big} * x0^2\n")
+        code, out, err = run_cli(
+            capsys, "d", "--input", str(path), "--target", "f", "--format", fmt
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: a result has a number of more than 4300 digits\n"
+
     def test_missing_file(self, capsys):
         code, out, err = run_cli(
             capsys, "d", "--input", "/does/not/exist.adsl", "--target", "f"

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from algebroid import courant, exterior
 from algebroid.courant import (
     GeneralizedSection,
     anchor,
@@ -130,6 +131,18 @@ class TestDorfmanBracket:
 
 
 class TestCourantBracket:
+    def test_defining_expansion(self):
+        # The bracket is computed in Cartan form; the definition is checked
+        # on fresh copies of the forms, so no memoized derivative is reused.
+        for s1, s2 in zip(sample_sections(519), sample_sections(520)):
+            value = courant_bracket(s1, s2)
+            x, y = s1.vector, s2.vector
+            a, b = KForm(1, s1.form.terms), KForm(1, s2.form.terms)
+            assert value.vector == lie_bracket(x, y)
+            assert value.form == lie_derivative(x, b) - lie_derivative(y, a) + (
+                de_rham(a.evaluate(y) - b.evaluate(x)) * Fraction(1, 2)
+            )
+
     def test_is_antisymmetrized_dorfman(self):
         for s1, s2 in zip(sample_sections(511), sample_sections(512)):
             anti = (dorfman_bracket(s1, s2) - dorfman_bracket(s2, s1)) * (
@@ -311,6 +324,27 @@ class TestBracketTable:
         report = check_courant_axioms(sections, functions, bracket=counting)
         assert report.passed
         assert len(calls) == n * n + 2 * n**3
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (8, 4)])
+    def test_each_form_is_differentiated_once(self, n, m, monkeypatch):
+        # Only the n section forms and the n^2 forms of the entries of B are
+        # ever differentiated as 1-forms; every bracket reuses their memoized
+        # derivatives, and differentiates nothing new but a function.
+        computed = {}  # id -> derivative, held so that no id is reused
+
+        def counting(form):
+            value = de_rham(form)
+            if type(form) is KForm and form.grade == 1:
+                computed.setdefault(id(value), value)
+            return value
+
+        monkeypatch.setattr(courant, "de_rham", counting)
+        monkeypatch.setattr(exterior, "de_rham", counting)
+        s = Sampler(518)
+        sections = [s.section(SUPPORT, 1) for _ in range(n)]
+        functions = [s.nonzero_poly(SUPPORT, 1) for _ in range(m)]
+        assert check_courant_axioms(sections, functions).passed
+        assert 0 < len(computed) <= n + n * n
 
     @pytest.mark.parametrize("n, m", [(0, 0), (1, 1), (3, 2), (8, 4)])
     def test_each_pairing_of_two_sections_is_computed_once(self, n, m):

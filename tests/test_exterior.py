@@ -15,6 +15,7 @@ oracles:
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -211,6 +212,28 @@ class TestDeRham:
             form = s.kform(k, SUPPORT, 2)
             fields = [s.vector_field(SUPPORT, 2) for _ in range(k + 1)]
             assert de_rham(form).evaluate(*fields) == intrinsic_d(form, fields)
+
+    def test_each_form_is_differentiated_once(self):
+        s = Sampler(112)
+        for k in (0, 1, 2, 1):
+            form = s.kform(k, SUPPORT, 3)
+            d = de_rham(form)
+            assert de_rham(form) is d
+            # The memo holds what a freshly built equal form computes.
+            assert d == de_rham(KForm(k, form.terms))
+            # Arithmetic on the derivative builds new values; the memo stays.
+            results = [
+                d + d,
+                d + KForm.blade(range(k + 1), Poly.variable(1)),
+                -d,
+                d - d,
+                d * 3,
+                d * Poly.variable(0),
+                Fraction(1, 2) * d,
+            ]
+            assert all(value is not d for value in results)
+            assert de_rham(form) is d
+            assert d == de_rham(KForm(k, form.terms))
 
 
 def intrinsic_d(form, fields):

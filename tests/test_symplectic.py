@@ -207,6 +207,34 @@ class TestOneFormBracket:
             b = s.oneform((0, 1), 2)
             assert poisson_oneform_bracket(w, a, b) == oneform_bracket(w, a, b)
 
+    @pytest.mark.parametrize(
+        "w, strict",
+        [
+            (STD, True),
+            # x2 and x3 are unpaired: only the lenient bracket is defined.
+            (ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]]), False),
+            (explicit_rotation(), True),
+        ],
+        ids=["standard", "block-with-unpaired", "non-unit-4x4"],
+    )
+    def test_defining_expansion(self, w, strict):
+        # The brackets are computed in Cartan form; check them against the
+        # definition L_{xa} b - L_{xb} a - d(b(xa)), evaluated on fresh copies
+        # of the forms so that no derivative memoized by the bracket is reused.
+        s = Sampler(312)
+        for _ in range(20):
+            a = s.oneform(SUPPORT, 2)
+            b = s.oneform(SUPPORT, 2)
+            got = [poisson_oneform_bracket(w, a, b)]
+            if strict:
+                got.append(oneform_bracket(w, a, b))
+            a, b = KForm(1, a.terms), KForm(1, b.terms)
+            xa, xb = bivector_sharp(w, a), bivector_sharp(w, b)
+            expected = (
+                lie_derivative(xa, b) - lie_derivative(xb, a) - de_rham(b.evaluate(xa))
+            )
+            assert got == [expected] * len(got)
+
 
 class TestInducedPairing:
     def test_standard_partners(self):
