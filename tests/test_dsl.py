@@ -288,6 +288,7 @@ class TestRendering:
             "courant_sections.adsl",
             "dirac_std.adsl",
             "nonclosed_form.adsl",
+            "rational_form.adsl",
         ]
         for name in parseable:
             source = fixture_path(name).read_text()

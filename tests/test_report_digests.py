@@ -59,6 +59,10 @@ NAMED = {
         ("sigma", "--target", "f"),
     ],
     "nonclosed_form.adsl": [("d", "--target", "B")],
+    "rational_form.adsl": [
+        ("check-weak-symplectic", "--target", "B"),
+        ("d", "--target", "B"),
+    ],
     "std_basic.adsl": [
         ("bracket", "--left", "f", "--right", "g"),
         ("bracket", "--left", "X", "--right", "Y"),
