@@ -85,6 +85,15 @@ MAX_DIGITS = 4300
 EXPANSION_TERMS = 2_000
 EXPANSION_MULTIPLICATIONS = 250_000
 
+# Terms are not digits: inside the term budget, ``(x0 + 1)^1999`` ran for
+# 5 s and ``(2/3*x0 + 5/7)^999`` for 25 s (2-vCPU VM), on coefficients of
+# thousands of bits.  So a ``^`` whose coefficients could hold more than
+# EXPANSION_BITS bits in all, by ``_power_bits``, is rejected as well.  The
+# largest powers of those two bases inside it, ``^706`` and ``^223``, take
+# about 0.35 s each on the same VM.  The largest benchmark power may hold
+# 1,001 * 5 * 5 = 25,025 bits.
+EXPANSION_BITS = 500_000
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<wedge>\^\^)|(?P<sym>[+\-*/^=\[\](){},]))"
@@ -263,7 +272,14 @@ class _LineParser:
             exponent = self.expect_int()
             if not isinstance(value, Poly):
                 raise self.error("only scalars can be raised to a power", op)
-            self.check_expansion(_power_terms(value, exponent), 0, op)
+            terms = _power_terms(value, exponent)
+            self.check_expansion(terms, 0, op)
+            if _power_bits(value, exponent, terms) > EXPANSION_BITS:
+                raise self.error(
+                    f"{op.text!r} could expand to coefficients of more than "
+                    f"{EXPANSION_BITS} bits",
+                    op,
+                )
             return value**exponent
         return value
 
@@ -402,6 +418,20 @@ def _power_terms(base: Poly, exponent: int) -> int:
     n = len(base.variables())
     d = base.total_degree()
     return min(comb(n + d * exponent, n), comb(k - 1 + exponent, exponent))
+
+
+def _power_bits(base: Poly, exponent: int, terms: int) -> int:
+    """A bound on the coefficient bits of ``base ** exponent``, given a bound
+    ``terms`` on its terms.
+
+    Scaled by the lcm L of its denominators, the base has integer
+    coefficients whose absolute values sum to S.  Every coefficient of the
+    power is then an integer of at most S^e over a divisor of L^e, so it
+    holds at most about e * ceil(log2(L S)) bits.
+    """
+    scale = base.denominator()
+    height = sum(abs(int(coeff * scale)) for coeff in base.terms.values())
+    return terms * exponent * max(0, scale * height - 1).bit_length()
 
 
 def _product_size(left, right):

@@ -11,7 +11,11 @@ matrix; a dense matrix is one block.  The cochain differentials hold about
 two nonzeros per row and split into blocks of a few columns, so
 elimination cost follows the largest block, not the size of the matrix.
 A ``Poly`` matrix is reduced whole, so its pivot entries (the caveats of a
-generic rank) are those of the dense matrix.
+generic rank) are those of the dense matrix.  It is eliminated over Z[x]:
+each row is scaled by the lcm of its coefficients' denominators, and each
+pivot row is divided back by the product of the scales of the pivot rows at
+and above it, so the kernel multiplies and divides no ``Fraction`` and the
+results equal those of eliminating the rational rows.
 
 A rational matrix is a list of sparse rows, and a sparse row is a list of
 ``(column, nonzero value)`` pairs; kernel vectors come back in the same
@@ -213,14 +217,44 @@ def row_space_contains(rows, vector, ncols) -> bool:
 # -- elimination over polynomial entries -----------------------------------
 
 
+def _echelon_generic(rows, ncols):
+    """Row echelon form of a ``Poly`` matrix, eliminated over Z[x].
+
+    Each row is scaled by the lcm of the denominators of its entries'
+    coefficients, so ``_row_echelon`` sees integer coefficients only.  A
+    nonzero scale changes no zero test, so pivots and row swaps are those of
+    the unscaled rows.  From its pivot on, pivot row t holds minors over the
+    first t + 1 pivot rows, so each entry carries exactly the product of
+    their scales; dividing it back gives the entry of unscaled elimination.
+
+    Returns (rank, pivot_columns, rows), where row t < rank holds pivot t and
+    is exact from its pivot column on; the caller's rows are not touched.
+    """
+    work = []
+    scales = {}  # id of a working row -> its scale; _row_echelon swaps the lists
+    for row in rows:
+        scale = lcm(*(entry.denominator() for entry in row))
+        scaled = [entry * scale for entry in row] if scale != 1 else list(row)
+        scales[id(scaled)] = scale
+        work.append(scaled)
+    rank_, pivots = _row_echelon(work, ncols)
+    product = 1
+    for t, c in enumerate(pivots):
+        row = work[t]
+        product *= scales[id(row)]
+        if product != 1:
+            inverse = Fraction(1, product)
+            row[c:] = [entry * inverse for entry in row[c:]]
+    return rank_, pivots, work
+
+
 def rank_generic(rows, ncols):
     """(generic rank, pivot entries) of a matrix of ``Poly`` values.
 
     The rank is the rank at the generic point (pivot polynomials are nonzero
     as polynomials); non-constant pivot entries are the caller's caveats.
     """
-    work = [list(row) for row in rows]
-    rank_, pivots = _row_echelon(work, ncols)
+    rank_, pivots, work = _echelon_generic(rows, ncols)
     return rank_, [work[t][c] for t, c in enumerate(pivots)]
 
 
@@ -231,8 +265,7 @@ def nullspace_generic(rows, ncols):
     pairs of polynomials; denominators are cleared at the end, so each
     returned vector has ``Poly`` entries and satisfies M v = 0 identically.
     """
-    work = [list(row) for row in rows]
-    rank_, pivots = _row_echelon(work, ncols)
+    rank_, pivots, work = _echelon_generic(rows, ncols)
     pivot_set = set(pivots)
     one = Poly.one()
     zero = Poly.zero()

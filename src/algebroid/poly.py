@@ -23,6 +23,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 
 from algebroid.errors import ResultTooLarge
 
@@ -327,6 +328,15 @@ class Poly:
             for var, _ in mono:
                 seen.add(var)
         return seen
+
+    def denominator(self) -> int:
+        """The lcm of the coefficients' denominators: the least positive
+        integer whose multiple of ``self`` has integer coefficients."""
+        out = 1
+        for coeff in self.terms.values():
+            if type(coeff) is Fraction:
+                out = lcm(out, coeff.denominator)
+        return out
 
     def total_degree(self) -> int:
         """Largest total degree among the terms (0 for the zero polynomial)."""

@@ -401,6 +401,15 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert "line 2, column 31: '^' could expand to more than 2000 terms" in err
 
+    @pytest.mark.parametrize("power", ["(x0 + 1)^1999", "(2/3*x0 + 5/7)^999"])
+    def test_a_power_past_the_bit_budget_exits_two(self, capsys, tmp_path, power):
+        path = tmp_path / "power.adsl"
+        path.write_text(f"var x0\nfn f = {power}\n")
+        code, out, err = run_cli(capsys, "d", "--input", str(path), "--target", "f")
+        assert (code, out) == (2, "")
+        assert "'^' could expand to coefficients of more than 500000 bits" in err
+        assert "Traceback" not in err
+
     def test_a_number_past_the_digit_limit_exits_two(self, capsys, tmp_path):
         path = tmp_path / "digits.adsl"
         path.write_text("var x0 x1\nfn f = x0^" + "9" * 5000 + "\n")

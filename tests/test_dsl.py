@@ -224,6 +224,31 @@ class TestExpressionBudget:
         # the power of a monomial is one term, whatever its degree
         assert parse("var x0\nfn f = 2*x0^5000\n").lookup("f").value == 2 * x(0) ** 5000
 
+    def test_a_power_past_the_bit_bound(self, monkeypatch):
+        def expand(base, exponent):
+            raise AssertionError("the power was expanded")
+
+        monkeypatch.setattr(Poly, "__pow__", expand)
+        message = "could expand to coefficients of more than 500000 bits"
+        # inside the term bound, but 2,000 * 1,999 * 1 and 1,000 * 999 * 10 bits
+        with pytest.raises(DslError, match=message) as err:
+            parse("var x0\nfn f = (x0 + 1)^1999\n")
+        assert (err.value.line, err.value.column) == (2, 16)
+        with pytest.raises(DslError, match=message) as err:
+            parse("var x0\nfn f = (2/3*x0 + 5/7)^999\n")
+        assert (err.value.line, err.value.column) == (2, 22)
+        # a constant is one term, but its power still grows
+        with pytest.raises(DslError, match=message):
+            parse("var x0\nfn f = 2^500001 * x0\n")
+
+    def test_powers_inside_the_bit_bound_expand(self):
+        # 101 * 100 * ceil(log2(21 * 29)) = 101,000 bits
+        doc = parse("var x0\nfn f = (2/3*x0 + 5/7)^100\n")
+        assert doc.lookup("f").value == (Fraction(2, 3) * x(0) + Fraction(5, 7)) ** 100
+        # a unit monomial's coefficient stays 1, whatever the exponent
+        assert parse("var x0\nfn f = x0^1000000\n").lookup("f").value == x(0) ** 1000000
+        assert parse("var x0\nfn f = 2^500000 * x0\n").lookup("f").value == 2**500000 * x(0)
+
     @pytest.mark.parametrize("op", ["*", "^^"])
     def test_a_product_past_the_term_bound(self, op):
         # f has C(4 + 9, 4) = 715 terms; f * f may hold C(4 + 18, 4) = 7,315

@@ -158,6 +158,129 @@ class TestGenericElimination:
         rows = [[p, p * x2], [p * x3, p * x2 * x3]]
         assert linalg.rank_generic(rows, 2)[0] == 1
 
+    def test_rational_rows_match_unscaled_elimination(self):
+        matrices = list(random_rational_poly_matrices(59, 100))
+        assert any(type(c) is Fraction for rows, _ in matrices
+                   for row in rows for entry in row for c in entry.terms.values())
+        for rows, ncols in matrices:
+            before = [[Poly(entry.terms) for entry in row] for row in rows]
+            rank_, pivot_entries = linalg.rank_generic(rows, ncols)
+            basis = linalg.nullspace_generic(rows, ncols)
+            assert rows == before  # the caller's rows are not touched
+            want_rank, want_pivots, echelon_rows = reference_echelon_generic(rows, ncols)
+            assert rank_ == want_rank
+            assert pivot_entries == [echelon_rows[t][c] for t, c in enumerate(want_pivots)]
+            assert basis == reference_nullspace_generic(rows, ncols)
+            assert len(basis) == ncols - rank_
+            for vec in basis:
+                for row in rows:
+                    total = Poly.zero()
+                    for entry, coeff in zip(row, vec):
+                        total = total + entry * coeff
+                    assert total.is_zero()
+
+    def test_the_kernel_sees_integer_coefficients_only(self, monkeypatch):
+        # Scaling rows to Z[x] is what keeps Fraction arithmetic out of the
+        # Bareiss products; without it these matrices reach the kernel with
+        # Fraction coefficients.
+        seen = set()
+        kernel = linalg._row_echelon
+
+        def checked(rows, ncols):
+            seen.update(type(c) for row in rows for entry in row for c in entry.terms.values())
+            result = kernel(rows, ncols)
+            seen.update(type(c) for row in rows for entry in row for c in entry.terms.values())
+            return result
+
+        monkeypatch.setattr(linalg, "_row_echelon", checked)
+        for function in (linalg.rank_generic, linalg.nullspace_generic):
+            for rows, ncols in random_rational_poly_matrices(61, 20):
+                function(rows, ncols)
+        assert seen == {int}
+
+
+def random_rational_poly_matrices(seed, count):
+    """Seeded small ``Poly`` matrices with ``Fraction`` coefficients.
+
+    In every third one with two rows or more, a row is replaced by another
+    row plus a rational multiple of a row other than itself, so the rows
+    are dependent.
+    """
+    rng = random.Random(seed)
+
+    def entry():
+        p = Poly.zero()
+        for _ in range(rng.randint(0, 2)):
+            mono = Poly.one()
+            for var in range(2):
+                mono = mono * Poly.variable(var, rng.randint(0, 1))
+            p = p + Fraction(rng.randint(-6, 6), rng.randint(1, 6)) * mono
+        return p
+
+    for n in range(count):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if n % 3 == 2 and nrows >= 2:
+            i, j = rng.sample(range(nrows), 2)
+            k = rng.choice([r for r in range(nrows) if r != i])
+            q = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+            rows[i] = [a + q * b for a, b in zip(rows[j], rows[k])]
+        yield rows, ncols
+
+
+def reference_echelon_generic(matrix, ncols):
+    """One-step Bareiss on a copy of a ``Poly`` matrix, on its coefficients
+    as given, rational ones included.
+
+    The textbook counterpart of ``linalg._echelon_generic`` without its row
+    scales: pivots are the first nonzero entry down each column, and every
+    division is checked to be exact.  Returns (rank, pivot columns, rows);
+    row t holds pivot t.
+    """
+    a = [list(row) for row in matrix]
+    rank, prev, pivots = 0, None, []
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        p = a[rank]
+        for row in a[rank + 1:]:
+            for j in range(c + 1, ncols):
+                value = p[c] * row[j] - row[c] * p[j]
+                row[j] = value if prev is None else value.exact_div(prev)
+            row[c] = Poly.zero()
+        prev = p[c]
+        pivots.append(c)
+        rank += 1
+    return rank, pivots, a
+
+
+def reference_nullspace_generic(matrix, ncols):
+    """The kernel basis of ``nullspace_generic``, back-substituted in the
+    fraction field over the rows of ``reference_echelon_generic``."""
+    rank, pivots, rows = reference_echelon_generic(matrix, ncols)
+    one, zero = Poly.one(), Poly.zero()
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        x = [(zero, one)] * ncols
+        x[free] = (one, one)
+        for t in reversed(range(rank)):
+            col, row = pivots[t], rows[t]
+            num, den = zero, one
+            for j in range(col + 1, ncols):
+                xn, xd = x[j]
+                if not xn.is_zero():
+                    num, den = num * xd + row[j] * xn * den, den * xd
+            x[col] = (-num, den * row[col])
+        clear = one
+        for _, xd in x:
+            clear = clear * xd
+        basis.append([xn * clear.exact_div(xd) for xn, xd in x])
+    return basis
+
 
 def reference_rank(matrix, ncols):
     """Rank of an integer matrix by textbook dense Bareiss on a copy.

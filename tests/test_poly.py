@@ -219,6 +219,13 @@ class TestCanonicalCoefficients:
         assert type(Poly.zero().constant_term()) is Fraction
         assert p.coefficient(((0, 1),)) == 3 and p.constant_term() == 5
 
+    @given(polys)
+    def test_denominator_is_the_least_integer_scale(self, p):
+        d = p.denominator()
+        assert {type(c) for c in (p * d).terms.values()} <= {int}
+        for smaller in range(1, d):
+            assert Fraction in {type(c) for c in (p * smaller).terms.values()}
+
     def test_floats_are_rejected(self):
         with pytest.raises(TypeError):
             Poly.constant(0.5)
