@@ -15,7 +15,14 @@ generic rank) are those of the dense matrix.  It is eliminated over Z[x]:
 each row is scaled by the lcm of its coefficients' denominators, and each
 pivot row is divided back by the product of the scales of the pivot rows at
 and above it, so the kernel multiplies and divides no ``Fraction`` and the
-results equal those of eliminating the rational rows.
+results equal those of eliminating the rational rows.  Its entries are
+packed once for the whole matrix (``poly._Packing``): each monomial is one
+int, with the total degree in the top field over one field per variable,
+so a product of monomials is an addition and a quotient a subtraction
+whose guard bits prove divisibility.  Fields are wide enough for twice the
+sum over rows of their largest entry degree, which bounds every Bareiss
+product, so they never carry.  ``Poly.exact_div`` runs the same packed
+division.
 
 A rational matrix is a list of sparse rows, and a sparse row is a list of
 ``(column, nonzero value)`` pairs; kernel vectors come back in the same
@@ -30,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from algebroid.poly import Poly
+from algebroid.poly import Poly, _Packing
 
 # The only elimination path; benchmark results record it to compare like with like.
 BACKEND = "pure-python"
@@ -218,34 +225,43 @@ def row_space_contains(rows, vector, ncols) -> bool:
 
 
 def _echelon_generic(rows, ncols):
-    """Row echelon form of a ``Poly`` matrix, eliminated over Z[x].
+    """Row echelon form of a ``Poly`` matrix, eliminated over Z[x] on packed keys.
 
     Each row is scaled by the lcm of the denominators of its entries'
-    coefficients, so ``_row_echelon`` sees integer coefficients only.  A
-    nonzero scale changes no zero test, so pivots and row swaps are those of
-    the unscaled rows.  From its pivot on, pivot row t holds minors over the
-    first t + 1 pivot rows, so each entry carries exactly the product of
-    their scales; dividing it back gives the entry of unscaled elimination.
+    coefficients, so the kernel sees integer coefficients only.  A nonzero
+    scale changes no zero test, so pivots and row swaps are those of the
+    unscaled rows.  Every entry is then packed once (``poly._Packing``), so
+    ``_row_echelon`` multiplies monomials by adding ints.  Each Bareiss
+    entry is a minor of the scaled matrix, so by Leibniz expansion its
+    degree is at most S, the sum over rows of their largest entry degree,
+    and a product before a division at most 2S: that bounds the fields.
+    From its pivot on, pivot row t holds minors over the first t + 1 pivot
+    rows, so each entry carries exactly the product of their scales;
+    dividing it back gives the entry of unscaled elimination.
 
-    Returns (rank, pivot_columns, rows), where row t < rank holds pivot t and
-    is exact from its pivot column on; the caller's rows are not touched.
+    Returns (rank, pivot_columns, rows): row t holds pivot t, zero before
+    its pivot column; the caller's rows are not touched.
     """
+    bound = 2 * sum(max((entry.total_degree() for entry in row), default=0) for row in rows)
+    packing = _Packing([entry for row in rows for entry in row], bound)
     work = []
     scales = {}  # id of a working row -> its scale; _row_echelon swaps the lists
     for row in rows:
         scale = lcm(*(entry.denominator() for entry in row))
-        scaled = [entry * scale for entry in row] if scale != 1 else list(row)
-        scales[id(scaled)] = scale
-        work.append(scaled)
+        packed = [packing.pack(entry * scale) for entry in row]
+        scales[id(packed)] = scale
+        work.append(packed)
     rank_, pivots = _row_echelon(work, ncols)
+    echelon_rows = []
     product = 1
     for t, c in enumerate(pivots):
-        row = work[t]
-        product *= scales[id(row)]
+        product *= scales[id(work[t])]
+        tail = [packing.unpack(entry.terms) for entry in work[t][c:]]
         if product != 1:
             inverse = Fraction(1, product)
-            row[c:] = [entry * inverse for entry in row[c:]]
-    return rank_, pivots, work
+            tail = [entry * inverse for entry in tail]
+        echelon_rows.append([Poly.zero()] * c + tail)
+    return rank_, pivots, echelon_rows
 
 
 def rank_generic(rows, ncols):

@@ -16,6 +16,18 @@ unbounded.  The accessors ``coefficient`` and ``constant_term`` return a
 
 Instances are treated as immutable: no method mutates ``self``, and callers
 must not poke at ``terms`` in place.
+
+Exact division and fraction-free elimination run on a private packed form.
+A ``_Packing`` built from some polynomials maps each monomial over their
+variables to one int: the total degree in the top field, then one field per
+variable that occurs, at dense positions with the lowest index most
+significant, so integer order is ``monomial_division_key`` order.  Each
+field has ``W`` bits, with ``2**(W - 1)`` above every total degree the
+computation reaches (the caller's bound), so a monomial product is one int
+addition and fields never carry.  ``G`` holds the top, guard bit of every
+field: in ``(a | G) - b`` a field keeps its guard bit exactly when b's
+exponent there is at most a's, so one subtraction gives the quotient a/b
+or, by a cleared guard bit, proves that b does not divide a.
 """
 
 from __future__ import annotations
@@ -63,26 +75,6 @@ def monomial_mul(a, b):
     return tuple(out)
 
 
-def monomial_div(a, b):
-    """Return a/b as a monomial, or None when b does not divide a."""
-    if not b:
-        return a
-    quot = []
-    i = 0
-    for vb, eb in b:
-        while i < len(a) and a[i][0] < vb:
-            quot.append(a[i])
-            i += 1
-        if i == len(a) or a[i][0] != vb or a[i][1] < eb:
-            return None
-        left = a[i][1] - eb
-        if left:
-            quot.append((vb, left))
-        i += 1
-    quot.extend(a[i:])
-    return tuple(quot)
-
-
 def monomial_key(mono):
     """Canonical display order: total degree first, then the pair tuple.
 
@@ -102,30 +94,10 @@ def monomial_division_key(mono):
     ``(-variable, exponent)`` makes plain tuple comparison implement exactly
     that.  Division is by this order: a leading term chosen by a
     non-multiplicative order need not stay leading inside products, which
-    derails long division on exactly divisible inputs.  ``exact_div`` keeps
-    its remainder in a heap under ``monomial_heap_key``, the same order
-    reversed.
+    derails long division on exactly divisible inputs.  The keys of a
+    ``_Packing`` compare as integers in exactly this order.
     """
     return (monomial_degree(mono), tuple((-v, e) for v, e in mono))
-
-
-def monomial_heap_key(mono):
-    """``monomial_division_key`` reversed, as one flat tuple for ``heapq``.
-
-    The key is ``(-degree, v0, -e0, v1, -e1, ..., mono)``.  At equal degree
-    no pair tuple is a prefix of another (the longer one would have the
-    larger degree), so negating the degree, each exponent and each (already
-    negated) variable reverses plain tuple comparison exactly: the smallest
-    key is the greatest monomial under the division order.  Keys of
-    distinct monomials differ before the last item, which carries the
-    monomial itself so that a heap pop recovers it.
-    """
-    degree = 0
-    flat = []
-    for v, e in mono:
-        degree += e
-        flat += (v, -e)
-    return (-degree, *flat, mono)
 
 
 def _coefficient(value):
@@ -354,59 +326,21 @@ class Poly:
         """Terms in the canonical (graded-lex ascending) order."""
         return sorted(self.terms.items(), key=lambda item: monomial_key(item[0]))
 
-    def leading(self):
-        """The greatest term under the division order, as (monomial, coefficient)."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        mono = max(self.terms, key=monomial_division_key)
-        return mono, self.terms[mono]
-
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Exact quotient self/divisor; raises ValueError when not divisible.
 
-        Long division under the division order.  The remainder's monomials
-        sit in a heap under ``monomial_heap_key``, so each leading term is a
-        pop, not a scan of the whole remainder.  A quotient term ``qmono``
-        cancels the leading term and adds ``qmono * m2`` for the other
-        divisor terms ``m2``; each ``m2`` is below the divisor's leading
-        monomial and the order is multiplicative, so every added term is
-        strictly below the one cancelled and the heap top stays the true
-        leading term.  A monomial is pushed only when it enters the
-        remainder; one cancelled since it was pushed is a stale entry,
-        skipped when popped.
+        Both operands are packed over their variables and divided by
+        ``_divide``, the division of fraction-free elimination.  No monomial
+        of the computation exceeds the dividend's total degree (see
+        ``_divide``), so the larger of the two degrees bounds the fields.
         """
         if not isinstance(divisor, Poly) or divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = dict(self.terms)
-        heap = [monomial_heap_key(m) for m in rem]
-        heapify(heap)
-        quot = {}
-        dmono, dcoeff = divisor.leading()
-        tail = [(m, c) for m, c in divisor.terms.items() if m != dmono]
-        while heap:
-            mono = heappop(heap)[-1]
-            coeff = rem.pop(mono, None)
-            if coeff is None:  # stale: cancelled since it was pushed
-                continue
-            qmono = monomial_div(mono, dmono)
-            if qmono is None:
-                raise ValueError("polynomials do not divide exactly")
-            # Fraction, not ``/``: true division of two ints is a float.
-            qcoeff = _normal(Fraction(coeff, dcoeff))
-            quot[qmono] = qcoeff
-            for m2, c2 in tail:
-                target = monomial_mul(qmono, m2)
-                acc = rem.get(target)
-                if acc is None:
-                    rem[target] = _normal(-qcoeff * c2)
-                    heappush(heap, monomial_heap_key(target))
-                else:
-                    acc -= qcoeff * c2
-                    if acc:
-                        rem[target] = _normal(acc)
-                    else:
-                        del rem[target]
-        return Poly._raw(quot)
+        packing = _Packing((self, divisor), max(self.total_degree(), divisor.total_degree()))
+        quot = _divide(packing.pack(self).terms, packing.pack(divisor).terms, packing.guard)
+        if quot is None:
+            raise ValueError("polynomials do not divide exactly")
+        return packing.unpack(quot)
 
     def __floordiv__(self, divisor: "Poly") -> "Poly":
         """The exact quotient, as ``//`` is on exact integer multiples."""
@@ -419,6 +353,145 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({render_poly(self)})"
+
+
+class _Packing:
+    """Monomials over the variables of ``polys`` packed into ints, in the
+    layout of the module docstring; ``bound`` is a total degree no monomial
+    of the computation exceeds, and ``guard`` is ``G``."""
+
+    __slots__ = ("fields", "shift", "top", "mask", "guard")
+
+    def __init__(self, polys, bound):
+        variables = sorted(set().union(*(p.variables() for p in polys)))
+        width = bound.bit_length() + 1
+        count = len(variables)
+        self.fields = [(v, width * (count - 1 - i)) for i, v in enumerate(variables)]
+        self.shift = dict(self.fields)
+        self.top = width * count
+        self.mask = (1 << width) - 1
+        self.guard = sum(1 << (width * i + width - 1) for i in range(count + 1))
+
+    def pack(self, poly: Poly) -> "_Packed":
+        shift, top = self.shift, self.top
+        terms = {}
+        for mono, coeff in poly.terms.items():
+            key = degree = 0
+            for var, exp in mono:
+                key += exp << shift[var]
+                degree += exp
+            terms[key + (degree << top)] = coeff
+        return _Packed(terms, self.guard)
+
+    def unpack(self, terms: dict) -> Poly:
+        """The ``Poly`` of packed terms with canonical coefficients, in their order."""
+        fields, mask = self.fields, self.mask
+        out = {}
+        for key, coeff in terms.items():
+            mono = []
+            for var, at in fields:
+                exp = (key >> at) & mask
+                if exp:
+                    mono.append((var, exp))
+            out[tuple(mono)] = coeff
+        return Poly._raw(out)
+
+
+class _Packed:
+    """An integer polynomial on the keys of one ``_Packing``.
+
+    ``terms`` maps each key to a nonzero int.  It has just what
+    ``linalg._row_echelon`` asks of an entry: ``*``, ``-``, exact ``//`` and
+    truth; a monomial product is one int addition.
+    """
+
+    __slots__ = ("terms", "guard")
+
+    def __init__(self, terms: dict, guard: int):
+        self.terms = terms
+        self.guard = guard
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __mul__(self, other: "_Packed") -> "_Packed":
+        out = {}
+        get = out.get
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                key = ka + kb
+                out[key] = get(key, 0) + ca * cb
+        return _Packed({key: c for key, c in out.items() if c}, self.guard)
+
+    def __sub__(self, other: "_Packed") -> "_Packed":
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            c = out.get(key, 0) - c
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+        return _Packed(out, self.guard)
+
+    def __floordiv__(self, divisor: "_Packed") -> "_Packed":
+        quot = _divide(self.terms, divisor.terms, self.guard)
+        if quot is None:
+            # Bareiss divisions are exact; one that is not is a broken invariant.
+            raise AssertionError("a fraction-free elimination step did not divide exactly")
+        return _Packed(quot, self.guard)
+
+
+def _divide(terms: dict, divisor: dict, guard: int):
+    """Exact quotient of packed ``terms`` by packed ``divisor``, or None when
+    the division is not exact.
+
+    Long division under the division order.  The remainder's keys sit in a
+    heap, negated, so each leading term is a pop, not a scan of the whole
+    remainder.  A quotient term ``q`` cancels the leading term and adds
+    ``q + k`` for the other divisor keys ``k``; each ``k`` is below the
+    divisor's leading key and the order is multiplicative, so every added
+    term is strictly below the one cancelled and the heap top stays the
+    true leading term.  No added term exceeds the total degree of the one
+    it follows, so none exceeds the dividend's.  A key is pushed only when
+    it enters the remainder; one cancelled since it was pushed is a stale
+    entry, skipped when popped.  Quotient terms come in descending order.
+    """
+    rem = dict(terms)
+    heap = [-key for key in rem]
+    heapify(heap)
+    lead = max(divisor)
+    lead_coeff = divisor[lead]
+    tail = [(key, c) for key, c in divisor.items() if key != lead]
+    quot = {}
+    while heap:
+        key = -heappop(heap)
+        coeff = rem.pop(key, None)
+        if coeff is None:  # stale: cancelled since it was pushed
+            continue
+        q = (key | guard) - lead
+        if q & guard != guard:  # some exponent of the divisor's is larger
+            return None
+        q ^= guard
+        # Remainder coefficients need not be canonical; quotient ones are:
+        # an int, or a Fraction that is not integral.  Fraction, not ``/``:
+        # true division of two ints is a float.
+        qcoeff, left = divmod(coeff, lead_coeff)
+        if left:
+            qcoeff = Fraction(coeff, lead_coeff)
+        quot[q] = qcoeff
+        for k, c in tail:
+            target = q + k
+            acc = rem.get(target)
+            if acc is None:
+                rem[target] = -qcoeff * c
+                heappush(heap, -target)
+            else:
+                acc -= qcoeff * c
+                if acc:
+                    rem[target] = acc
+                else:
+                    del rem[target]
+    return quot
 
 
 def render_fraction(value: Fraction) -> str:

@@ -7,9 +7,9 @@ from math import gcd
 
 import pytest
 
-from algebroid import linalg
+from algebroid import cli, linalg, poly
 from algebroid.cohomology import TruncationSpec, compute_cohomology
-from algebroid.exterior import KForm
+from algebroid.exterior import KForm, KVector, de_rham, interior_product
 from algebroid.poly import Poly
 from algebroid.symplectic import ConstantSymplectic, check_weak_symplectic
 
@@ -164,20 +164,8 @@ class TestGenericElimination:
                    for row in rows for entry in row for c in entry.terms.values())
         for rows, ncols in matrices:
             before = [[Poly(entry.terms) for entry in row] for row in rows]
-            rank_, pivot_entries = linalg.rank_generic(rows, ncols)
-            basis = linalg.nullspace_generic(rows, ncols)
+            assert_matches_reference(rows, ncols)
             assert rows == before  # the caller's rows are not touched
-            want_rank, want_pivots, echelon_rows = reference_echelon_generic(rows, ncols)
-            assert rank_ == want_rank
-            assert pivot_entries == [echelon_rows[t][c] for t, c in enumerate(want_pivots)]
-            assert basis == reference_nullspace_generic(rows, ncols)
-            assert len(basis) == ncols - rank_
-            for vec in basis:
-                for row in rows:
-                    total = Poly.zero()
-                    for entry, coeff in zip(row, vec):
-                        total = total + entry * coeff
-                    assert total.is_zero()
 
     def test_the_kernel_sees_integer_coefficients_only(self, monkeypatch):
         # Scaling rows to Z[x] is what keeps Fraction arithmetic out of the
@@ -197,6 +185,147 @@ class TestGenericElimination:
             for rows, ncols in random_rational_poly_matrices(61, 20):
                 function(rows, ncols)
         assert seen == {int}
+
+
+    def test_far_apart_variables_get_dense_fields(self, monkeypatch):
+        # x0 and x1000 take two adjacent fields, not a thousand apart.
+        widest = []
+        kernel = linalg._row_echelon
+
+        def recording(rows, ncols):
+            widest.append(max(key.bit_length() for row in rows for entry in row
+                              for key in entry.terms))
+            return kernel(rows, ncols)
+
+        monkeypatch.setattr(linalg, "_row_echelon", recording)
+        x, y = Poly.variable(0), Poly.variable(1000)
+        for rows in ([[x, y], [y * y, x + 1]], [[x, y], [x * y, y * y]]):
+            assert_matches_reference(rows, 2)
+        assert widest and max(widest) < 64
+
+    def test_constant_matrices(self):
+        c = Poly.constant
+        assert_matches_reference([[c(1), c(2)], [c(2), c(4)]], 2)
+        assert_matches_reference([[c(Fraction(1, 2)), c(3)], [c(5), c(Fraction(-2, 3))]], 2)
+        assert_matches_reference([[c(0), c(0), c(7)]], 3)
+
+    def test_zero_rows_and_empty_shapes(self):
+        x, y = Poly.variable(0), Poly.variable(1)
+        zero = Poly.zero()
+        assert_matches_reference([[zero, zero], [x, y], [zero, zero]], 2)
+        assert_matches_reference([[zero, zero]], 2)
+        for ncols in (0, 1, 3):
+            assert_matches_reference([], ncols)
+        for nrows in (1, 3):
+            assert_matches_reference([[] for _ in range(nrows)], 0)
+        assert linalg.rank_generic([[], []], 0) == (0, [])
+        assert linalg.nullspace_generic([[], []], 0) == []
+
+    def test_high_degree_entries_widen_the_fields(self):
+        x, y = Poly.variable(0), Poly.variable(1)
+        rows = [[x**40 + y, y**41, x], [x, y**2 + 1, x**20 * y**20], [x**40, y, x * y]]
+        assert_matches_reference(rows, 3)
+        assert_matches_reference([rows[0], rows[0], rows[1]], 3)  # rank deficient
+
+    def test_fraction_coefficient_rows(self):
+        x, y = Poly.variable(0), Poly.variable(1)
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        rows = [[half * x, third * y + 1, x * y], [y, half * x * x, Poly.constant(third)]]
+        assert_matches_reference(rows, 3)
+        assert_matches_reference([rows[0], [Fraction(6, 5) * e for e in rows[0]]], 3)
+
+    def test_no_poly_products_while_the_kernel_runs(self, monkeypatch):
+        # Every entry is packed before elimination, so the Bareiss products
+        # add ints; a Poly or monomial product inside the kernel means the
+        # packed form was bypassed.
+        form = banded_form(8, 7)
+        rows = [[interior_product(KVector.coordinate(i), form).coefficient((j,))
+                 for j in range(8)] for i in range(8)]
+        inside = [False]
+        calls = {"monomial_mul": 0, "Poly.__mul__": 0}
+        kernel = linalg._row_echelon
+
+        def running(rows, ncols):
+            inside[0] = True
+            try:
+                return kernel(rows, ncols)
+            finally:
+                inside[0] = False
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += inside[0]
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(linalg, "_row_echelon", running)
+        monkeypatch.setattr(poly, "monomial_mul", counting("monomial_mul", poly.monomial_mul))
+        product = counting("Poly.__mul__", Poly.__mul__)
+        monkeypatch.setattr(Poly, "__mul__", product)
+        monkeypatch.setattr(Poly, "__rmul__", product)
+        rank_, caveats = linalg.rank_generic(rows, 8)
+        assert rank_ == 8 and caveats
+        assert calls == {"monomial_mul": 0, "Poly.__mul__": 0}
+
+    def test_an_inexact_division_is_an_internal_error(self, monkeypatch, capsys, tmp_path):
+        # A Bareiss division is exact by the minors it divides; a wrong
+        # quotient leaves a later one inexact, which is a broken invariant.
+        divide = poly._divide
+
+        def wrong(terms, divisor, guard):
+            quot = divide(terms, divisor, guard)
+            if quot is not None:
+                quot[0] = quot.get(0, 0) + 7  # 7 more in the constant term
+            return quot
+
+        document = tmp_path / "banded4.adsl"
+        document.write_text(
+            "var x0 x1 x2 x3\nform B = dx[0] ^^ dx[1] + dx[2] ^^ dx[3] + d[x2*x3*dx[0]"
+            " - 1/2*x3*x0*dx[1] + 2*x0*x1*dx[2] - 1/3*x1*x2*dx[3]]\n"
+        )
+        argv = ["check-weak-symplectic", "--target", "B", "--input", str(document)]
+        assert cli.run(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(poly, "_divide", wrong)
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            "internal error: a fraction-free elimination step did not divide exactly\n"
+        )
+
+
+def assert_matches_reference(rows, ncols):
+    """``rank_generic`` and ``nullspace_generic`` agree with the textbook
+    Bareiss of ``reference_echelon_generic``, and the kernel annihilates."""
+    rank_, pivot_entries = linalg.rank_generic(rows, ncols)
+    basis = linalg.nullspace_generic(rows, ncols)
+    want_rank, want_pivots, echelon_rows = reference_echelon_generic(rows, ncols)
+    assert rank_ == want_rank
+    assert pivot_entries == [echelon_rows[t][c] for t, c in enumerate(want_pivots)]
+    assert basis == reference_nullspace_generic(rows, ncols)
+    assert len(basis) == ncols - rank_
+    for vec in basis:
+        for row in rows:
+            total = Poly.zero()
+            for entry, coeff in zip(row, vec):
+                total = total + entry * coeff
+            assert total.is_zero()
+
+
+BAND = (1, Fraction(-1, 2), 2, Fraction(-1, 3), 3, Fraction(-2, 3), Fraction(3, 2))
+
+
+def banded_form(n, band):
+    """dx0^dx1 + dx2^dx3 + ... + d[sum c_i x(i+2) x(i+3) dx[i]] over i < band,
+    indices mod n: the closed banded 2-form of the ``structure-checks``
+    benchmark, with fixed signs on its coefficients ``BAND``."""
+    x = [Poly.variable(i) for i in range(n)]
+    pairs = KForm(2, {(2 * i, 2 * i + 1): Poly.one() for i in range(n // 2)})
+    primitive = KForm(1, {(i,): BAND[i % len(BAND)] * x[(i + 2) % n] * x[(i + 3) % n]
+                          for i in range(band)})
+    return pairs + de_rham(primitive)
 
 
 def random_rational_poly_matrices(seed, count):

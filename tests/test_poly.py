@@ -12,9 +12,7 @@ from algebroid import poly
 from algebroid.poly import (
     Poly,
     monomial_degree,
-    monomial_div,
     monomial_division_key,
-    monomial_heap_key,
     monomial_key,
     monomial_mul,
     render_fraction,
@@ -273,6 +271,27 @@ class TestExactDivision:
             )
 
 
+def monomial_div(a, b):
+    """Return a/b as a monomial, or None when b does not divide a; the
+    pair-merging quotient of ``linear_scan_exact_div``."""
+    if not b:
+        return a
+    quot = []
+    i = 0
+    for vb, eb in b:
+        while i < len(a) and a[i][0] < vb:
+            quot.append(a[i])
+            i += 1
+        if i == len(a) or a[i][0] != vb or a[i][1] < eb:
+            return None
+        left = a[i][1] - eb
+        if left:
+            quot.append((vb, left))
+        i += 1
+    quot.extend(a[i:])
+    return tuple(quot)
+
+
 def linear_scan_exact_div(dividend, divisor):
     """Long division that finds each leading term by scanning the remainder.
 
@@ -329,11 +348,13 @@ class TestHeapDivision:
             assert list(f.exact_div(q).terms.items()) == list(expected.items())
 
     @given(wide_monomials, wide_monomials)
-    def test_heap_key_reverses_the_division_order(self, a, b):
-        ka, kb = monomial_division_key(a), monomial_division_key(b)
-        ha, hb = monomial_heap_key(a), monomial_heap_key(b)
-        assert (ha < hb) == (ka > kb)
-        assert (ha == hb) == (a == b)
+    def test_packed_key_order_is_the_division_order(self, a, b):
+        pa, pb = Poly({a: 1}), Poly({b: 1})
+        packing = poly._Packing((pa, pb), monomial_degree(a) + monomial_degree(b))
+        (ka,), (kb,) = packing.pack(pa).terms, packing.pack(pb).terms
+        assert (ka < kb) == (monomial_division_key(a) < monomial_division_key(b))
+        assert (ka == kb) == (a == b)
+        assert packing.unpack({ka + kb: 1}) == pa * pb
 
     def test_failure_after_some_quotient_terms_raises(self):
         # The leading terms of p*q divide; the stray x3 below them does not.
@@ -343,10 +364,11 @@ class TestHeapDivision:
         with pytest.raises(ValueError):
             (p * q + x3).exact_div(q)
 
-    def test_each_monomial_entering_the_remainder_is_keyed_once(self, monkeypatch):
+    def test_each_monomial_entering_the_remainder_is_packed_once(self, monkeypatch):
         # A scan of the remainder per quotient term evaluates an order key
-        # for every remaining monomial each time; the heap keys each
-        # monomial once, when it enters the remainder.
+        # for every remaining monomial each time; packed division packs
+        # each operand's monomials once, and every product and comparison
+        # after that is on ints.
         rng = random.Random(2009)
 
         def sample(count):
@@ -362,23 +384,34 @@ class TestHeapDivision:
         dividend = p * q
         assert len(dividend.terms) >= 200
         _, entered = linear_scan_exact_div(dividend, q)
-        calls = {"heap": 0, "division": 0}
+        calls = {"packed": 0, "unpacked": 0, "division": 0, "mul": 0}
+        pack, unpack = poly._Packing.pack, poly._Packing.unpack
+
+        def counting_pack(self, value):
+            calls["packed"] += len(value.terms)
+            return pack(self, value)
+
+        def counting_unpack(self, terms):
+            calls["unpacked"] += len(terms)
+            return unpack(self, terms)
 
         def counting(name, fn):
-            def wrapped(mono):
+            def wrapped(*args):
                 calls[name] += 1
-                return fn(mono)
+                return fn(*args)
 
             return wrapped
 
-        monkeypatch.setattr(poly, "monomial_heap_key", counting("heap", monomial_heap_key))
+        monkeypatch.setattr(poly._Packing, "pack", counting_pack)
+        monkeypatch.setattr(poly._Packing, "unpack", counting_unpack)
         monkeypatch.setattr(
             poly, "monomial_division_key", counting("division", monomial_division_key)
         )
+        monkeypatch.setattr(poly, "monomial_mul", counting("mul", monomial_mul))
         assert dividend.exact_div(q) == p
-        assert calls["heap"] <= entered
-        # Only the divisor's own leading term is found with the order key.
-        assert calls["division"] <= len(q.terms)
+        assert calls["packed"] == len(dividend.terms) + len(q.terms) <= entered + len(q.terms)
+        assert calls["unpacked"] == len(p.terms)
+        assert calls["division"] == calls["mul"] == 0
 
 
 class TestOrderingAndRendering:
