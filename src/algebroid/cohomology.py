@@ -54,9 +54,9 @@ from algebroid.algebroids import (
     tangent_algebroid,
 )
 from algebroid.errors import TruncationTooLarge
-from algebroid.exterior import KVector, _add_term, _insert_into_blade
+from algebroid.exterior import KVector, _insert_into_blade, _wrap
 from algebroid.exterior import schouten_bracket, vector_apply
-from algebroid.poly import Poly, monomial_degree
+from algebroid.poly import Poly, _add_scaled, _mac, monomial_degree
 from algebroid.sampling import Sampler, monomials_of_degree
 from algebroid.symplectic import ConstantSymplectic
 
@@ -142,17 +142,16 @@ def _ce_image(structure, support):
         for j, field in anchors:
             sign, target = _insert_into_blade(blade, j)
             if sign:
-                value = vector_apply(field, f)
-                _add_term(out, target, value if sign > 0 else -value)
+                _add_scaled(out.setdefault(target, {}), vector_apply(field, f).terms, sign)
         for pos, l in enumerate(blade):
             rest = blade[:pos] + blade[pos + 1 :]
             for a, b, coeff in brackets.get(l, ()):
                 sign_a, with_a = _insert_into_blade(rest, a)
                 sign, target = _insert_into_blade(with_a, b) if sign_a else (0, None)
                 if sign:
-                    value = coeff * f
-                    _add_term(out, target, value if sign * sign_a == (-1) ** pos else -value)
-        return cochain_cls._raw(grade + 1, dict(sorted(out.items())))
+                    sign *= sign_a * (-1) ** pos
+                    _mac(out.setdefault(target, {}), coeff.terms, f.terms, sign)
+        return cochain_cls._raw(grade + 1, dict(sorted(_wrap(out).items())))
 
     return image
 

@@ -99,7 +99,7 @@ class GeneralizedSection:
     def __sub__(self, other):
         if type(other) is not GeneralizedSection:
             return NotImplemented
-        return self + (-other)
+        return GeneralizedSection(self.vector - other.vector, self.form - other.form)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):

@@ -17,8 +17,11 @@ Conventions, fixed once and used everywhere:
 
 Terms are kept canonical: a value stores one entry per blade and no zero
 coefficient, so equal values have equal ``terms``.  The validating
-constructor enforces this on input; every operation that sums terms into a
-blade goes through ``_add_term``, the one place that keeps the rule.
+constructor enforces this on input.  Every operation that sums products or
+derivatives into blades accumulates one monomial dict per blade with the
+kernel of ``poly`` and wraps each blade once through ``_wrap``, the one
+place that keeps the rule; ``+`` and ``-`` merge blade by blade with
+``Poly``'s own addition.
 
 Values are immutable, so ``de_rham`` keeps each KForm's derivative on it
 and returns that object on every later call; all other operations return
@@ -30,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from algebroid.errors import ArityError, GradeError
-from algebroid.poly import Poly, render_poly
+from algebroid.poly import Poly, _add_scaled, _derivative, _mac, _poly, render_poly
 
 
 def _merge_blades(a, b):
@@ -72,36 +75,15 @@ def _insert_into_blade(blade, index):
     return sign, blade[:pos] + (index,) + blade[pos:]
 
 
-def _add_term(terms, blade, value):
-    """Add ``value`` into ``terms[blade]``: store no zero, drop a cancelled sum."""
-    acc = terms.get(blade)
-    if acc is not None:
-        value = acc + value
-    if value.is_zero():
-        terms.pop(blade, None)
-    else:
-        terms[blade] = value
-
-
-def _det(matrix):
-    """Determinant of a small square matrix of polynomials (Laplace)."""
-    n = len(matrix)
-    if n == 0:
-        return Poly.one()
-    if n == 1:
-        return matrix[0][0]
-    if n == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    total = Poly.zero()
-    rest = matrix[1:]
-    for col in range(n):
-        entry = matrix[0][col]
-        if entry.is_zero():
-            continue
-        minor = [row[:col] + row[col + 1 :] for row in rest]
-        term = entry * _det(minor)
-        total = total - term if col & 1 else total + term
-    return total
+def _wrap(out):
+    """Each blade's sums from ``_mac`` as one canonical Poly; blades that
+    cancel are dropped."""
+    terms = {}
+    for blade, sums in out.items():
+        poly = _poly(sums)
+        if poly:
+            terms[blade] = poly
+    return terms
 
 
 def _coerce_poly(value):
@@ -204,6 +186,13 @@ class _Alternating:
     # -- linear operations ---------------------------------------------------
 
     def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """``self + sign * other``; only the blades of ``other`` are rebuilt."""
         if type(other) is not type(self):
             return NotImplemented
         if other.grade != self.grade:
@@ -212,16 +201,19 @@ class _Alternating:
             )
         merged = dict(self.terms)
         for blade, coeff in other.terms.items():
-            _add_term(merged, blade, coeff)
+            acc = merged.get(blade)
+            if acc is None:
+                value = coeff if sign > 0 else -coeff
+            else:
+                value = acc.__add__(coeff, sign)
+            if value:
+                merged[blade] = value
+            else:
+                del merged[blade]
         return type(self)._raw(self.grade, merged)
 
     def __neg__(self):
         return type(self)._raw(self.grade, {b: -c for b, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -246,11 +238,9 @@ class _Alternating:
         for ba, ca in self.terms.items():
             for bb, cb in other.terms.items():
                 sign, blade = _merge_blades(ba, bb)
-                if sign == 0:
-                    continue
-                value = ca * cb
-                _add_term(out, blade, value if sign > 0 else -value)
-        return type(self)._raw(self.grade + other.grade, out)
+                if sign:
+                    _mac(out.setdefault(blade, {}), ca.terms, cb.terms, sign)
+        return type(self)._raw(self.grade + other.grade, _wrap(out))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -267,18 +257,12 @@ class _Alternating:
                 raise GradeError(
                     f"evaluation arguments must be grade-1 {dual_cls.__name__}s"
                 )
-        if self.grade == 0:
-            return self.terms.get((), Poly.zero())
-        total = Poly.zero()
-        for blade, coeff in self.terms.items():
-            matrix = [
-                [dual.terms.get((index,), Poly.zero()) for dual in duals]
-                for index in blade
-            ]
-            det = _det(matrix)
-            if not det.is_zero():
-                total = total + coeff * det
-        return total
+        # Contracting the first slot expands det [a_i(X_j)] along its first
+        # column, with the signs of the interior product's convention.
+        value = self
+        for dual in duals:
+            value = interior_product(dual, value)
+        return value.as_poly()
 
     # -- rendering -------------------------------------------------------------
 
@@ -365,13 +349,11 @@ def interior_product(contractor, target):
     out = {}
     for (index,), component in contractor.terms.items():
         for blade, coeff in target.terms.items():
-            try:
+            if index in blade:
                 pos = blade.index(index)
-            except ValueError:
-                continue
-            value = component * coeff
-            _add_term(out, blade[:pos] + blade[pos + 1 :], -value if pos & 1 else value)
-    return type(target)._raw(target.grade - 1, out)
+                sums = out.setdefault(blade[:pos] + blade[pos + 1 :], {})
+                _mac(sums, component.terms, coeff.terms, -1 if pos & 1 else 1)
+    return type(target)._raw(target.grade - 1, _wrap(out))
 
 
 def vector_apply(field, function: Poly) -> Poly:
@@ -379,12 +361,10 @@ def vector_apply(field, function: Poly) -> Poly:
     if type(field) is not KVector or field.grade != 1:
         raise GradeError("vector_apply needs a grade-1 KVector")
     function = _coerce_poly(function)
-    total = Poly.zero()
+    sums = {}
     for (index,), component in field.terms.items():
-        piece = function.partial(index)
-        if not piece.is_zero():
-            total = total + component * piece
-    return total
+        _mac(sums, component.terms, _derivative(function.terms, index))
+    return _poly(sums)
 
 
 def lie_bracket(left, right):
@@ -395,13 +375,9 @@ def lie_bracket(left, right):
     out = {}
     for (j,), xj in left.terms.items():
         for (i,), yi in right.terms.items():
-            dy = yi.partial(j)
-            if not dy.is_zero():
-                _add_term(out, (i,), xj * dy)
-            dx = xj.partial(i)
-            if not dx.is_zero():
-                _add_term(out, (j,), -(yi * dx))
-    return KVector._raw(1, out)
+            _mac(out.setdefault((i,), {}), xj.terms, _derivative(yi.terms, j))
+            _mac(out.setdefault((j,), {}), yi.terms, _derivative(xj.terms, i), -1)
+    return KVector._raw(1, _wrap(out))
 
 
 def de_rham(form) -> KForm:
@@ -417,11 +393,10 @@ def de_rham(form) -> KForm:
     for blade, coeff in form.terms.items():
         for var in coeff.variables():
             sign, new_blade = _insert_into_blade(blade, var)
-            if sign == 0:
-                continue
-            partial = coeff.partial(var)
-            _add_term(out, new_blade, partial if sign > 0 else -partial)
-    form._d = memo = KForm._raw(form.grade + 1, out)
+            if sign:
+                sums = out.setdefault(new_blade, {})
+                _add_scaled(sums, _derivative(coeff.terms, var), sign)
+    form._d = memo = KForm._raw(form.grade + 1, _wrap(out))
     return memo
 
 
@@ -475,12 +450,12 @@ def schouten_bracket(left, right) -> KVector:
                 if i_k in g_vars:
                     sign, blade = _merge_blades(blade_i[:k] + blade_i[k + 1 :], blade_j)
                     if sign:
-                        coeff = f * g.partial(i_k)
-                        _add_term(out, blade, coeff if sign * (-1) ** k > 0 else -coeff)
+                        sums = out.setdefault(blade, {})
+                        _mac(sums, f.terms, _derivative(g.terms, i_k), sign * (-1) ** k)
             for l, j_l in enumerate(blade_j):
                 if j_l in f_vars:
                     sign, blade = _merge_blades(blade_i, blade_j[:l] + blade_j[l + 1 :])
                     if sign:
-                        coeff = g * f.partial(j_l)
-                        _add_term(out, blade, coeff if sign * (-1) ** (a + l) > 0 else -coeff)
-    return KVector._raw(max(a + right.grade - 1, 0), out)
+                        sums = out.setdefault(blade, {})
+                        _mac(sums, g.terms, _derivative(f.terms, j_l), sign * (-1) ** (a + l))
+    return KVector._raw(max(a + right.grade - 1, 0), _wrap(out))

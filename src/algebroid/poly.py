@@ -17,6 +17,14 @@ unbounded.  The accessors ``coefficient`` and ``constant_term`` return a
 Instances are treated as immutable: no method mutates ``self``, and callers
 must not poke at ``terms`` in place.
 
+Every product of polynomials runs through one kernel, ``_mac``, which adds
+a*b or -a*b into a ``{monomial: coefficient}`` dict; ``Poly.__mul__`` and
+the exterior operators call it, and ``_derivative`` gives the terms of a
+partial derivative without building a ``Poly``.  An operator accumulates
+many products into one dict and ``_poly`` wraps it once.  Rational operands
+are multiplied over Z: both are scaled by the lcm of their denominators,
+and each output term is divided back once.
+
 Exact division and fraction-free elimination run on a private packed form.
 A ``_Packing`` built from some polynomials maps each monomial over their
 variables to one int: the total degree in the top field, then one field per
@@ -118,14 +126,6 @@ def _normal(value):
     return value
 
 
-def _normalised(terms: dict) -> dict:
-    """Put every value of ``terms`` in canonical form, in place."""
-    for mono, coeff in terms.items():
-        if type(coeff) is Fraction:
-            terms[mono] = _normal(coeff)
-    return terms
-
-
 class Poly:
     """A polynomial with exact rational coefficients.
 
@@ -205,7 +205,8 @@ class Poly:
 
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """``self + sign * other``; ``__sub__`` passes ``sign`` -1."""
         if type(other) is not Poly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
@@ -214,9 +215,9 @@ class Poly:
         for mono, coeff in other.terms.items():
             acc = merged.get(mono)
             if acc is None:
-                merged[mono] = coeff
+                merged[mono] = coeff if sign > 0 else -coeff
             else:
-                acc = acc + coeff
+                acc = acc + coeff if sign > 0 else acc - coeff
                 if acc:
                     merged[mono] = _normal(acc)
                 else:
@@ -229,11 +230,7 @@ class Poly:
         return Poly._raw({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if type(other) is not Poly:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly.constant(other)
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -243,23 +240,10 @@ class Poly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             coeff = _coefficient(other)
-            if not coeff:
-                return Poly.zero()
-            return Poly._raw(_normalised({m: c * coeff for m, c in self.terms.items()}))
+            return _poly({m: c * coeff for m, c in self.terms.items()})
         out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = monomial_mul(ma, mb)
-                acc = out.get(mono)
-                if acc is None:
-                    out[mono] = ca * cb
-                else:
-                    acc = acc + ca * cb
-                    if acc:
-                        out[mono] = acc
-                    else:
-                        del out[mono]
-        return Poly._raw(_normalised(out))
+        _mac(out, self.terms, other.terms)
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -281,18 +265,7 @@ class Poly:
 
     def partial(self, index: int) -> "Poly":
         """Partial derivative with respect to x<index>."""
-        out = {}
-        for mono, coeff in self.terms.items():
-            for pos, (var, exp) in enumerate(mono):
-                if var != index:
-                    continue
-                if exp == 1:
-                    new = mono[:pos] + mono[pos + 1 :]
-                else:
-                    new = mono[:pos] + ((var, exp - 1),) + mono[pos + 1 :]
-                out[new] = out.get(new, 0) + coeff * exp
-                break
-        return Poly._raw(_normalised({m: c for m, c in out.items() if c}))
+        return Poly._raw(_derivative(self.terms, index))
 
     def variables(self) -> set:
         seen = set()
@@ -353,6 +326,83 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({render_poly(self)})"
+
+
+def _scaled(terms: dict, scale: int) -> dict:
+    """``terms`` times ``scale``, a multiple of every denominator: int coefficients."""
+    return {
+        m: c.numerator * (scale // c.denominator) if type(c) is Fraction else c * scale
+        for m, c in terms.items()
+    }
+
+
+def _mac(out: dict, a: dict, b: dict, sign: int = 1) -> None:
+    """Add ``sign * a * b`` into ``out``: the one polynomial product.
+
+    ``a`` and ``b`` are canonical terms; ``out`` maps monomials to sums
+    that may be zero or an integral ``Fraction`` until ``_poly`` wraps it.
+    When either operand holds a ``Fraction``, both are scaled to integers
+    by the lcm of their denominators, the product is taken over Z, and each
+    output term is divided back once: one ``Fraction`` per output term, not
+    a ``Fraction`` product per pair of terms.
+    """
+    if not a or not b:
+        return
+    da = db = 1  # one type scan of each operand; int-only operands stop here
+    for c in a.values():
+        if type(c) is Fraction:
+            da = lcm(da, c.denominator)
+    for c in b.values():
+        if type(c) is Fraction:
+            db = lcm(db, c.denominator)
+    scale = da * db
+    acc = out
+    if scale != 1:
+        a, b, acc = _scaled(a, da), _scaled(b, db), {}
+    get, mul = acc.get, monomial_mul
+    for ma, ca in a.items():
+        ca *= sign
+        for mb, cb in b.items():
+            mono = mul(ma, mb)
+            acc[mono] = get(mono, 0) + ca * cb
+    if scale != 1:
+        for mono, c in acc.items():
+            value = Fraction(c, scale)
+            out[mono] = out[mono] + value if mono in out else value
+
+
+def _add_scaled(out: dict, terms: dict, scale) -> None:
+    """Add ``scale * terms`` into ``out``, as ``_mac`` adds a product."""
+    for mono, c in terms.items():
+        if scale != 1:
+            c = -c if scale == -1 else c * scale
+        out[mono] = out[mono] + c if mono in out else c
+
+
+def _derivative(terms: dict, index: int) -> dict:
+    """The canonical terms of d/dx<index>: {monomial / x<index>: exponent * coefficient}."""
+    out = {}
+    for mono, coeff in terms.items():
+        for pos, (var, exp) in enumerate(mono):
+            if var >= index:
+                if var == index:
+                    rest = mono[pos + 1 :] if exp == 1 else ((var, exp - 1),) + mono[pos + 1 :]
+                    out[mono[:pos] + rest] = _normal(coeff * exp)
+                break
+    return out
+
+
+def _poly(terms: dict) -> Poly:
+    """The canonical ``Poly`` of sums from ``_mac``, which it takes over:
+    no zeros, integral values as ints."""
+    for c in terms.values():
+        if not c or type(c) is Fraction:
+            return Poly._raw({
+                m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                for m, c in terms.items()
+                if c
+            })
+    return Poly._raw(terms)
 
 
 class _Packing:

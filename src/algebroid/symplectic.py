@@ -43,9 +43,8 @@ from fractions import Fraction
 
 from algebroid import linalg
 from algebroid.errors import GradeError, NotInvertible
-from algebroid.exterior import KForm, KVector, de_rham, interior_product
-from algebroid.exterior import _add_term
-from algebroid.poly import Poly
+from algebroid.exterior import KForm, KVector, _wrap, de_rham, interior_product
+from algebroid.poly import Poly, _add_scaled, _normal
 
 
 class ConstantSymplectic:
@@ -200,8 +199,8 @@ def _musical(components, value, cls, lenient):
             error.witness = i
             raise error
         for target, scale in images:
-            _add_term(terms, (target,), coeff * scale)
-    return cls._raw(1, terms)
+            _add_scaled(terms.setdefault((target,), {}), coeff.terms, _normal(scale))
+    return cls._raw(1, _wrap(terms))
 
 
 def flat(w: ConstantSymplectic, field: KVector) -> KForm:

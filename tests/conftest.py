@@ -8,13 +8,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 import algebroid
 from algebroid.errors import NotInvertible
 from algebroid.poly import Poly
 from algebroid.symplectic import ConstantSymplectic
+
+# ``HYPOTHESIS_PROFILE=ci`` runs every property test on more examples, with
+# no deadline; a test's own ``@settings`` still wins over the profile.
+settings.register_profile("ci", max_examples=500, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -8,15 +8,19 @@ across repeated runs (the opt-in timing field is the one excluded,
 deliberately inexact value).
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroid import cli
 
-from conftest import child_env, console_script, fixture_path
+from conftest import FIXTURES, child_env, console_script, fixture_path
 
 
 def run_cli(capsys, *argv):
@@ -556,6 +560,91 @@ class TestUsageErrors:
             "a",
         )
         assert code == 2
+
+
+# -- argv fuzz -----------------------------------------------------------------
+
+# Values for each option: mostly valid and small, so a run stays short, with
+# malformed, negative and unknown ones mixed in.
+_NAMES = st.sampled_from(("f", "g", "a", "b", "c", "X", "Y", "Z", "P", "s", "t", "u", "B",
+                          "nope", "x0"))
+_SUPPORTS = st.sampled_from(("0..1", "0..3", "0,2", "1", "", "{}", "2..0", "-1..2", "0..x",
+                             "a", "0,,1"))
+_OPTION_VALUES = {
+    "--format": st.sampled_from(("text", "json", "xml")),
+    "--seed": st.integers(min_value=-3, max_value=3).map(str),
+    "--timing": st.none(),
+    "--structure": st.sampled_from(("tangent", "cotangent", "other")),
+    "--sections": st.integers(min_value=-1, max_value=3).map(str),
+    "--functions": st.integers(min_value=-1, max_value=2).map(str),
+    "--degree": st.sampled_from(("-1", "0", "1", "2", "two")),
+    "--trials": st.integers(min_value=-1, max_value=3).map(str),
+    "--support": _SUPPORTS,
+    "--target": _NAMES,
+    "--left": _NAMES,
+    "--right": _NAMES,
+    "--vector": _NAMES,
+    "--kind": st.sampled_from(("courant", "dorfman", "other")),
+    "--complex": st.sampled_from(("lp", "ce-tangent", "ce-cotangent", "other")),
+    "--grades": st.sampled_from(("0..2", "1", "0..4", "2..1", "-1", "g")),
+    "--max-basis": st.sampled_from(("-1", "0", "3", "200")),
+}
+# Each command's options, required ones first: (required, optional).
+_COMMAND_OPTIONS = {
+    "check-axioms": (("--structure",), ("--sections", "--functions", "--support", "--degree")),
+    "check-courant": ((), ("--sections", "--functions", "--support", "--degree")),
+    "check-dirac": ((), ("--target", "--trials", "--support", "--degree")),
+    "check-weak-symplectic": ((), ("--target", "--support")),
+    "bracket": (("--left", "--right"), ("--kind",)),
+    "d": (("--target",), ()),
+    "lie": (("--vector", "--target"), ()),
+    "sigma": (("--target",), ()),
+    "cohomology": (("--complex", "--support", "--degree"), ("--grades", "--max-basis")),
+    "theorem-check": (("--support", "--degree"), ("--grades", "--trials", "--max-basis")),
+}
+_COMMON = ("--format", "--seed", "--timing")
+_INPUTS = st.sampled_from(sorted(p.name for p in FIXTURES.glob("*.adsl")) + ["missing.adsl"])
+
+
+@st.composite
+def argvs(draw):
+    """An argv for ``cli.run``: a command, an input document, and its
+    options in a random order.  A required option is missing one time in
+    ten, as is the input; an optional one is present half the time; now and
+    then an unknown flag follows."""
+    command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    required, optional = _COMMAND_OPTIONS[command]
+    names = [name for name in required if draw(st.integers(min_value=0, max_value=9))]
+    names += [name for name in optional + _COMMON if draw(st.booleans())]
+    if draw(st.integers(min_value=0, max_value=9)):
+        names.append("--input")
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        if name == "--input":
+            argv += [name, str(FIXTURES / draw(_INPUTS))]
+            continue
+        value = draw(_OPTION_VALUES[name])
+        argv += [name] if value is None else [f"{name}={value}"]
+    if not draw(st.integers(min_value=0, max_value=9)):
+        argv.append("--bogus")
+    return argv
+
+
+class TestArgvFuzz:
+    """Whatever the argv, the CLI keeps its exit-code contract: 0, 1 or 2,
+    and no traceback."""
+
+    @given(argvs())
+    @settings(max_examples=100, deadline=None)
+    def test_exit_code_is_0_1_or_2_with_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.run(argv)
+            except SystemExit as exc:  # argparse rejects a usage error this way
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
 
 
 class TestConsoleScript:

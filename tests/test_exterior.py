@@ -357,11 +357,25 @@ class TestGradeAndArityErrors:
             KForm(2, {(1, 1): Poly.one()})
 
 
+def assert_canonical_poly(poly):
+    """Every stored coefficient is a nonzero int, or a Fraction that is not one."""
+    assert type(poly) is Poly, repr(poly)
+    for coeff in poly.terms.values():
+        assert coeff and (
+            type(coeff) is int or type(coeff) is Fraction and coeff.denominator > 1
+        ), repr(coeff)
+
+
 def assert_canonical_terms(value):
-    """Every stored coefficient is a nonzero Poly, and the validating
-    constructor rebuilds the value unchanged."""
+    """Every stored coefficient is a nonzero canonical Poly, and the
+    validating constructor rebuilds the value unchanged; a bare Poly result
+    has canonical coefficients."""
+    if type(value) is Poly:
+        assert_canonical_poly(value)
+        return
     for coeff in value.terms.values():
-        assert type(coeff) is Poly and not coeff.is_zero(), repr(coeff)
+        assert_canonical_poly(coeff)
+        assert not coeff.is_zero(), repr(coeff)
     assert value == type(value)(value.grade, value.terms)
 
 
@@ -374,15 +388,20 @@ class TestCanonicalTerms:
     @given(
         alternating(KVector, 1),
         alternating(KVector, 1),
+        alternating(KVector, 1),
         alternating(KForm, 1),
         alternating(KForm, 2),
+        alternating(KForm, 3),
         multivectors,
         multivectors,
         polys,
+        polys,
     )
     @settings(deadline=None)
-    def test_every_operation_stores_canonical_terms(self, x, y, a, b, p, q, f):
+    def test_every_operation_stores_canonical_terms(self, x, y, z, a, b, c, p, q, f, g):
         results = [
+            a.evaluate(x), b.evaluate(x, y), c.evaluate(x, y, z), x.evaluate(a),
+            vector_apply(x, f), vector_apply(x, f * g), f * g, f * f - g * g, (f + g) * (f - g),
             a + a, a - a, a + (-a), b + b, b - b, p + p, p - p, p + (-p),
             a.wedge(a), a.wedge(b), b.wedge(b), x.wedge(y), p.wedge(q),
             interior_product(x, b), interior_product(x, interior_product(x, b)),

@@ -231,6 +231,63 @@ class TestCanonicalCoefficients:
             Poly.variable(0) + 0.5
 
 
+def reference_product(p, q):
+    """p * q summed term by term in ``Fraction`` arithmetic, zeros dropped."""
+    out = {}
+    for ma, ca in p.terms.items():
+        for mb, cb in q.terms.items():
+            exponents = dict(ma)
+            for var, exp in mb:
+                exponents[var] = exponents.get(var, 0) + exp
+            mono = tuple(sorted(exponents.items()))
+            out[mono] = out.get(mono, Fraction(0)) + Fraction(ca) * Fraction(cb)
+    return {m: c for m, c in out.items() if c}
+
+
+class TestIntegerScaledProduct:
+    """The product kernel takes rational operands over Z, scaled by the lcm
+    of their denominators, and divides each output term back once."""
+
+    @given(wide_polys, wide_polys)
+    @settings(deadline=None)
+    def test_product_matches_a_term_by_term_fraction_product(self, p, q):
+        product = p * q
+        assert_canonical(product)
+        assert product.terms == reference_product(p, q)
+
+    def test_a_sum_of_rational_products_that_cancels_to_an_int(self):
+        # (x0/3 + 1/2) * (3*x0 - 3/2) = x0^2 + x0 - 3/4
+        x0 = Poly.variable(0)
+        product = (x0 * Fraction(1, 3) + Fraction(1, 2)) * (x0 * 3 - Fraction(3, 2))
+        assert product.terms == {((0, 2),): 1, ((0, 1),): 1, (): Fraction(-3, 4)}
+        assert type(product.terms[((0, 2),)]) is int
+        assert type(product.terms[((0, 1),)]) is int
+
+    def test_a_monomial_that_cancels_is_removed(self):
+        # (x0/2 + 1/3) * (x0/2 - 1/3) = x0^2/4 - 1/9: the x0 terms cancel.
+        x0 = Poly.variable(0)
+        product = (x0 * Fraction(1, 2) + Fraction(1, 3)) * (x0 * Fraction(1, 2) - Fraction(1, 3))
+        assert product.terms == {((0, 2),): Fraction(1, 4), (): Fraction(-1, 9)}
+        assert ((0, 1),) not in product.terms
+        # (2/3*x0 + 1) * (3/2*x0 - 9/4) = x0^2 - 9/4: an int and a removed term.
+        product = (x0 * Fraction(2, 3) + 1) * (x0 * Fraction(3, 2) - Fraction(9, 4))
+        assert product.terms == {((0, 2),): 1, (): Fraction(-9, 4)}
+        assert type(product.terms[((0, 2),)]) is int
+
+    def test_accumulated_products_wrap_to_canonical_terms(self):
+        # 1/2 * x0 * (x0 + 1) + 1/2 * x0 * (x0 - 1) = x0^2: two rational
+        # products in one accumulator, one int term after wrapping.
+        x0 = Poly.variable(0)
+        out = {}
+        poly._mac(out, (x0 * Fraction(1, 2)).terms, (x0 + 1).terms)
+        poly._mac(out, (x0 * Fraction(1, 2)).terms, (x0 - 1).terms)
+        assert poly._poly(out).terms == {((0, 2),): 1}
+        out = {}
+        poly._mac(out, (x0 * Fraction(1, 3)).terms, (x0 * 3).terms, -1)
+        poly._mac(out, x0.terms, x0.terms)
+        assert poly._poly(out).is_zero()
+
+
 class TestExactDivision:
     @given(polys, polys)
     @settings(deadline=None)
