@@ -46,6 +46,7 @@ GENERIC = [
 NAMED = {
     "cotangent_sections.adsl": [
         ("bracket", "--left", "a", "--right", "b"),
+        ("check-axioms", "--structure", "cotangent", "--support", "0..1"),
         ("d", "--target", "c"),
         ("sigma", "--target", "f"),
     ],
@@ -54,8 +55,14 @@ NAMED = {
         ("bracket", "--left", "t", "--right", "u", "--kind", "dorfman"),
         ("d", "--target", "f"),
     ],
+    "dirac_std.adsl": [
+        ("check-dirac", "--support", "1..2"),
+        ("check-weak-symplectic", "--support", "1..2"),
+    ],
     "explicit_block.adsl": [
         ("bracket", "--left", "c", "--right", "f"),
+        ("check-dirac", "--support", "0..5"),
+        ("check-weak-symplectic", "--support", "2"),
         ("sigma", "--target", "f"),
     ],
     "nonclosed_form.adsl": [("d", "--target", "B")],
