@@ -65,14 +65,12 @@ from algebroid.sampling import Sampler, monomials_up_to
 from algebroid.symplectic import (
     ConstantSymplectic,
     WeakSymplecticReport,
-    bivector_sharp,
     check_weak_symplectic,
     flat,
     hamiltonian_vf,
     induced_pairing,
     oneform_bracket,
     poisson_bracket,
-    poisson_oneform_bracket,
     sharp,
 )
 

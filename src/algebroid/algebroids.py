@@ -15,10 +15,15 @@ i < j < k, the anchor on i < j, and Leibniz on every (i, j, function f);
 a failing check's witness is its first failing tuple in lexicographic index
 order.
 
+``cotangent_algebroid(pi)`` is the cotangent structure of a Poisson
+bivector pi, a grade-2 KVector: 1-forms with the anchor a -> i_a pi and
+the Koszul bracket.  It reads pi alone; a constant symplectic form enters
+as ``w.bivector(cover)``, over a cover holding every section's indices.
+
 ``ce_differential`` is the Chevalley-Eilenberg differential of such a
 structure on alternating polynomial cochains; for the cotangent structure
-of a constant symplectic form it is ``contravariant_differential``,
-sigma = -[pi, .], the Schouten bracket with the Poisson bivector negated.
+it is ``contravariant_differential``, sigma = -[pi, .], the Schouten
+bracket with the Poisson bivector negated.
 """
 
 from __future__ import annotations
@@ -28,14 +33,16 @@ from fractions import Fraction
 from itertools import combinations
 
 from algebroid.errors import ArityError, GradeError
-from algebroid.exterior import KForm, KVector, lie_bracket, vector_apply
-from algebroid.exterior import schouten_bracket
-from algebroid.poly import Poly
-from algebroid.symplectic import (
-    ConstantSymplectic,
-    bivector_sharp,
-    poisson_oneform_bracket,
+from algebroid.exterior import (
+    KForm,
+    KVector,
+    interior_product,
+    lie_bracket,
+    schouten_bracket,
+    vector_apply,
 )
+from algebroid.poly import Poly
+from algebroid.symplectic import ConstantSymplectic, _koszul_bracket
 
 
 @dataclass(frozen=True)
@@ -58,13 +65,20 @@ def tangent_algebroid() -> AlgebroidStructure:
     )
 
 
-def cotangent_algebroid(w: ConstantSymplectic) -> AlgebroidStructure:
-    """One-forms with the bivector sharp anchor and the Koszul bracket."""
+def cotangent_algebroid(pi: KVector) -> AlgebroidStructure:
+    """One-forms with the anchor a -> i_a pi and the Koszul bracket of the
+    Poisson bivector ``pi``, a grade-2 KVector."""
+    if type(pi) is not KVector or pi.grade != 2:
+        raise GradeError("the cotangent algebroid needs a grade-2 KVector")
+
+    def anchor(section):
+        return interior_product(section, pi)
+
     return AlgebroidStructure(
         name="cotangent",
         section_kind="form",
-        anchor=lambda section: bivector_sharp(w, section),
-        bracket=lambda a, b: poisson_oneform_bracket(w, a, b),
+        anchor=anchor,
+        bracket=lambda a, b: _koszul_bracket(anchor, a, b),
     )
 
 
@@ -107,7 +121,8 @@ def check_algebroid_axioms(structure, sections, functions) -> AxiomReport:
     Each axiom is checked on every applicable tuple of section indices (and
     function indices, for Leibniz); the report records one entry per axiom.
     Its witness is the first failing tuple in lexicographic index order.
-    Every bracket [s_i, s_j] and anchor(s_i) is computed once.
+    Every bracket [s_i, s_j], anchor(s_i) and anchor(s_i)(f) is computed
+    once.
     """
     s = list(sections)
     functions = [f if isinstance(f, Poly) else Poly.constant(f) for f in functions]
@@ -116,6 +131,7 @@ def check_algebroid_axioms(structure, sections, functions) -> AxiomReport:
     n = len(s)
     B = [[bracket(a, b) for b in s] for a in s]
     A = [anchor(a) for a in s]
+    F = [[vector_apply(field, f) for f in functions] for field in A]
 
     antisymmetry = (
         (f"[s{i}, s{j}] + [s{j}, s{i}] = ", B[i][j] + B[j][i])
@@ -139,7 +155,7 @@ def check_algebroid_axioms(structure, sections, functions) -> AxiomReport:
     leibniz = (
         (
             f"[s{i}, f{fi} s{j}] - f{fi} [s{i}, s{j}] - anchor(s{i})(f{fi}) s{j} = ",
-            bracket(s[i], f * s[j]) - (f * B[i][j] + vector_apply(A[i], f) * s[j]),
+            bracket(s[i], f * s[j]) - (f * B[i][j] + F[i][fi] * s[j]),
         )
         for i in range(n)
         for j in range(n)

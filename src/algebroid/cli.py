@@ -62,7 +62,6 @@ from algebroid.exterior import (
 from algebroid.poly import Poly, render_fraction
 from algebroid.sampling import Sampler
 from algebroid.symplectic import (
-    ConstantSymplectic,
     check_weak_symplectic,
     oneform_bracket,
     poisson_bracket,
@@ -237,12 +236,15 @@ def _axiom_entries(report):
 
 def _cmd_check_axioms(args, document, report):
     structure_name = args.structure
-    if structure_name == "tangent":
+    w = _require_symplectic(document) if structure_name == "cotangent" else None
+    support = _sampling_support(document, args)
+    if w is None:
         structure = tangent_algebroid()
         pool_kind = "vector"
     else:
-        w = _require_symplectic(document)
-        structure = cotangent_algebroid(w)
+        # pi covers every section: bound forms over the declared coordinates
+        # and sampled ones over the support
+        structure = cotangent_algebroid(w.bivector(set(document.var_indices) | set(support)))
         pool_kind = "form"
     sections = []
     for binding in document.bindings:
@@ -250,7 +252,6 @@ def _cmd_check_axioms(args, document, report):
             sections.append(binding.value)
     functions = [b.value for b in document.bindings if b.kind == "fn"]
     sampler = Sampler(args.seed)
-    support = _sampling_support(document, args)
     while len(sections) < args.sections:
         if pool_kind == "vector":
             sections.append(sampler.vector_field(support, args.degree))
@@ -300,17 +301,17 @@ def _target_form(document, name):
     return binding.value
 
 
-def _dirac_structure(args, document):
-    if args.target:
-        return DiracStructure(_target_form(document, args.target))
-    if document.symplectic is not None:
-        return DiracStructure(document.symplectic)
-    raise UsageError("check-dirac needs a symplectic declaration or --target")
-
-
 def _cmd_check_dirac(args, document, report):
-    structure = _dirac_structure(args, document)
-    support = _sampling_support(document, args, default=structure.default_support())
+    if args.target:
+        structure = DiracStructure(_target_form(document, args.target))
+        support = _sampling_support(document, args, default=structure.default_support())
+    elif document.symplectic is not None:
+        w = document.symplectic
+        default = DiracStructure(w.materialize(())).default_support()
+        support = _sampling_support(document, args, default=default)
+        structure = DiracStructure(w.materialize(support))
+    else:
+        raise UsageError("check-dirac needs a symplectic declaration or --target")
     result = check_dirac(
         structure, args.trials, args.seed, support=support, degree=args.degree
     )
@@ -331,8 +332,8 @@ def _cmd_check_dirac(args, document, report):
     report["defect_matches_prediction"] = result.defect_matches_prediction
     report["axioms"] = _axiom_entries(result.axioms)
     passed = result.passed
-    if isinstance(structure.form, ConstantSymplectic):
-        complement = orthogonal_complement(structure, support)
+    if not args.target:
+        complement = orthogonal_complement(w, support)
         report["complement"] = {
             "ambient": list(complement.ambient_indices),
             "fiber_dimension": complement.fiber_dimension,
@@ -353,7 +354,8 @@ def _cmd_check_weak_symplectic(args, document, report):
     else:
         target = _require_symplectic(document)
     support = _model_support(document, args)
-    result = check_weak_symplectic(target, support)
+    form = target if args.target else target.materialize(support)
+    result = check_weak_symplectic(form, support)
     report["options"] = {"support": list(support), "target": args.target}
     report["closed"] = result.closed
     report["closed_witness"] = result.closed_witness

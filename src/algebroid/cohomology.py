@@ -21,14 +21,18 @@ free elimination over the integers after row scaling).
 Three complexes are supported:
 
 - ``"lp"``: multivector fields with the contravariant differential
-  sigma = -[pi, .] of a constant symplectic structure's Poisson bivector;
+  sigma = -[pi, .] of a Poisson bivector pi;
 - ``"ce-tangent"``: the Chevalley-Eilenberg complex of the tangent
   structure (polynomial forms with the exterior derivative);
-- ``"ce-cotangent"``: the Chevalley-Eilenberg complex of the cotangent
-  structure of a constant symplectic form (cochains are multivectors,
-  evaluated on coordinate coframes).
+- ``"ce-cotangent"``: the Chevalley-Eilenberg complex of
+  ``cotangent_algebroid(pi)`` (cochains are multivectors, evaluated on
+  coordinate coframes).
 
-Both CE complexes read two tables built once per strand through the
+``compute_cohomology`` and ``casimir_space`` read pi = ``w.bivector(support)``
+once per call and build one image map from it.  A grade above the support's
+size has no blades: its window is (0, 0) and no strand of it is assembled.
+
+Both CE complexes read two tables built once per call through the
 structure: anchor(e_j) for each j in the support, and the nonzero e_l
 components of [e_a, e_b] for a < b (for the cotangent structure, the Koszul
 bracket, never sigma).  On coordinate sections mono * e_blade evaluates as
@@ -111,18 +115,19 @@ def _validate_support(complex_name, w, spec):
 
 
 def _differential(complex_name, w, spec):
-    """A map (grade, blade, monomial) -> image object of grade + 1."""
-    if complex_name == "lp":
-        # sigma = -[pi, .], with pi over the support, which is pairing-closed
-        minus_pi = -w.bivector(spec.support)
+    """A map (grade, blade, monomial) -> image object of grade + 1; ``lp``
+    and ``ce-cotangent`` read pi over the support, which is pairing-closed."""
+    if complex_name == "ce-tangent":
+        return _ce_image(tangent_algebroid(), spec.support)
+    pi = w.bivector(spec.support)
+    if complex_name == "ce-cotangent":
+        return _ce_image(cotangent_algebroid(pi), spec.support)
+    minus_pi = -pi
 
-        def image(grade, blade, mono):
-            return schouten_bracket(minus_pi, KVector._raw(grade, {blade: Poly({mono: 1})}))
+    def image(grade, blade, mono):
+        return schouten_bracket(minus_pi, KVector._raw(grade, {blade: Poly({mono: 1})}))
 
-        return image
-
-    structure = tangent_algebroid() if complex_name == "ce-tangent" else cotangent_algebroid(w)
-    return _ce_image(structure, spec.support)
+    return image
 
 
 def _ce_image(structure, support):
@@ -156,8 +161,8 @@ def _ce_image(structure, support):
     return image
 
 
-def _assemble_strand(complex_name, w, spec, grade, degree, permute=None):
-    """Sparse rows of the differential on one strand, plus its domain.
+def _assemble_strand(complex_name, image, spec, grade, degree, permute=None):
+    """Sparse rows of the differential ``image`` on one strand, plus its domain.
 
     The domain is the grade-``grade`` basis with coefficient degree exactly
     ``degree`` (blade-major, monomials in canonical order; ``permute``
@@ -170,7 +175,6 @@ def _assemble_strand(complex_name, w, spec, grade, degree, permute=None):
     domain = [(blade, mono) for blade in blade_basis(spec.support, grade) for mono in monos]
     if permute is not None:
         permute.shuffle(domain)
-    image = _differential(complex_name, w, spec)
     row_index = {}
     rows = []
     for col, (blade, mono) in enumerate(domain):
@@ -225,14 +229,18 @@ def compute_cohomology(
 
     out = {}
     strand_ranks = {}
+    image = _differential(complex_name, w, spec)
 
     def window_rank(grade, degree):
         """(rank, size) of the differential on grade-``grade`` cochains of
-        coefficient degree <= ``degree``."""
+        coefficient degree <= ``degree``; (0, 0) above the support's size,
+        where there are no blades and no strand is assembled."""
         size = _guard_basis(spec, grade, degree, max_basis)
+        if not size:
+            return 0, 0
         for d in range(degree + 1):
             if (grade, d) not in strand_ranks:
-                rows, domain = _assemble_strand(complex_name, w, spec, grade, d, _permute)
+                rows, domain = _assemble_strand(complex_name, image, spec, grade, d, _permute)
                 strand_ranks[grade, d] = linalg.rank(rows, len(domain))
         return sum(strand_ranks[grade, d] for d in range(degree + 1)), size
 
@@ -260,9 +268,10 @@ def casimir_space(w: ConstantSymplectic, spec: TruncationSpec, max_basis: int = 
     functions (grade-0 cocycles of the "lp" complex)."""
     _validate_support("lp", w, spec)
     _guard_basis(spec, 0, spec.degree, max_basis)
+    image = _differential("lp", w, spec)
     basis = []
     for degree in range(spec.degree + 1):
-        rows, domain = _assemble_strand("lp", w, spec, 0, degree)
+        rows, domain = _assemble_strand("lp", image, spec, 0, degree)
         for vector in linalg.nullspace(rows, len(domain)):
             basis.append(Poly({domain[i][1]: value for i, value in vector}))
     return basis
@@ -325,7 +334,7 @@ def check_lp_ce_agreement(
     exact pipeline on both complexes.
     """
     sampler = Sampler(seed)
-    structure = cotangent_algebroid(w)
+    structure = cotangent_algebroid(w.bivector(spec.support))
     mismatches = []
     operator_grades = (0, 1, 2)
     for grade in operator_grades:

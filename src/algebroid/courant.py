@@ -15,7 +15,8 @@ Conventions:
 - delta_operator(f) = (0, d f), which satisfies
   pairing(delta(f), s) = anchor(s)(f).
 
-The graph of a 2-form w collects the sections (X, i_X w).  For a closed w
+The graph of a 2-form w, a grade-2 KForm such as ``materialize(cover)`` of
+a constant structure, collects the sections (X, i_X w).  For a closed w
 the graph is involutive; in general
 courant(graph X, graph Y) - graph([X, Y]) = (0, i_Y i_X dw), which
 ``check_dirac`` verifies trial by trial.
@@ -50,7 +51,7 @@ from algebroid.exterior import (
 )
 from algebroid.poly import Poly
 from algebroid.sampling import Sampler
-from algebroid.symplectic import ConstantSymplectic, flat
+from algebroid.symplectic import ConstantSymplectic
 
 
 class GeneralizedSection:
@@ -244,46 +245,30 @@ def check_courant_axioms(
 
 
 class DiracStructure:
-    """The graph of a 2-form: sections (X, i_X w).
+    """The graph of a 2-form w, a grade-2 KForm: sections (X, i_X w).
 
-    The 2-form is a ConstantSymplectic (possibly on a block smaller than the
-    ambient support, giving a subbundle strictly contained in its orthogonal
-    complement) or a grade-2 KForm (possibly non-closed, in which case the
-    graph fails involutivity with a computable defect).
+    A constant form restricted to a block smaller than the ambient support
+    gives a subbundle strictly contained in its orthogonal complement; a
+    non-closed form gives a graph that fails involutivity with a computable
+    defect.
     """
 
     def __init__(self, form):
-        if not isinstance(form, ConstantSymplectic):
-            if type(form) is not KForm or form.grade != 2:
-                raise GradeError(
-                    "a Dirac structure is the graph of a ConstantSymplectic "
-                    "or a grade-2 KForm"
-                )
+        if type(form) is not KForm or form.grade != 2:
+            raise GradeError("a Dirac structure is the graph of a grade-2 KForm")
         self.form = form
-
-    def flatten(self, field: KVector) -> KForm:
-        if isinstance(self.form, ConstantSymplectic):
-            return flat(self.form, field)
-        return interior_product(field, self.form)
 
     def generate(self, field: KVector) -> GeneralizedSection:
         """The graph section over a vector field."""
-        return GeneralizedSection(field, self.flatten(field))
+        return GeneralizedSection(field, interior_product(field, self.form))
 
     def default_support(self):
         """The sampling support of check_dirac when none is given: the
-        indices the form itself forces (an explicit block, or a polynomial
-        form's support), or (0, 1, 2, 3) when it forces none."""
-        if isinstance(self.form, ConstantSymplectic):
-            forced = self.form.paired_indices(())
-        else:
-            forced = tuple(sorted(self.form.support()))
-        return forced or (0, 1, 2, 3)
+        form's support, or (0, 1, 2, 3) when it is zero."""
+        return tuple(sorted(self.form.support())) or (0, 1, 2, 3)
 
     def curvature(self) -> KForm:
         """d of the defining 2-form (zero exactly when the graph is involutive)."""
-        if isinstance(self.form, ConstantSymplectic):
-            return KForm.zero(3)
         return de_rham(self.form)
 
 
@@ -308,8 +293,9 @@ class ComplementReport:
     witness: GeneralizedSection = None
 
 
-def orthogonal_complement(structure: DiracStructure, support) -> ComplementReport:
-    """The orthogonal complement of a constant graph inside the ambient fiber.
+def orthogonal_complement(w: ConstantSymplectic, support) -> ComplementReport:
+    """The orthogonal complement of the graph of a constant structure ``w``
+    inside the ambient fiber.
 
     The fiber over the generic point is spanned by the coordinate frame and
     coframe over the pairing-closure of ``support``; the subbundle is
@@ -321,12 +307,6 @@ def orthogonal_complement(structure: DiracStructure, support) -> ComplementRepor
     (L inside its complement) equals its complement exactly when dim L = n.
     A complement basis is computed only to find a witness when it does not.
     """
-    if not isinstance(structure.form, ConstantSymplectic):
-        raise TypeError(
-            "orthogonal_complement needs a constant-coefficient structure; "
-            "polynomial graphs are handled by check_dirac"
-        )
-    w = structure.form
     ambient = w.closure(support)
     n = len(ambient)
     position = {index: k for k, index in enumerate(ambient)}

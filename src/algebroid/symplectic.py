@@ -13,12 +13,19 @@ coefficients, in one of two kinds:
 Both musical maps read one index table.  flat(e_i) is row i of W (column
 i of -W), and sharp(dx_j) is column j of W^{-1}; for the standard pairing
 both are ``[(j ^ 1, +1 if j is even else -1)]``.  ``flat_components`` and
-``sharp_components`` give these lists, ``entry`` and ``materialize`` read
-flat's, and ``flat``, ``sharp``, ``bivector_sharp`` and the Koszul
-brackets share one loop over them.  ``closure`` (the smallest index set
-closed under the pairing) and ``paired_indices`` (the part of it that the
-pairing pairs) answer the other modules; only the DSL serializer reads the
-kind, to write the declaration back.
+``sharp_components`` give these lists, and ``flat`` and ``sharp`` share one
+loop over them.  ``closure`` (the smallest index set closed under the
+pairing) and ``paired_indices`` (the part of it that the pairing pairs)
+answer the other modules; only the DSL serializer reads the kind, to write
+the declaration back.
+
+``materialize(cover)`` is the 2-form omega, a grade-2 KForm, and
+``bivector(cover)`` the Poisson bivector pi, a grade-2 KVector read off
+sharp's table and zero on unpaired coordinates.  Below the CLI a structure
+reaches the other modules only as these two tensors: the Dirac graph and
+the weak check read omega; the cotangent algebroid (anchor a -> i_a pi),
+sigma = -[pi, .], Casimirs and cohomology read pi, so degenerate blocks
+still carry their Poisson calculus.
 
 Musical conventions, fixed once:
 
@@ -29,11 +36,9 @@ Musical conventions, fixed once:
 - ``poisson_bracket(w, f, g) = w(X_f, X_g)``.
 
 ``sharp`` is strict: it raises NotInvertible when the 1-form touches an
-unpaired coordinate.  ``bivector`` is the Poisson bivector pi, read off
-sharp's table, and ``bivector_sharp`` its anchor: sharp on the paired block,
-zero on unpaired coordinates.  The Poisson side (cotangent brackets,
-sigma = -[pi, .], Casimirs, cohomology) goes through these two, so
-degenerate blocks still carry their Poisson calculus.
+unpaired coordinate.  On paired coordinates it equals i_a pi.  The Koszul
+bracket ``_koszul_bracket`` takes its anchor as an argument, so the strict
+``oneform_bracket`` and the cotangent algebroid share it.
 """
 
 from __future__ import annotations
@@ -155,7 +160,8 @@ class ConstantSymplectic:
 
     def bivector(self, indices) -> KVector:
         """pi over ``closure(indices)``: sharp(dx_i)_j on e_i ^ e_j for paired
-        i < j, so [pi, f] = bivector_sharp(w, df) for f in those variables."""
+        i < j, so i_a pi = sharp(a) for a 1-form a on paired indices of
+        ``closure(indices)``, and zero on unpaired ones."""
         terms = {}
         for i in self.paired_indices(indices):
             for j, value in self.sharp_components(i):
@@ -174,25 +180,18 @@ class ConstantSymplectic:
         return f"ConstantSymplectic(explicit, block={self.block})"
 
 
-def _check_oneform(value, what):
-    if type(value) is not KForm or value.grade != 1:
-        raise GradeError(f"{what} must be a grade-1 KForm")
+def _check_grade1(value, cls, what):
+    if type(value) is not cls or value.grade != 1:
+        raise GradeError(f"{what} must be a grade-1 {cls.__name__}")
 
 
-def _check_vector(value, what):
-    if type(value) is not KVector or value.grade != 1:
-        raise GradeError(f"{what} must be a grade-1 KVector")
-
-
-def _musical(components, value, cls, lenient):
+def _musical(components, value, cls):
     """sum_i value_i * components(i) as a grade-1 ``cls``; an unpaired index
-    (components None) is skipped when ``lenient``, else raises NotInvertible."""
+    (components None) raises NotInvertible."""
     terms = {}
     for (i,), coeff in value.terms.items():
         images = components(i)
         if images is None:
-            if lenient:
-                continue
             error = NotInvertible(
                 f"the 2-form is singular on the needed support: dx[{i}] is unpaired"
             )
@@ -205,20 +204,14 @@ def _musical(components, value, cls, lenient):
 
 def flat(w: ConstantSymplectic, field: KVector) -> KForm:
     """flat(X) = interior(X, w)."""
-    _check_vector(field, "flat's argument")
-    return _musical(w.flat_components, field, KForm, lenient=True)
+    _check_grade1(field, KVector, "flat's argument")
+    return _musical(w.flat_components, field, KForm)
 
 
 def sharp(w: ConstantSymplectic, oneform: KForm) -> KVector:
     """The unique X with interior(X, w) = -a; raises NotInvertible off the block."""
-    _check_oneform(oneform, "sharp's argument")
-    return _musical(w.sharp_components, oneform, KVector, lenient=False)
-
-
-def bivector_sharp(w: ConstantSymplectic, oneform: KForm) -> KVector:
-    """The Poisson bivector's anchor: sharp on the block, zero on unpaired indices."""
-    _check_oneform(oneform, "bivector_sharp's argument")
-    return _musical(w.sharp_components, oneform, KVector, lenient=True)
+    _check_grade1(oneform, KForm, "sharp's argument")
+    return _musical(w.sharp_components, oneform, KVector)
 
 
 def hamiltonian_vf(w: ConstantSymplectic, function: Poly) -> KVector:
@@ -236,17 +229,19 @@ def poisson_bracket(w: ConstantSymplectic, f: Poly, g: Poly) -> Poly:
 
 def induced_pairing(w: ConstantSymplectic, a: KForm, b: KForm) -> Poly:
     """The pairing b(sharp(a)) of 1-forms induced by the 2-form."""
-    _check_oneform(a, "induced_pairing's first argument")
-    _check_oneform(b, "induced_pairing's second argument")
+    _check_grade1(a, KForm, "induced_pairing's first argument")
+    _check_grade1(b, KForm, "induced_pairing's second argument")
     return b.evaluate(sharp(w, a))
 
 
-def _koszul_bracket(w, a, b, lenient):
-    # L_{xa} b - L_{xb} a - d(b(xa)) in Cartan form (L_X b = i_X db + d(b(X))):
-    # i_{xa} db - i_{xb} da - d(a(xb)).  No antisymmetry of pi is used, so it
-    # holds on the lenient path too; da and db are memoized on the forms.
-    xa = _musical(w.sharp_components, a, KVector, lenient)
-    xb = _musical(w.sharp_components, b, KVector, lenient)
+def _koszul_bracket(anchor, a: KForm, b: KForm) -> KForm:
+    """{a, b} = L_{anchor a} b - L_{anchor b} a - d(b(anchor a)), in Cartan
+    form (L_X b = i_X db + d(b(X))): i_{xa} db - i_{xb} da - d(a(xb)).  No
+    antisymmetry of the anchor is used; da and db are memoized on the forms."""
+    _check_grade1(a, KForm, "the Koszul bracket's first argument")
+    _check_grade1(b, KForm, "the Koszul bracket's second argument")
+    xa = anchor(a)
+    xb = anchor(b)
     return (
         interior_product(xa, de_rham(b))
         - interior_product(xb, de_rham(a))
@@ -255,17 +250,9 @@ def _koszul_bracket(w, a, b, lenient):
 
 
 def oneform_bracket(w: ConstantSymplectic, a: KForm, b: KForm) -> KForm:
-    """{a, b} = L_{sharp a} b - L_{sharp b} a - d(pairing(a, b))."""
-    _check_oneform(a, "oneform_bracket's first argument")
-    _check_oneform(b, "oneform_bracket's second argument")
-    return _koszul_bracket(w, a, b, lenient=False)
-
-
-def poisson_oneform_bracket(w: ConstantSymplectic, a: KForm, b: KForm) -> KForm:
-    """The Koszul bracket through the Poisson bivector (defined off the block too)."""
-    _check_oneform(a, "poisson_oneform_bracket's first argument")
-    _check_oneform(b, "poisson_oneform_bracket's second argument")
-    return _koszul_bracket(w, a, b, lenient=True)
+    """The Koszul bracket through the strict sharp; raises NotInvertible
+    when a or b touches an unpaired coordinate."""
+    return _koszul_bracket(lambda form: sharp(w, form), a, b)
 
 
 @dataclass
@@ -283,24 +270,19 @@ class WeakSymplecticReport:
     caveats: list
 
 
-def check_weak_symplectic(target, support) -> WeakSymplecticReport:
+def check_weak_symplectic(form: KForm, support) -> WeakSymplecticReport:
     """Check closedness and injectivity of flat over a finite support.
 
-    ``target`` is a ConstantSymplectic or a grade-2 KForm.  Injectivity is
-    of the map X -> interior(X, target) restricted to fields spanned by the
-    support coordinates; the matrix may have polynomial entries, in which
-    case the rank is the generic one and the non-constant pivots are
-    reported as caveats.
+    ``form`` is a grade-2 KForm.  Injectivity is of the map
+    X -> interior(X, form) restricted to fields spanned by the support
+    coordinates; the matrix may have polynomial entries, in which case the
+    rank is the generic one and the non-constant pivots are reported as
+    caveats.
     """
+    if type(form) is not KForm or form.grade != 2:
+        raise GradeError("check_weak_symplectic needs a grade-2 KForm")
     support = tuple(sorted(set(support)))
-    if isinstance(target, ConstantSymplectic):
-        form = target.materialize(support)
-        columns = target.closure(support)
-    else:
-        if type(target) is not KForm or target.grade != 2:
-            raise GradeError("check_weak_symplectic needs a grade-2 KForm")
-        form = target
-        columns = sorted(set(support) | form.support())
+    columns = sorted(set(support) | form.support())
 
     closed_defect = de_rham(form)
     closed = closed_defect.is_zero()

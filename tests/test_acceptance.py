@@ -156,7 +156,7 @@ def test_criterion_4_ce_equals_sigma(capsys):
     with criterion(capsys, 4, "chevalley-eilenberg-agreement"):
         started = time.monotonic()
         support = (0, 1, 2, 3)
-        structure = cotangent_algebroid(STD)
+        structure = cotangent_algebroid(STD.bivector(support))
         s = Sampler(1004)
         for k in (0, 1, 2):
             for _ in range(50):
@@ -253,20 +253,19 @@ def test_criterion_7_courant_axioms(capsys):
 
 def test_criterion_8_dirac_structures(capsys):
     with criterion(capsys, 8, "graph-dirac-structures"):
-        std_graph = DiracStructure(STD)
+        std_graph = DiracStructure(STD.materialize((0, 1, 2, 3)))
         report = check_dirac(std_graph, trials=8, seed=1729)
         assert report.passed
         assert report.isotropy_failures == []
         assert report.involutivity_failures == []
         assert report.axioms.passed
-        complement = orthogonal_complement(std_graph, (0, 1, 2, 3))
+        complement = orthogonal_complement(STD, (0, 1, 2, 3))
         assert complement.isotropic
         assert complement.equals_complement
 
-        block = DiracStructure(
-            ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]])
-        )
-        partial = orthogonal_complement(block, (0, 1, 2))
+        w = ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]])
+        block = DiracStructure(w.materialize((0, 1, 2)))
+        partial = orthogonal_complement(w, (0, 1, 2))
         assert partial.isotropic
         assert not partial.equals_complement
         assert partial.dim_subbundle == 2

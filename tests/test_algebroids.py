@@ -27,7 +27,7 @@ from algebroid.algebroids import (
     cotangent_algebroid,
     tangent_algebroid,
 )
-from algebroid.errors import ArityError
+from algebroid.errors import ArityError, GradeError
 from algebroid.exterior import (
     KForm,
     KVector,
@@ -41,9 +41,9 @@ from algebroid.poly import Poly
 from algebroid.sampling import Sampler
 from algebroid.symplectic import (
     ConstantSymplectic,
-    bivector_sharp,
     hamiltonian_vf,
     poisson_bracket,
+    sharp,
 )
 
 from conftest import (
@@ -56,6 +56,7 @@ from conftest import (
 
 STD = ConstantSymplectic.standard()
 SUPPORT = (0, 1, 2, 3)
+STD_COTANGENT = cotangent_algebroid(STD.bivector(SUPPORT))
 
 
 def sample_sections(sampler, structure, count, degree=2):
@@ -81,16 +82,16 @@ class TestAxiomChecks:
 
     def test_cotangent_passes(self):
         s = Sampler(402)
-        structure = cotangent_algebroid(STD)
+        structure = STD_COTANGENT
         sections = sample_sections(s, structure, 4)
         functions = [s.nonzero_poly(SUPPORT, 2) for _ in range(3)]
         report = check_algebroid_axioms(structure, sections, functions)
         assert report.passed
 
     def test_cotangent_with_degenerate_block_passes(self):
-        # the lenient sharp treats off-block directions as absent
+        # pi has no blade off the block, so those directions are absent
         w = ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]])
-        structure = cotangent_algebroid(w)
+        structure = cotangent_algebroid(w.bivector((0, 1, 2)))
         s = Sampler(403)
         sections = [s.oneform((0, 1, 2), 2) for _ in range(3)]
         functions = [s.nonzero_poly((0, 1, 2), 2) for _ in range(2)]
@@ -216,11 +217,17 @@ class TestBracketTable:
         assert len(calls) == n * n + 3 * comb(n, 3) + m * n * n
 
     def test_empty_inputs_pass_vacuously(self):
-        for structure in (tangent_algebroid(), cotangent_algebroid(STD)):
+        for structure in (tangent_algebroid(), STD_COTANGENT):
             report = check_algebroid_axioms(structure, [], [])
             assert report.passed and report.first_failure is None
             assert [c.passed for c in report.checks] == [True] * 4
             assert all(c.witness is None for c in report.checks)
+
+    def test_cotangent_takes_only_a_bivector(self):
+        # a constant structure enters as its Poisson bivector over a cover
+        for value in (STD, STD.materialize(SUPPORT), KVector.coordinate(0)):
+            with pytest.raises(GradeError):
+                cotangent_algebroid(value)
 
 
 class TestCeDifferential:
@@ -261,7 +268,7 @@ class TestCeDifferential:
 
     def test_cotangent_matches_contravariant(self):
         s = Sampler(409)
-        structure = cotangent_algebroid(STD)
+        structure = STD_COTANGENT
         for _ in range(40):
             k = s.rng.randint(0, 2)
             field = s.kvector(k, SUPPORT, 2)
@@ -347,14 +354,14 @@ class TestContravariantDifferential:
             value = contravariant_differential(STD, f).evaluate(de_rham(g))
             assert value == -poisson_bracket(STD, f, g)
 
-    def test_degenerate_block_uses_lenient_sharp(self):
+    def test_degenerate_block_vanishes_off_the_block(self):
         w = ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]])
         f = Poly.variable(2)  # off-block: sigma f = 0
         assert contravariant_differential(w, f).is_zero()
         g = Poly.variable(0)
-        assert contravariant_differential(w, g) == -bivector_sharp(
-            w, de_rham(g)
-        )
+        assert contravariant_differential(w, g) == -sharp(w, de_rham(g))
+        anchor = cotangent_algebroid(w.bivector((0, 1, 2))).anchor
+        assert contravariant_differential(w, g) == -anchor(de_rham(g))
 
 
 def reference_contravariant_differential(w, field):

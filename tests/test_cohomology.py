@@ -405,7 +405,10 @@ class TestCeImages:
     def test_every_basis_element_matches_the_reference(self, complex_name, w):
         spec = TruncationSpec(self.SUPPORT, 3)
         _validate_support(complex_name, w, spec)
-        structure = tangent_algebroid() if complex_name == "ce-tangent" else cotangent_algebroid(w)
+        if complex_name == "ce-tangent":
+            structure = tangent_algebroid()
+        else:
+            structure = cotangent_algebroid(w.bivector(self.SUPPORT))
         self.assert_images_match(cohomology._differential(complex_name, w, spec), structure)
 
     @pytest.mark.parametrize("scale", [Poly.one(), Poly.variable(3) - 2], ids=["so3", "scaled"])
@@ -579,6 +582,22 @@ def wrap_differential(monkeypatch, around):
 
 class TestStrands:
     """Each differential is assembled one (grade, exact degree) strand at a time."""
+
+    @pytest.mark.parametrize("complex_name", ["lp", "ce-tangent", "ce-cotangent"])
+    def test_no_strand_is_assembled_above_the_support(self, monkeypatch, complex_name):
+        # On m = 2 coordinates a grade k > 2 has no blades: its window is
+        # (0, 0), and only grade 2 is assembled for the coboundaries of grade 3.
+        assembled = set()
+        assemble = cohomology._assemble_strand
+
+        def recording(complex_name, image, spec, grade, degree, permute=None):
+            assembled.add(grade)
+            return assemble(complex_name, image, spec, grade, degree, permute)
+
+        monkeypatch.setattr(cohomology, "_assemble_strand", recording)
+        report = compute_cohomology(complex_name, STD, TruncationSpec((0, 1), 2), range(200))
+        assert assembled == {0, 1, 2}
+        assert all(report.table()[k] == (0, 0, 0) for k in range(3, 200))
 
     def test_each_basis_element_is_imaged_once(self, monkeypatch):
         seen = []

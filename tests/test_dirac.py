@@ -14,6 +14,7 @@ import pytest
 
 from algebroid.courant import (
     DiracStructure,
+    GeneralizedSection,
     check_dirac,
     courant_bracket,
     orthogonal_complement,
@@ -35,15 +36,17 @@ from algebroid.symplectic import ConstantSymplectic, flat
 STD = ConstantSymplectic.standard()
 BLOCK = ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]])
 NONCLOSED = KForm.blade((1, 2), Poly.variable(0))
+# The graphs of the constant structures over the sampling support (0, 1, 2, 3)
+STD_GRAPH = DiracStructure(STD.materialize((0, 1, 2, 3)))
+BLOCK_GRAPH = DiracStructure(BLOCK.materialize(()))
 
 
 class TestGraphConstruction:
     def test_constant_graph_uses_flat(self):
-        structure = DiracStructure(STD)
         s = Sampler(601)
         for _ in range(10):
             x = s.vector_field((0, 1, 2, 3), 2)
-            section = structure.generate(x)
+            section = STD_GRAPH.generate(x)
             assert section.vector == x
             assert section.form == flat(STD, x)
 
@@ -56,7 +59,7 @@ class TestGraphConstruction:
             assert section.form == interior_product(x, NONCLOSED)
 
     def test_curvature(self):
-        assert DiracStructure(STD).curvature().is_zero()
+        assert STD_GRAPH.curvature().is_zero()
         assert DiracStructure(NONCLOSED).curvature() == de_rham(NONCLOSED)
 
     def test_rejects_wrong_grade(self):
@@ -64,12 +67,15 @@ class TestGraphConstruction:
             DiracStructure(KForm.coordinate(0))
         with pytest.raises(GradeError):
             DiracStructure(Poly.variable(0))
+        # a constant structure enters as its 2-form over a cover
+        with pytest.raises(GradeError):
+            DiracStructure(STD)
 
 
 class TestIsotropy:
     def test_graph_sections_pair_to_zero(self):
         s = Sampler(603)
-        for structure in (DiracStructure(STD), DiracStructure(NONCLOSED)):
+        for structure in (STD_GRAPH, DiracStructure(NONCLOSED)):
             for _ in range(10):
                 x = s.vector_field((0, 1, 2, 3), 2)
                 y = s.vector_field((0, 1, 2, 3), 2)
@@ -80,7 +86,7 @@ class TestIsotropy:
 
 class TestStandardGraph:
     def test_check_passes(self):
-        report = check_dirac(DiracStructure(STD), trials=8, seed=1729)
+        report = check_dirac(STD_GRAPH, trials=8, seed=1729)
         assert report.passed
         assert report.isotropy_failures == []
         assert report.involutivity_failures == []
@@ -88,7 +94,7 @@ class TestStandardGraph:
         assert report.axioms.passed
 
     def test_complement_equals_subbundle(self):
-        report = orthogonal_complement(DiracStructure(STD), (0, 1, 2, 3))
+        report = orthogonal_complement(STD, (0, 1, 2, 3))
         assert report.fiber_dimension == 8
         assert report.dim_subbundle == 4
         assert report.dim_complement == 4
@@ -99,7 +105,7 @@ class TestStandardGraph:
 
 class TestUnpairedDirections:
     def test_strictly_smaller_than_complement(self):
-        report = orthogonal_complement(DiracStructure(BLOCK), (0, 1, 2))
+        report = orthogonal_complement(BLOCK, (0, 1, 2))
         assert report.ambient_indices == (0, 1, 2)
         assert report.fiber_dimension == 6
         assert report.dim_subbundle == 2
@@ -109,16 +115,11 @@ class TestUnpairedDirections:
         assert str(report.witness) == "(e[2], 0)"
 
     def test_witness_is_orthogonal_to_every_graph_section(self):
-        report = orthogonal_complement(DiracStructure(BLOCK), (0, 1, 2))
-        structure = DiracStructure(BLOCK)
+        report = orthogonal_complement(BLOCK, (0, 1, 2))
         s = Sampler(604)
         for _ in range(10):
             x = s.vector_field((0, 1), 2)
-            assert tm_pairing(report.witness, structure.generate(x)).is_zero()
-
-    def test_polynomial_graph_rejected(self):
-        with pytest.raises(TypeError):
-            orthogonal_complement(DiracStructure(NONCLOSED), (0, 1, 2))
+            assert tm_pairing(report.witness, BLOCK_GRAPH.generate(x)).is_zero()
 
 
 def _reduced(rows, ncols):
@@ -151,9 +152,11 @@ def _kernel(rows, ncols):
     return basis
 
 
-def brute_force_complement(structure, support):
+def brute_force_complement(w, support):
     """(isotropic, equals_complement) from the graph sections themselves.
 
+    Each generating section is (e_i, flat(e_i)), read off the structure's
+    raw rows, so a block that is not antisymmetric keeps its asymmetry.
     The ambient indices and the generators are read off the pairing's own
     storage here: the standard pairing closes ``support`` under i <-> i ^ 1
     and pairs all of it, an explicit one adds its block and pairs only that.
@@ -162,14 +165,14 @@ def brute_force_complement(structure, support):
     the subbundle when the dimensions agree and every kernel vector lies in
     the row space.
     """
-    w = structure.form
     if w.kind == "standard":
         ambient = sorted(set(support) | {i ^ 1 for i in support})
         generators = ambient
     else:
         ambient = sorted(set(support) | set(w.block))
         generators = w.block
-    sections = [structure.generate(KVector.coordinate(i)) for i in generators]
+    fields = [KVector.coordinate(i) for i in generators]
+    sections = [GeneralizedSection(x, flat(w, x)) for x in fields]
     isotropic = all(tm_pairing(s, t).is_zero() for s in sections for t in sections)
     rows = [
         [s.vector.coefficient((j,)).constant_term() for j in ambient]
@@ -209,24 +212,22 @@ def _seeded_structures(seed):
 
 class TestComplementAgainstBruteForce:
     def test_unpaired_block_case(self):
-        structure = DiracStructure(BLOCK)
-        report = orthogonal_complement(structure, (0, 1, 2))
-        assert brute_force_complement(structure, (0, 1, 2)) == (True, False)
+        report = orthogonal_complement(BLOCK, (0, 1, 2))
+        assert brute_force_complement(BLOCK, (0, 1, 2)) == (True, False)
         assert (report.isotropic, report.equals_complement) == (True, False)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_seeded_constant_structures(self, seed):
         for w, support in _seeded_structures(seed):
-            structure = DiracStructure(w)
-            report = orthogonal_complement(structure, support)
-            expected = brute_force_complement(structure, support)
+            report = orthogonal_complement(w, support)
+            expected = brute_force_complement(w, support)
             assert (report.isotropic, report.equals_complement) == expected
 
     def test_seeds_reach_every_verdict(self):
         verdicts = set()
         for seed in range(12):
             for w, support in _seeded_structures(seed):
-                verdicts.add(brute_force_complement(DiracStructure(w), support))
+                verdicts.add(brute_force_complement(w, support))
         assert verdicts == {(True, True), (True, False), (False, False)}
 
     def test_thirty_variables_take_a_few_ranks(self, monkeypatch):
@@ -243,7 +244,7 @@ class TestComplementAgainstBruteForce:
                 return _fn(*args)
 
             monkeypatch.setattr(linalg, name, counting)
-        report = orthogonal_complement(DiracStructure(STD), tuple(range(30)))
+        report = orthogonal_complement(STD, tuple(range(30)))
         assert report.dim_subbundle == report.dim_complement == 30
         assert report.isotropic and report.equals_complement
         assert calls["rank"] == 0
@@ -288,15 +289,18 @@ class TestNonClosedGraph:
 class TestSamplingSupport:
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
-            check_dirac(DiracStructure(STD), trials=1, seed=1, support=())
+            check_dirac(STD_GRAPH, trials=1, seed=1, support=())
 
     def test_default_support(self):
-        assert DiracStructure(STD).default_support() == (0, 1, 2, 3)
-        assert DiracStructure(BLOCK).default_support() == (0, 1)
+        # A constant structure's default comes from its 2-form over no
+        # cover: the standard one forces no index, a block forces itself.
+        assert DiracStructure(STD.materialize(())).default_support() == (0, 1, 2, 3)
+        assert BLOCK_GRAPH.default_support() == (0, 1)
         assert DiracStructure(NONCLOSED).default_support() == (0, 1, 2)
         empty = ConstantSymplectic.explicit((), [])
-        assert DiracStructure(empty).default_support() == (0, 1, 2, 3)
+        assert DiracStructure(empty.materialize(())).default_support() == (0, 1, 2, 3)
+        assert STD_GRAPH.default_support() == (0, 1, 2, 3)
 
     def test_block_structure_samples_its_own_block(self):
-        report = check_dirac(DiracStructure(BLOCK), trials=4, seed=9)
+        report = check_dirac(BLOCK_GRAPH, trials=4, seed=9)
         assert report.passed

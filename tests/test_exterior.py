@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroid.algebroids import contravariant_differential
+from algebroid.algebroids import contravariant_differential, cotangent_algebroid
 from algebroid.errors import ArityError, GradeError, NotInvertible
 from algebroid.exterior import (
     KForm,
@@ -36,7 +36,7 @@ from algebroid.exterior import (
 )
 from algebroid.poly import Poly
 from algebroid.sampling import Sampler
-from algebroid.symplectic import bivector_sharp, flat, sharp
+from algebroid.symplectic import flat, sharp
 
 from conftest import alternating, constant_structures, polys, sgn
 
@@ -426,7 +426,8 @@ class TestCanonicalTerms:
     @settings(deadline=None)
     def test_musical_maps_and_contravariant_differential(self, w, x, a, p, f):
         results = [
-            flat(w, x), flat(w, x) + flat(w, -x), bivector_sharp(w, a),
+            flat(w, x), flat(w, x) + flat(w, -x),
+            cotangent_algebroid(w.bivector(a.support())).anchor(a),
             contravariant_differential(w, f), contravariant_differential(w, p),
             contravariant_differential(w, contravariant_differential(w, p)),
         ]

@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroid.errors import NotInvertible
+from algebroid.algebroids import cotangent_algebroid
+from algebroid.errors import GradeError, NotInvertible
 from algebroid.exterior import (
     KForm,
     KVector,
@@ -35,14 +36,12 @@ from algebroid.poly import Poly
 from algebroid.sampling import Sampler
 from algebroid.symplectic import (
     ConstantSymplectic,
-    bivector_sharp,
     check_weak_symplectic,
     flat,
     hamiltonian_vf,
     induced_pairing,
     oneform_bracket,
     poisson_bracket,
-    poisson_oneform_bracket,
     sharp,
 )
 
@@ -56,6 +55,11 @@ from conftest import (
 
 STD = ConstantSymplectic.standard()
 SUPPORT = (0, 1, 2, 3)
+
+
+def cotangent(w, cover):
+    """The cotangent algebroid of w's Poisson bivector over ``cover``."""
+    return cotangent_algebroid(w.bivector(cover))
 
 
 def explicit_rotation():
@@ -108,10 +112,18 @@ class TestMusicalMaps:
             sharp(w, KForm.coordinate(5))
         assert info.value.witness == 5
 
-    def test_bivector_sharp_zeroes_off_block(self):
+    def test_bivector_anchor_zeroes_off_block(self):
         w = ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]])
-        assert bivector_sharp(w, KForm.coordinate(5)).is_zero()
-        assert bivector_sharp(w, KForm.coordinate(0)) == sharp(w, KForm.coordinate(0))
+        anchor = cotangent(w, (0, 1, 5)).anchor
+        assert anchor(KForm.coordinate(5)).is_zero()
+        assert anchor(KForm.coordinate(0)) == sharp(w, KForm.coordinate(0))
+
+    def test_bivector_anchor_needs_a_cover_of_the_section(self):
+        # pi over (0, 1) has no blade on index 2, so the section must be
+        # inside the cover for the anchor to be sharp
+        dx2 = KForm.coordinate(2)
+        assert cotangent(STD, (0, 1)).anchor(dx2).is_zero()
+        assert cotangent(STD, (0, 1, 2)).anchor(dx2) == sharp(STD, dx2)
 
 
 class TestHamiltonian:
@@ -199,19 +211,20 @@ class TestOneFormBracket:
             )
             assert jac.is_zero()
 
-    def test_lenient_variant_agrees_on_block(self):
+    def test_bivector_bracket_agrees_with_strict_on_block(self):
         w = ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]])
+        bracket = cotangent(w, (0, 1)).bracket
         s = Sampler(311)
         for _ in range(20):
             a = s.oneform((0, 1), 2)
             b = s.oneform((0, 1), 2)
-            assert poisson_oneform_bracket(w, a, b) == oneform_bracket(w, a, b)
+            assert bracket(a, b) == oneform_bracket(w, a, b)
 
     @pytest.mark.parametrize(
         "w, strict",
         [
             (STD, True),
-            # x2 and x3 are unpaired: only the lenient bracket is defined.
+            # x2 and x3 are unpaired: only the bivector's bracket is defined.
             (ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]]), False),
             (explicit_rotation(), True),
         ],
@@ -225,11 +238,11 @@ class TestOneFormBracket:
         for _ in range(20):
             a = s.oneform(SUPPORT, 2)
             b = s.oneform(SUPPORT, 2)
-            got = [poisson_oneform_bracket(w, a, b)]
+            got = [cotangent(w, SUPPORT).bracket(a, b)]
             if strict:
                 got.append(oneform_bracket(w, a, b))
             a, b = KForm(1, a.terms), KForm(1, b.terms)
-            xa, xb = bivector_sharp(w, a), bivector_sharp(w, b)
+            xa, xb = reference_sharp(w, a, True), reference_sharp(w, b, True)
             expected = (
                 lie_derivative(xa, b) - lie_derivative(xb, a) - de_rham(b.evaluate(xa))
             )
@@ -253,10 +266,16 @@ class TestInducedPairing:
 
 class TestWeakSymplecticCheck:
     def test_standard_passes(self):
-        report = check_weak_symplectic(STD, SUPPORT)
+        report = check_weak_symplectic(STD.materialize(SUPPORT), SUPPORT)
         assert report.passed and report.closed and report.injective
         assert report.rank == 4 and report.dimension == 4
         assert not report.generic and report.caveats == []
+
+    def test_takes_only_a_two_form(self):
+        # a constant structure enters as its 2-form over a cover
+        for target in (STD, STD.bivector(SUPPORT), KForm.coordinate(0)):
+            with pytest.raises(GradeError):
+                check_weak_symplectic(target, SUPPORT)
 
     def test_constant_form_target(self):
         w_form = STD.materialize((0, 1))
@@ -406,7 +425,8 @@ def reference_flat(w, field):
 
 
 def reference_sharp(w, oneform, lenient):
-    """sharp (strict) and bivector_sharp (lenient), reading columns of W^-1."""
+    """sharp (strict) and the Poisson bivector's anchor (lenient: zero on
+    unpaired indices), reading columns of W^-1."""
     terms = {}
     for (j,), component in oneform.terms.items():
         images = reference_sharp_components(w, j)
@@ -480,9 +500,10 @@ class TestMusicalMapsAgainstReference:
 
     @given(constant_structures(), alternating(KForm, 1))
     @settings(deadline=None)
-    def test_sharp_and_bivector_sharp(self, w, oneform):
+    def test_sharp_and_bivector_anchor(self, w, oneform):
         assert outcome(sharp, w, oneform) == outcome(reference_sharp, w, oneform, False)
-        assert bivector_sharp(w, oneform) == reference_sharp(w, oneform, True)
+        anchor = cotangent(w, oneform.support()).anchor
+        assert anchor(oneform) == reference_sharp(w, oneform, True)
 
     @given(constant_structures(), alternating(KForm, 1), alternating(KForm, 1))
     @settings(deadline=None, max_examples=50)
@@ -492,7 +513,7 @@ class TestMusicalMapsAgainstReference:
         expected = (
             lie_derivative(xa, b) - lie_derivative(xb, a) - de_rham(b.evaluate(xa))
         )
-        assert poisson_oneform_bracket(w, a, b) == expected
+        assert cotangent(w, a.support() | b.support()).bracket(a, b) == expected
 
     @given(constant_structures(), st.sampled_from(INDICES))
     @settings(deadline=None)
@@ -503,10 +524,11 @@ class TestMusicalMapsAgainstReference:
 
     @given(constant_structures(), polys)
     @settings(deadline=None)
-    def test_bivector_brackets_a_function_to_its_bivector_sharp(self, w, f):
+    def test_bivector_brackets_a_function_to_its_anchor(self, w, f):
         pi = w.bivector(f.variables())
         assert pi.grade == 2
-        assert schouten_bracket(pi, f) == bivector_sharp(w, de_rham(f))
+        assert schouten_bracket(pi, f) == reference_sharp(w, de_rham(f), True)
+        assert schouten_bracket(pi, f) == cotangent_algebroid(pi).anchor(de_rham(f))
         closure = w.closure(f.variables())
         for (i, j), coeff in pi.terms.items():
             assert i < j and i in closure and j in closure
