@@ -36,12 +36,14 @@ from algebroid.errors import ArityError, GradeError
 from algebroid.exterior import (
     KForm,
     KVector,
+    _apply,
+    _coerce_poly,
     interior_product,
     lie_bracket,
     schouten_bracket,
     vector_apply,
 )
-from algebroid.poly import Poly
+from algebroid.poly import Poly, _add_scaled, _poly
 from algebroid.symplectic import ConstantSymplectic, _koszul_bracket
 
 
@@ -121,8 +123,8 @@ def check_algebroid_axioms(structure, sections, functions) -> AxiomReport:
     Each axiom is checked on every applicable tuple of section indices (and
     function indices, for Leibniz); the report records one entry per axiom.
     Its witness is the first failing tuple in lexicographic index order.
-    Every bracket [s_i, s_j], anchor(s_i) and anchor(s_i)(f) is computed
-    once.
+    Every bracket [s_i, s_j], anchor(s_i), anchor(s_i)(f) and product f s_j
+    is computed once.
     """
     s = list(sections)
     functions = [f if isinstance(f, Poly) else Poly.constant(f) for f in functions]
@@ -132,6 +134,8 @@ def check_algebroid_axioms(structure, sections, functions) -> AxiomReport:
     B = [[bracket(a, b) for b in s] for a in s]
     A = [anchor(a) for a in s]
     F = [[vector_apply(field, f) for f in functions] for field in A]
+    # f s_j, shared by every i: the bracket's memoized derivatives then hit.
+    FS = [[f * section for section in s] for f in functions]
 
     antisymmetry = (
         (f"[s{i}, s{j}] + [s{j}, s{i}] = ", B[i][j] + B[j][i])
@@ -155,7 +159,7 @@ def check_algebroid_axioms(structure, sections, functions) -> AxiomReport:
     leibniz = (
         (
             f"[s{i}, f{fi} s{j}] - f{fi} [s{i}, s{j}] - anchor(s{i})(f{fi}) s{j} = ",
-            bracket(s[i], f * s[j]) - (f * B[i][j] + F[i][fi] * s[j]),
+            bracket(s[i], FS[fi][j]) - (f * B[i][j] + F[i][fi] * s[j]),
         )
         for i in range(n)
         for j in range(n)
@@ -200,25 +204,20 @@ def ce_value(structure, k, value_fn, sections) -> Poly:
     if len(sections) != k + 1:
         raise ArityError(f"a {k}-cochain differential takes {k + 1} sections")
     _validate_sections(structure, sections)
-    total = Poly.zero()
+    total = {}
     for i, section in enumerate(sections):
         rest = sections[:i] + sections[i + 1 :]
-        inner = value_fn(*rest)
-        piece = vector_apply(structure.anchor(section), inner)
-        if i & 1:
-            piece = -piece
-        total = total + piece
+        inner = _coerce_poly(value_fn(*rest))
+        _apply(total, structure.anchor(section), inner.terms, -1 if i & 1 else 1)
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
             bracketed = structure.bracket(sections[i], sections[j])
             rest = [bracketed] + [
                 sections[l] for l in range(k + 1) if l != i and l != j
             ]
-            value = value_fn(*rest)
-            if (i + j) & 1:
-                value = -value
-            total = total + value
-    return total
+            value = _coerce_poly(value_fn(*rest))
+            _add_scaled(total, value.terms, -1 if (i + j) & 1 else 1)
+    return _poly(total)
 
 
 def ce_differential(structure, cochain, sections) -> Poly:

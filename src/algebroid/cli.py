@@ -14,6 +14,7 @@ internal error (a broken invariant of this program).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -639,8 +640,12 @@ def _check_counts(args) -> None:
             raise UsageError(f"{flag} must be nonnegative, got {value}")
 
 
+# Parsing leaves no state on the parser, so one serves every ``run`` call.
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except (UsageError, AlgebroidError) as exc:

@@ -11,7 +11,9 @@ Conventions:
 - both are computed in Cartan form, L_X b = i_X db + d(b(X)):
   ([X, Y], i_X db - i_Y da + d(b(X))) and
   ([X, Y], i_X db - i_Y da + (1/2) d(b(X) - a(Y))), so the only new
-  derivative per call is of a function; da and db are memoized on the forms;
+  derivative per call is of a function; da and db are memoized on the forms,
+  and the form part's terms accumulate into one sum, wrapped once, as do
+  the pairing's;
 - delta_operator(f) = (0, d f), which satisfies
   pairing(delta(f), s) = anchor(s)(f).
 
@@ -44,12 +46,15 @@ from algebroid.errors import GradeError
 from algebroid.exterior import (
     KForm,
     KVector,
+    _contract,
+    _differentiate,
+    _wrap,
     de_rham,
     interior_product,
     lie_bracket,
     vector_apply,
 )
-from algebroid.poly import Poly
+from algebroid.poly import Poly, _poly
 from algebroid.sampling import Sampler
 from algebroid.symplectic import ConstantSymplectic
 
@@ -125,7 +130,18 @@ def tm_pairing(s1: GeneralizedSection, s2: GeneralizedSection) -> Poly:
     """The symmetric pairing a1(X2) + a2(X1)."""
     _check_section(s1, "tm_pairing's first argument")
     _check_section(s2, "tm_pairing's second argument")
-    return s1.form.evaluate(s2.vector) + s2.form.evaluate(s1.vector)
+    out = {}
+    _contract(out, s2.vector, s1.form)
+    _contract(out, s1.vector, s2.form)
+    return _poly(out.get((), {}))
+
+
+def _cartan_part(s1, s2):
+    """The blade sums of i_X db - i_Y da for sections (X, a) and (Y, b)."""
+    out = {}
+    _contract(out, s1.vector, de_rham(s2.form))
+    _contract(out, s2.vector, de_rham(s1.form), -1)
+    return out
 
 
 def dorfman_bracket(
@@ -134,12 +150,11 @@ def dorfman_bracket(
     """([X, Y], L_X b - i_Y da), in Cartan form (see the module docstring)."""
     _check_section(s1, "dorfman_bracket's first argument")
     _check_section(s2, "dorfman_bracket's second argument")
-    return GeneralizedSection(
-        lie_bracket(s1.vector, s2.vector),
-        interior_product(s1.vector, de_rham(s2.form))
-        - interior_product(s2.vector, de_rham(s1.form))
-        + de_rham(s2.form.evaluate(s1.vector)),
-    )
+    out = _cartan_part(s1, s2)
+    value = {}
+    _contract(value, s1.vector, s2.form)
+    _differentiate(out, value.get((), {}))
+    return GeneralizedSection(lie_bracket(s1.vector, s2.vector), KForm._raw(1, _wrap(out)))
 
 
 def courant_bracket(
@@ -148,13 +163,12 @@ def courant_bracket(
     """([X, Y], L_X b - L_Y a + (1/2) d(a(Y) - b(X))), in Cartan form."""
     _check_section(s1, "courant_bracket's first argument")
     _check_section(s2, "courant_bracket's second argument")
-    correction = s2.form.evaluate(s1.vector) - s1.form.evaluate(s2.vector)
-    return GeneralizedSection(
-        lie_bracket(s1.vector, s2.vector),
-        interior_product(s1.vector, de_rham(s2.form))
-        - interior_product(s2.vector, de_rham(s1.form))
-        + de_rham(correction) * Fraction(1, 2),
-    )
+    out = _cartan_part(s1, s2)
+    correction = {}
+    _contract(correction, s1.vector, s2.form)
+    _contract(correction, s2.vector, s1.form, -1)
+    _differentiate(out, correction.get((), {}), Fraction(1, 2))
+    return GeneralizedSection(lie_bracket(s1.vector, s2.vector), KForm._raw(1, _wrap(out)))
 
 
 def delta_operator(function: Poly) -> GeneralizedSection:
@@ -323,12 +337,21 @@ def orthogonal_complement(w: ConstantSymplectic, support) -> ComplementReport:
     # that column, so the rows are independent and the rank is their count.
     dim_sub = len(basis_rows)
 
-    lookup = [dict(row) for row in basis_rows]
-    isotropic = all(
-        not sum(a * other.get(k, 0) for k, a in paired)
-        for paired in constraint_rows
-        for other in lookup
-    )
+    # L is isotropic when every constraint row is orthogonal to every basis
+    # row; each dot product is summed only over the columns the two share.
+    column = {}
+    for t, row in enumerate(basis_rows):
+        for k, a in row:
+            column.setdefault(k, []).append((t, a))
+    isotropic = True
+    for paired in constraint_rows:
+        dots = {}
+        for k, a in paired:
+            for t, b in column.get(k, ()):
+                dots[t] = dots.get(t, 0) + a * b
+        if any(dots.values()):
+            isotropic = False
+            break
 
     equals = isotropic and dim_sub == n
     witness = None

@@ -21,7 +21,9 @@ constructor enforces this on input.  Every operation that sums products or
 derivatives into blades accumulates one monomial dict per blade with the
 kernel of ``poly`` and wraps each blade once through ``_wrap``, the one
 place that keeps the rule; ``+`` and ``-`` merge blade by blade with
-``Poly``'s own addition.
+``Poly``'s own addition.  ``_contract``, ``_apply`` and ``_differentiate``
+add i_X, X(f) and d f into such sums, so a bracket of several terms
+accumulates them all and wraps once.
 
 Values are immutable, so ``de_rham`` keeps each KForm's derivative on it
 and returns that object on every later call; all other operations return
@@ -347,24 +349,49 @@ def interior_product(contractor, target):
     if target.grade == 0:
         raise GradeError("cannot contract a grade-0 value")
     out = {}
+    _contract(out, contractor, target)
+    return type(target)._raw(target.grade - 1, _wrap(out))
+
+
+def _contract(out, contractor, target, sign=1):
+    """Add ``sign`` times the contraction of ``target`` by ``contractor`` into
+    ``out``, blade by blade; a grade-1 target lands on the blade ``()``."""
     for (index,), component in contractor.terms.items():
         for blade, coeff in target.terms.items():
             if index in blade:
                 pos = blade.index(index)
                 sums = out.setdefault(blade[:pos] + blade[pos + 1 :], {})
-                _mac(sums, component.terms, coeff.terms, -1 if pos & 1 else 1)
-    return type(target)._raw(target.grade - 1, _wrap(out))
+                _mac(sums, component.terms, coeff.terms, -sign if pos & 1 else sign)
 
 
 def vector_apply(field, function: Poly) -> Poly:
     """Apply a vector field to a function: X(f) = sum_i X^i del_i f."""
     if type(field) is not KVector or field.grade != 1:
         raise GradeError("vector_apply needs a grade-1 KVector")
-    function = _coerce_poly(function)
     sums = {}
-    for (index,), component in field.terms.items():
-        _mac(sums, component.terms, _derivative(function.terms, index))
+    _apply(sums, field, _coerce_poly(function).terms)
     return _poly(sums)
+
+
+def _apply(out, field, f, sign=1):
+    """Add ``sign`` times X(f) into the monomial sums ``out``; ``f`` is the
+    terms of a function."""
+    for (index,), component in field.terms.items():
+        _mac(out, component.terms, _derivative(f, index), sign)
+
+
+def _differentiate(out, f, scale=1):
+    """Add ``scale`` times d f into ``out`` as 1-form blade sums.  ``f`` is a
+    monomial dict as ``_mac`` leaves it: zero or integral ``Fraction`` sums
+    are allowed, and ``_wrap`` makes the result canonical."""
+    for mono, coeff in f.items():
+        if coeff:
+            coeff *= scale
+            for pos, (var, exp) in enumerate(mono):
+                rest = mono[:pos] + (((var, exp - 1),) if exp > 1 else ()) + mono[pos + 1 :]
+                sums = out.setdefault((var,), {})
+                value = coeff * exp
+                sums[rest] = sums[rest] + value if rest in sums else value
 
 
 def lie_bracket(left, right):

@@ -12,8 +12,8 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from algebroid.exterior import KForm, KVector
-from algebroid.poly import Poly
+from algebroid.exterior import KForm, KVector, _wrap
+from algebroid.poly import Poly, _poly
 
 _COEFFS = (-3, -2, -1, 1, 2, 3)
 
@@ -65,10 +65,15 @@ class Sampler:
         return self.rng.choice(self._monomial_pool(support, degree))
 
     def poly(self, support, degree, terms: int = 2) -> Poly:
-        total = Poly.zero()
+        sums = {}
+        self._add_terms(sums, support, degree, terms)
+        return _poly(sums)
+
+    def _add_terms(self, sums, support, degree, terms):
+        """Draw ``terms`` (monomial, coefficient) pairs into ``sums``."""
         for _ in range(terms):
-            total = total + Poly({self.monomial(support, degree): self.coefficient()})
-        return total
+            mono = self.monomial(support, degree)
+            sums[mono] = sums.get(mono, 0) + self.rng.choice(_COEFFS)
 
     def nonzero_poly(self, support, degree, terms: int = 2) -> Poly:
         while True:
@@ -83,18 +88,18 @@ class Sampler:
         return tuple(sorted(self.rng.sample(support, grade)))
 
     def kform(self, grade, support, degree, terms: int = 2) -> KForm:
-        total = KForm.zero(grade)
-        for _ in range(terms):
-            blade = self.blade(support, grade)
-            total = total + KForm(grade, {blade: self.poly(support, degree, 1)})
-        return total
+        return KForm._raw(grade, self._blades(grade, support, degree, terms))
 
     def kvector(self, grade, support, degree, terms: int = 2) -> KVector:
-        total = KVector.zero(grade)
+        return KVector._raw(grade, self._blades(grade, support, degree, terms))
+
+    def _blades(self, grade, support, degree, terms):
+        """``terms`` draws of a blade with a one-term coefficient, summed."""
+        out = {}
         for _ in range(terms):
             blade = self.blade(support, grade)
-            total = total + KVector(grade, {blade: self.poly(support, degree, 1)})
-        return total
+            self._add_terms(out.setdefault(blade, {}), support, degree, 1)
+        return _wrap(out)
 
     def oneform(self, support, degree, terms: int = 2) -> KForm:
         return self.kform(1, support, degree, terms)

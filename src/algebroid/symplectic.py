@@ -38,7 +38,8 @@ Musical conventions, fixed once:
 ``sharp`` is strict: it raises NotInvertible when the 1-form touches an
 unpaired coordinate.  On paired coordinates it equals i_a pi.  The Koszul
 bracket ``_koszul_bracket`` takes its anchor as an argument, so the strict
-``oneform_bracket`` and the cotangent algebroid share it.
+``oneform_bracket`` and the cotangent algebroid share it; it sums its three
+Cartan terms into one accumulation and wraps once.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ from fractions import Fraction
 
 from algebroid import linalg
 from algebroid.errors import GradeError, NotInvertible
-from algebroid.exterior import KForm, KVector, _wrap, de_rham, interior_product
+from algebroid.exterior import (
+    KForm, KVector, _contract, _differentiate, _wrap, de_rham, interior_product,
+)
 from algebroid.poly import Poly, _add_scaled, _normal
 
 
@@ -242,11 +245,13 @@ def _koszul_bracket(anchor, a: KForm, b: KForm) -> KForm:
     _check_grade1(b, KForm, "the Koszul bracket's second argument")
     xa = anchor(a)
     xb = anchor(b)
-    return (
-        interior_product(xa, de_rham(b))
-        - interior_product(xb, de_rham(a))
-        - de_rham(a.evaluate(xb))
-    )
+    out = {}
+    _contract(out, xa, de_rham(b))
+    _contract(out, xb, de_rham(a), -1)
+    value = {}
+    _contract(value, xb, a)
+    _differentiate(out, value.get((), {}), -1)
+    return KForm._raw(1, _wrap(out))
 
 
 def oneform_bracket(w: ConstantSymplectic, a: KForm, b: KForm) -> KForm:

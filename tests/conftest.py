@@ -96,6 +96,23 @@ def graded_zero_sum(values) -> bool:
     return total.is_zero()
 
 
+def is_canonical(value) -> bool:
+    """True when a Poly, KForm or KVector is stored canonically: no blade
+    with a zero coefficient, and every coefficient a nonzero int or a
+    Fraction that is not integral."""
+    if isinstance(value, Poly):
+        polys = [value]
+    else:
+        polys = list(value.terms.values())
+        if not all(polys):
+            return False
+    return all(
+        c and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+        for poly in polys
+        for c in poly.terms.values()
+    )
+
+
 # -- hypothesis strategies for the constant-structure calculus ----------------
 
 # Indices run past every explicit block below, so values reach unpaired

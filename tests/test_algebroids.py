@@ -12,12 +12,15 @@ Oracles:
   evaluated without ever materializing a cochain.
 """
 
+from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from algebroid import symplectic
 from algebroid.algebroids import (
     AlgebroidStructure,
     ce_differential,
@@ -50,6 +53,7 @@ from conftest import (
     alternating,
     constant_structures,
     graded_zero_sum,
+    is_canonical,
     reference_sharp_components,
     sgn,
 )
@@ -216,6 +220,25 @@ class TestBracketTable:
         assert report.passed
         assert len(calls) == n * n + 3 * comb(n, 3) + m * n * n
 
+    @pytest.mark.parametrize("n, m", [(3, 2), (10, 4)])
+    def test_each_leibniz_operand_is_formed_once(self, n, m, monkeypatch):
+        # The products f s_j are shared by every i, so the Koszul bracket
+        # differentiates only the n sections, the n^2 table entries and the
+        # m n products; one product per (i, j, f) would make m n^2 of them.
+        computed = {}  # id -> derivative, held so that no id is reused
+
+        def counting(form):
+            value = de_rham(form)
+            computed.setdefault(id(value), value)
+            return value
+
+        monkeypatch.setattr(symplectic, "de_rham", counting)
+        s = Sampler(413)
+        sections = [s.oneform(SUPPORT, 1) for _ in range(n)]
+        functions = [s.nonzero_poly(SUPPORT, 1) for _ in range(m)]
+        assert check_algebroid_axioms(STD_COTANGENT, sections, functions).passed
+        assert 0 < len(computed) <= n + n * n + m * n
+
     def test_empty_inputs_pass_vacuously(self):
         for structure in (tangent_algebroid(), STD_COTANGENT):
             report = check_algebroid_axioms(structure, [], [])
@@ -301,6 +324,68 @@ class TestCeDifferential:
         structure = tangent_algebroid()
         with pytest.raises(Exception):
             ce_differential(structure, Poly.variable(0), [KForm.coordinate(0)])
+
+
+def add_chain_ce_value(structure, k, value_fn, sections):
+    """The Chevalley-Eilenberg formula as a chain of Poly additions, one
+    term at a time."""
+    total = Poly.zero()
+    for i in range(k + 1):
+        rest = sections[:i] + sections[i + 1 :]
+        piece = vector_apply(structure.anchor(sections[i]), value_fn(*rest))
+        total = total - piece if i & 1 else total + piece
+    for i, j in combinations(range(k + 1), 2):
+        bracketed = structure.bracket(sections[i], sections[j])
+        rest = [bracketed] + [t for l, t in enumerate(sections) if l != i and l != j]
+        value = value_fn(*rest)
+        total = total - value if (i + j) & 1 else total + value
+    return total
+
+
+@st.composite
+def ce_cases(draw):
+    """(structure, k, cochain, k + 1 sections): the tangent structure, or the
+    cotangent structure of any grade-2 KVector, since the formula needs no
+    Jacobi identity; rational coefficients and zero values included."""
+    k = draw(st.integers(min_value=0, max_value=2))
+    if draw(st.booleans()):
+        structure, section_cls, cochain_cls = tangent_algebroid(), KVector, KForm
+    else:
+        structure = cotangent_algebroid(draw(alternating(KVector, 2)))
+        section_cls, cochain_cls = KForm, KVector
+    cochain = draw(alternating(cochain_cls, k))
+    sections = [draw(alternating(section_cls, 1)) for _ in range(k + 1)]
+    return structure, k, cochain, sections
+
+
+# (1/2 e0)(2 x0) is an integral Fraction until it is wrapped; on X = Y the
+# two anchor terms of a 1-cochain cancel.
+HALF_FIELD = KVector.blade((0,), Fraction(1, 2))
+X0_FIELD = KVector.blade((0,), Poly.variable(0))
+
+
+class TestCeValueAgainstAddChain:
+    @given(ce_cases())
+    @example((tangent_algebroid(), 0, KForm.from_poly(2 * Poly.variable(0)), [HALF_FIELD]))
+    @example((tangent_algebroid(), 1, KForm.blade((0,), Poly.variable(0)), [X0_FIELD] * 2))
+    @settings(deadline=None, max_examples=60)
+    def test_cochains(self, case):
+        structure, k, cochain, sections = case
+        value = ce_value(structure, k, cochain.evaluate, sections)
+        assert value == add_chain_ce_value(structure, k, cochain.evaluate, sections)
+        assert is_canonical(value)
+
+    @pytest.mark.parametrize("scalar", [3, Fraction(-1, 2)])
+    def test_scalar_valued_evaluator(self, scalar):
+        # A constant evaluator differentiates to zero; the bracket terms
+        # keep it with their signs.
+        structure = tangent_algebroid()
+        fields = [KVector.coordinate(0), KVector.blade((1,), Poly.variable(0))]
+        for k in (0, 1):
+            value = ce_value(structure, k, lambda *_: scalar, fields[: k + 1])
+            expected = add_chain_ce_value(structure, k, lambda *_: scalar, fields[: k + 1])
+            assert value == expected == Poly.constant(-scalar if k else 0)
+            assert is_canonical(value)
 
 
 class TestContravariantDifferential:

@@ -647,6 +647,47 @@ class TestArgvFuzz:
         assert "Traceback" not in err.getvalue(), argv
 
 
+class TestParserReuse:
+    def test_calls_after_a_usage_error_match_fresh_processes(self, monkeypatch):
+        # One parser serves every cli.run call in a process.  Whatever a
+        # usage error leaves on it must not reach a later call, of the same
+        # subcommand or another: each call gives the exit code, report and
+        # messages of a fresh interpreter.
+        std = str(fixture_path("std_basic.adsl"))
+        argvs = [
+            ["cohomology", "--input", std],  # missing required options
+            ["bracket", "--input", std, "--left", "f", "--right", "g", "--format", "json"],
+            ["check-axioms", "--input", std, "--structure", "other"],  # not a choice
+            ["d", "--input", std, "--target", "f"],
+            ["--bogus"],
+            ["check-axioms", "--input", std, "--structure", "tangent", "--format", "json"],
+            ["cohomology", "--input", std, "--complex", "lp", "--support", "0..1",
+             "--degree", "1", "--grades", "x"],
+            ["cohomology", "--input", std, "--complex", "lp", "--support", "0..1",
+             "--degree", "1"],
+        ]
+        # Usage lines wrap at the terminal width; pin it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        env = child_env()
+        env["COLUMNS"] = "80"
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.run(list(argv))
+                except SystemExit as exc:  # argparse rejects a usage error this way
+                    code = exc.code
+            fresh = subprocess.run(
+                [sys.executable, "-m", "algebroid.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            got = (code, out.getvalue(), err.getvalue())
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert cli._parser() is cli._parser()
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         completed = subprocess.run(

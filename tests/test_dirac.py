@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroid.courant import (
     DiracStructure,
@@ -229,6 +231,34 @@ class TestComplementAgainstBruteForce:
             for w, support in _seeded_structures(seed):
                 verdicts.add(brute_force_complement(w, support))
         assert verdicts == {(True, True), (True, False), (False, False)}
+
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda size: st.tuples(
+                st.sets(st.integers(min_value=0, max_value=7), min_size=size, max_size=size),
+                st.lists(
+                    st.lists(st.integers(min_value=-2, max_value=2), min_size=size,
+                             max_size=size),
+                    min_size=size,
+                    max_size=size,
+                ),
+            )
+        ),
+        st.sets(st.integers(min_value=0, max_value=9), min_size=1, max_size=6),
+    )
+    @settings(deadline=None)
+    def test_isotropy_of_arbitrary_blocks(self, block_and_rows, support):
+        # The sparse isotropy test reads only the columns two rows share;
+        # blocks that are not antisymmetric make some graphs non-isotropic,
+        # and entries outside the block or the support are never paired.
+        block, rows = block_and_rows
+        w = ConstantSymplectic(
+            "explicit", tuple(sorted(block)), [[Fraction(v) for v in row] for row in rows]
+        )
+        for structure in (w, STD):
+            report = orthogonal_complement(structure, tuple(sorted(support)))
+            expected = brute_force_complement(structure, support)
+            assert (report.isotropic, report.equals_complement) == expected
 
     def test_thirty_variables_take_a_few_ranks(self, monkeypatch):
         # An isotropic subbundle equals its complement exactly when it has

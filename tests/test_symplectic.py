@@ -36,6 +36,7 @@ from algebroid.poly import Poly
 from algebroid.sampling import Sampler
 from algebroid.symplectic import (
     ConstantSymplectic,
+    _koszul_bracket,
     check_weak_symplectic,
     flat,
     hamiltonian_vf,
@@ -49,6 +50,7 @@ from conftest import (
     INDICES,
     alternating,
     constant_structures,
+    is_canonical,
     polys,
     reference_sharp_components,
 )
@@ -247,6 +249,42 @@ class TestOneFormBracket:
                 lie_derivative(xa, b) - lie_derivative(xb, a) - de_rham(b.evaluate(xa))
             )
             assert got == [expected] * len(got)
+
+
+def cartan_koszul(anchor, a, b):
+    """i_{xa} db - i_{xb} da - d(a(xb)), one operator call per term, on
+    copies of the forms that carry no memoized derivative."""
+    a, b = KForm(1, a.terms), KForm(1, b.terms)
+    xa, xb = anchor(a), anchor(b)
+    return (
+        interior_product(xa, de_rham(b))
+        - interior_product(xb, de_rham(a))
+        - de_rham(a.evaluate(xb))
+    )
+
+
+class TestKoszulAgainstComposition:
+    """The fused Koszul bracket against its composition of operators.  The
+    anchor a -> i_a P of any grade-2 KVector P is allowed, with polynomial
+    coefficients, so nothing rests on P being Poisson or constant."""
+
+    @given(alternating(KVector, 2), alternating(KForm, 1), alternating(KForm, 1))
+    @settings(deadline=None)
+    def test_any_bivector_anchor(self, p, a, b):
+        def anchor(form):
+            return interior_product(form, p)
+
+        value = _koszul_bracket(anchor, a, b)
+        assert value == cartan_koszul(anchor, a, b)
+        assert is_canonical(value)
+
+    @given(constant_structures(), alternating(KForm, 1), alternating(KForm, 1))
+    @settings(deadline=None, max_examples=50)
+    def test_cotangent_and_strict_brackets(self, w, a, b):
+        algebroid = cotangent(w, a.support() | b.support())
+        assert algebroid.bracket(a, b) == cartan_koszul(algebroid.anchor, a, b)
+        strict = outcome(oneform_bracket, w, a, b)
+        assert strict == outcome(cartan_koszul, lambda form: sharp(w, form), a, b)
 
 
 class TestInducedPairing:
