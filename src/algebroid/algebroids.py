@@ -69,12 +69,21 @@ def tangent_algebroid() -> AlgebroidStructure:
 
 def cotangent_algebroid(pi: KVector) -> AlgebroidStructure:
     """One-forms with the anchor a -> i_a pi and the Koszul bracket of the
-    Poisson bivector ``pi``, a grade-2 KVector."""
+    Poisson bivector ``pi``, a grade-2 KVector.  The structure keeps the
+    anchor of each form it has seen, as ``de_rham`` keeps d."""
     if type(pi) is not KVector or pi.grade != 2:
         raise GradeError("the cotangent algebroid needs a grade-2 KVector")
 
+    # id(section) -> (section, anchor): the memo holds the form, so its id
+    # cannot pass to another form while the entry lives.  Forms are
+    # immutable, so an entry stays right.
+    memo = {}
+
     def anchor(section):
-        return interior_product(section, pi)
+        hit = memo.get(id(section))
+        if hit is None:
+            hit = memo[id(section)] = (section, interior_product(section, pi))
+        return hit[1]
 
     return AlgebroidStructure(
         name="cotangent",

@@ -60,7 +60,7 @@ from algebroid.exterior import (
     lie_derivative,
     schouten_bracket,
 )
-from algebroid.poly import Poly, render_fraction
+from algebroid.poly import MAX_VARIABLES, Poly, render_fraction
 from algebroid.sampling import Sampler
 from algebroid.symplectic import (
     check_weak_symplectic,
@@ -180,8 +180,9 @@ def _require_binding(document, name, kinds, what):
     return binding
 
 
-def _parse_index_list(text, what):
-    """Accept ``a..b`` ranges and comma lists, with optional braces."""
+def _parse_index_list(text, what, bound=None):
+    """Accept ``a..b`` ranges and comma lists, with optional braces; every
+    entry must be below ``bound`` when one is given."""
     body = text.strip().strip("{}").strip()
     if not body:
         return ()
@@ -196,20 +197,27 @@ def _parse_index_list(text, what):
                 raise UsageError(f"bad {what} range {piece!r}") from None
             if hi < lo:
                 raise UsageError(f"empty {what} range {piece!r}")
+            _check_bound(hi, what, bound)
             out.extend(range(lo, hi + 1))
         else:
             try:
                 out.append(int(piece))
             except ValueError:
                 raise UsageError(f"bad {what} entry {piece!r}") from None
+            _check_bound(out[-1], what, bound)
     if out and min(out) < 0:
         raise UsageError(f"negative {what} entry {min(out)}")
     return tuple(sorted(set(out)))
 
 
+def _check_bound(index, what, bound):
+    if bound is not None and index >= bound:
+        raise UsageError(f"{what} entry {index} is not below {bound}")
+
+
 def _model_support(document, args, default=None):
     if getattr(args, "support", None) is not None:
-        return _parse_index_list(args.support, "support")
+        return _parse_index_list(args.support, "support", MAX_VARIABLES)
     if default is not None:
         return default
     if document.var_indices:

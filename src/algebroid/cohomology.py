@@ -334,7 +334,7 @@ def check_lp_ce_agreement(
     exact pipeline on both complexes.
     """
     sampler = Sampler(seed)
-    structure = cotangent_algebroid(w.bivector(spec.support))
+    pi = w.bivector(spec.support)
     mismatches = []
     operator_grades = (0, 1, 2)
     for grade in operator_grades:
@@ -344,7 +344,8 @@ def check_lp_ce_agreement(
                 sampler.oneform(spec.support, spec.degree)
                 for _ in range(grade + 1)
             ]
-            lhs = ce_differential(structure, field, args)
+            # A structure per trial: its anchor memo holds this trial's forms only.
+            lhs = ce_differential(cotangent_algebroid(pi), field, args)
             rhs = contravariant_differential(w, field).evaluate(*args)
             if lhs != rhs:
                 mismatches.append((grade, field, args, lhs - rhs))

@@ -29,8 +29,10 @@ Grammar (one declaration per line, ``#`` starts a comment)::
             | '(' expr ',' expr ')'       generalized section
 
 Every coordinate index that appears (in x<i>, dx[i], e[i], or the explicit
-support) must be declared on a ``var`` line; binding names are unique and
-may not collide with keywords or with the coordinate pattern ``x<digits>``.
+support) must be declared on a ``var`` line and be below
+``poly.MAX_VARIABLES``; binding names are unique and may not collide with
+keywords or with the coordinate pattern ``x<digits>``.  A ``^`` whose result
+would hold an exponent above ``poly.MAX_EXPONENT`` is rejected at the ``^``.
 Binding a tensor kind to an identically zero value of grade >= 1 is
 rejected: the canonical printer could not preserve its grade.
 
@@ -49,7 +51,7 @@ from math import comb
 from algebroid.courant import GeneralizedSection
 from algebroid.errors import DslError, GradeError
 from algebroid.exterior import KForm, KVector, de_rham, render_alternating, wedge
-from algebroid.poly import Poly, render_fraction, render_poly
+from algebroid.poly import MAX_EXPONENT, MAX_VARIABLES, Poly, render_fraction, render_poly
 from algebroid.symplectic import ConstantSymplectic
 
 KEYWORDS = {
@@ -223,10 +225,16 @@ class _LineParser:
         match = _COORD_RE.match(token.text)
         if not match:
             raise self.error(f"expected a coordinate like x0, found {token.text!r}", token)
-        return int(match.group(1))
+        return self.check_bound(int(match.group(1)), token)
+
+    def check_bound(self, index, token) -> int:
+        if index >= MAX_VARIABLES:
+            raise self.error(f"coordinate indices are below {MAX_VARIABLES}, got {index}", token)
+        return index
 
     def check_declared(self, index, token):
         if index not in self.document.var_indices:
+            self.check_bound(index, token)
             raise self.error(f"coordinate x{index} is not declared", token)
 
     # -- expressions -------------------------------------------------------
@@ -279,6 +287,10 @@ class _LineParser:
                     f"{op.text!r} could expand to coefficients of more than "
                     f"{EXPANSION_BITS} bits",
                     op,
+                )
+            if value.max_exponent() * exponent > MAX_EXPONENT:
+                raise self.error(
+                    f"{op.text!r} would give an exponent larger than {MAX_EXPONENT}", op
                 )
             return value**exponent
         return value

@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from algebroid.errors import ArityError, GradeError
-from algebroid.poly import Poly, _add_scaled, _derivative, _mac, _poly, render_poly
+from algebroid.poly import Poly, _add_scaled, _derivative, _mac, _partials, _poly, render_poly
 
 
 def _merge_blades(a, b):
@@ -387,8 +387,7 @@ def _differentiate(out, f, scale=1):
     for mono, coeff in f.items():
         if coeff:
             coeff *= scale
-            for pos, (var, exp) in enumerate(mono):
-                rest = mono[:pos] + (((var, exp - 1),) if exp > 1 else ()) + mono[pos + 1 :]
+            for var, exp, rest in _partials(mono):
                 sums = out.setdefault((var,), {})
                 value = coeff * exp
                 sums[rest] = sums[rest] + value if rest in sums else value

@@ -1,18 +1,25 @@
 """Sparse multivariate polynomials over the exact rationals.
 
-The coordinate arena is countable: variables are indexed by natural numbers
-and rendered ``x0, x1, x2, ...``.  A monomial is a tuple of
-``(variable, exponent)`` pairs, strictly increasing in the variable index,
-with every exponent >= 1; the empty tuple is the constant monomial.  A
-polynomial maps monomials to nonzero exact rational coefficients, each in
+Variables are indexed by natural numbers below ``MAX_VARIABLES`` and
+rendered ``x0, x1, x2, ...``.  A monomial is one ``int``: variable v owns
+the ``W``-bit field at bit ``W * v``, which holds its exponent, so the
+constant monomial is 0 and a product of monomials is one int addition
+(the packed exponent vectors of Monagan & Pearce, CASC 2007).  The top bit
+of every field is a guard bit and stays clear, so an exponent is at most
+``MAX_EXPONENT`` = 2**15 - 1 and a sum of two fields never carries into the
+next one; a product whose exponent would pass it raises ``ResultTooLarge``.
+``(variable, exponent)`` pairs appear only where monomials enter, through
+``encode`` (the constructor, ``coefficient``, ``Poly.variable``), and where
+they are sorted and rendered, through ``decode``.
+
+A polynomial maps monomials to nonzero exact rational coefficients, each in
 one canonical form: a plain ``int`` when the value is integral, and a
 ``fractions.Fraction`` with denominator > 1 otherwise (never a ``float`` or
 a ``bool``), so the common integer case never pays for ``Fraction``
-arithmetic.  Zero coefficients are never stored, so every value
-is a canonical form and ``==`` is exact structural equality.  Any single
-polynomial touches only finitely many variables even though the arena is
-unbounded.  The accessors ``coefficient`` and ``constant_term`` return a
-``Fraction`` whatever the stored form.
+arithmetic.  Zero coefficients are never stored, so every value is a
+canonical form and ``==`` is exact structural equality.  The accessors
+``coefficient`` and ``constant_term`` return a ``Fraction`` whatever the
+stored form.
 
 Instances are treated as immutable: no method mutates ``self``, and callers
 must not poke at ``terms`` in place.
@@ -25,17 +32,18 @@ many products into one dict and ``_poly`` wraps it once.  Rational operands
 are multiplied over Z: both are scaled by the lcm of their denominators,
 and each output term is divided back once.
 
-Exact division and fraction-free elimination run on a private packed form.
-A ``_Packing`` built from some polynomials maps each monomial over their
-variables to one int: the total degree in the top field, then one field per
-variable that occurs, at dense positions with the lowest index most
-significant, so integer order is ``monomial_division_key`` order.  Each
-field has ``W`` bits, with ``2**(W - 1)`` above every total degree the
-computation reaches (the caller's bound), so a monomial product is one int
-addition and fields never carry.  ``G`` holds the top, guard bit of every
-field: in ``(a | G) - b`` a field keeps its guard bit exactly when b's
-exponent there is at most a's, so one subtraction gives the quotient a/b
-or, by a cleared guard bit, proves that b does not divide a.
+Exact division and fraction-free elimination run on a private packed form
+of their own.  A ``_Packing`` built from some polynomials maps each
+monomial over their variables to one int: the total degree in the top
+field, then one field per variable that occurs, at dense positions with the
+lowest index most significant, so integer order is
+``monomial_division_key`` order.  Each field has ``width`` bits, with
+``2**(width - 1)`` above every total degree the computation reaches (the
+caller's bound), so a monomial product is one int addition and fields
+never carry.  ``guard`` holds the top bit of every field: in
+``(a | guard) - b`` a field keeps its guard bit exactly when b's exponent
+there is at most a's, so one subtraction gives the quotient a/b or, by a
+cleared guard bit, proves that b does not divide a.
 """
 
 from __future__ import annotations
@@ -47,43 +55,83 @@ from math import lcm
 
 from algebroid.errors import ResultTooLarge
 
-# (variable index, exponent) pairs, strictly increasing, exponents >= 1.
-Monomial = tuple
+# Variable indices are below MAX_VARIABLES, so no monomial is wider than
+# W * MAX_VARIABLES bits, whatever the input.
+MAX_VARIABLES = 4096
+W = 16
+FIELD = (1 << W) - 1
+MAX_EXPONENT = (1 << (W - 1)) - 1
+# The guard bit of every field, in closed form: a sum over the fields would
+# loop MAX_VARIABLES times at import.
+GUARD = ((1 << (W * MAX_VARIABLES)) - 1) // FIELD << (W - 1)
 
-CONSTANT_MONOMIAL = ()
+CONSTANT_MONOMIAL = 0
 
-
-def monomial_degree(mono) -> int:
-    return sum(e for _, e in mono)
-
-
-def monomial_mul(a, b):
-    """Merge two monomials, adding exponents of shared variables."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va < vb:
-            out.append(a[i])
-            i += 1
-        elif vb < va:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+# ``monomial_degree`` adds each field to the one above it: the low half of
+# each 32-bit lane then holds f(2j) + f(2j + 1) < 2**16, and _PAIR_SUMS keeps
+# those halves.  _DEGREE_MODULUS = (2**32 - 1) / 5 divides 2**32 - 1, so the
+# sum of the lanes, the total degree, is their value modulo it; it exceeds
+# every total degree, MAX_VARIABLES * MAX_EXPONENT.
+_PAIR_SUMS = int.from_bytes(b"\xff\xff\x00\x00" * ((MAX_VARIABLES + 1) // 2), "little")
+_DEGREE_MODULUS = ((1 << 2 * W) - 1) // 5
 
 
-def monomial_key(mono):
+def encode(pairs) -> int:
+    """The monomial of ``(variable, exponent)`` pairs, strictly increasing in
+    the variable, every exponent >= 1; ``()`` is the constant monomial."""
+    mono = 0
+    last = -1
+    for var, exp in pairs:
+        if not last < var < MAX_VARIABLES or exp < 1:
+            raise ValueError(
+                f"malformed monomial {pairs!r}: pairs must increase in variables "
+                f"below {MAX_VARIABLES}, with exponents >= 1"
+            )
+        if exp > MAX_EXPONENT:
+            raise ResultTooLarge(f"an exponent is larger than {MAX_EXPONENT}")
+        mono += exp << (W * var)
+        last = var
+    return mono
+
+
+def decode(mono: int) -> tuple:
+    """The ``(variable, exponent)`` pairs of ``mono``, increasing in the variable."""
+    pairs = []
+    var = 0
+    while mono:
+        exp = mono & FIELD
+        if exp:
+            pairs.append((var, exp))
+            mono >>= W
+            var += 1
+        else:  # skip the empty fields below the lowest set bit at once
+            skip = ((mono & -mono).bit_length() - 1) // W
+            mono >>= W * skip
+            var += skip
+    return tuple(pairs)
+
+
+def _partials(mono: int) -> list:
+    """``(v, e, mono / x_v)`` for each variable v of ``mono``, e its exponent:
+    d mono / d x_v is ``e * (mono / x_v)``."""
+    return [(var, exp, mono - (1 << W * var)) for var, exp in decode(mono)]
+
+
+def _monomial(mono) -> int:
+    """A monomial entering from outside: a packed int, checked, or pairs, encoded."""
+    if type(mono) is int:
+        if mono < 0 or mono & GUARD or mono >> (W * MAX_VARIABLES):
+            raise ValueError(f"malformed monomial {mono!r}")
+        return mono
+    return encode(mono)
+
+
+def monomial_degree(mono: int) -> int:
+    """The total degree: the sum of the fields (see _PAIR_SUMS)."""
+    return ((mono + (mono >> W)) & _PAIR_SUMS) % _DEGREE_MODULUS
+
+
+def monomial_key(mono: int):
     """Canonical display order: total degree first, then the pair tuple.
 
     This is the order of ``sorted_terms`` and of the renderer.  It is a
@@ -91,10 +139,10 @@ def monomial_key(mono):
     multiplication), so division must not use it; see
     ``monomial_division_key``.
     """
-    return (monomial_degree(mono), mono)
+    return (monomial_degree(mono), decode(mono))
 
 
-def monomial_division_key(mono):
+def monomial_division_key(mono: int):
     """True graded-lex order (x0 > x1 > ...), compatible with multiplication.
 
     Ties in total degree are broken by the exponent vector read
@@ -105,7 +153,7 @@ def monomial_division_key(mono):
     derails long division on exactly divisible inputs.  The keys of a
     ``_Packing`` compare as integers in exactly this order.
     """
-    return (monomial_degree(mono), tuple((-v, e) for v, e in mono))
+    return (monomial_degree(mono), tuple((-v, e) for v, e in decode(mono)))
 
 
 def _coefficient(value):
@@ -138,19 +186,18 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
+        """``terms`` maps monomials, as ints or as ``(variable, exponent)``
+        pair tuples, to coefficients."""
         cleaned = {}
         if terms:
             for mono, coeff in dict(terms).items():
                 coeff = _coefficient(coeff)
                 if not coeff:
                     continue
-                mono = tuple(mono)
-                last = -1
-                for var, exp in mono:
-                    if var <= last or exp < 1:
-                        raise ValueError(f"malformed monomial {mono!r}")
-                    last = var
-                cleaned[mono] = coeff
+                key = _monomial(mono)
+                if key in cleaned:
+                    raise ValueError(f"monomial {mono!r} is given twice")
+                cleaned[key] = coeff
         self.terms = cleaned
 
     @classmethod
@@ -175,13 +222,13 @@ class Poly:
 
     @classmethod
     def variable(cls, index: int, power: int = 1) -> "Poly":
-        if index < 0:
-            raise ValueError("variable indices are natural numbers")
+        if not 0 <= index < MAX_VARIABLES:
+            raise ValueError(f"variable indices are natural numbers below {MAX_VARIABLES}")
         if power < 0:
             raise ValueError("negative powers are not representable")
         if power == 0:
             return cls.one()
-        return cls._raw({((index, power),): 1})
+        return cls._raw({encode(((index, power),)): 1})
 
     # -- predicates ------------------------------------------------------
 
@@ -268,11 +315,27 @@ class Poly:
         return Poly._raw(_derivative(self.terms, index))
 
     def variables(self) -> set:
-        seen = set()
+        # A field of the union of the keys is nonzero where some term's is;
+        # the walk of ``decode``, keeping only the variables.
+        union = 0
         for mono in self.terms:
-            for var, _ in mono:
+            union |= mono
+        seen = set()
+        var = 0
+        while union:
+            if union & FIELD:
                 seen.add(var)
+                union >>= W
+                var += 1
+            else:
+                skip = ((union & -union).bit_length() - 1) // W
+                union >>= W * skip
+                var += skip
         return seen
+
+    def max_exponent(self) -> int:
+        """The largest exponent of any variable in any term (0 for a constant)."""
+        return max((exp for mono in self.terms for _, exp in decode(mono)), default=0)
 
     def denominator(self) -> int:
         """The lcm of the coefficients' denominators: the least positive
@@ -287,17 +350,42 @@ class Poly:
         """Largest total degree among the terms (0 for the zero polynomial)."""
         if not self.terms:
             return 0
-        return max(monomial_degree(m) for m in self.terms)
+        return max(map(monomial_degree, self.terms))
 
     def constant_term(self) -> Fraction:
         return Fraction(self.terms.get(CONSTANT_MONOMIAL, 0))
 
     def coefficient(self, mono) -> Fraction:
-        return Fraction(self.terms.get(tuple(mono), 0))
+        """The coefficient of ``mono``, an int or ``(variable, exponent)`` pairs."""
+        return Fraction(self.terms.get(_monomial(mono), 0))
 
     def sorted_terms(self):
-        """Terms in the canonical (graded-lex ascending) order."""
-        return sorted(self.terms.items(), key=lambda item: monomial_key(item[0]))
+        """Terms in the canonical display order, that of ``monomial_key``.
+
+        Within one degree, ``monomial_key`` compares the pair tuples: the
+        exponents read from variable 0 up, where a variable a monomial lacks
+        sorts after every exponent, since its next pair names a later
+        variable.  With u(0) = 2**16 - 1 and u(e) = e - 1 that is the order
+        of the u-vectors read from variable 0 up.  ``((m | guard) - ones) ^
+        guard`` takes u of every field at once (no field borrows, as each
+        holds its guard bit), and swapping the two bytes of each field makes
+        the little-endian bytes of the result list the fields from variable
+        0 up, high byte first: so the bytes compare as the u-vectors do.  A
+        key is as wide as the widest monomial, and holds no tuple.
+        """
+        if not self.terms:
+            return []
+        n = (max(self.terms).bit_length() + W - 1) // W
+        ones = ((1 << (W * n)) - 1) // FIELD
+        guard = ones << (W - 1)
+        low_bytes = ones * 0xFF
+        keyed = []
+        for mono, coeff in self.terms.items():
+            u = ((mono | guard) - ones) ^ guard
+            u = ((u & low_bytes) << 8) | (u >> 8 & low_bytes)
+            keyed.append((monomial_degree(mono), u.to_bytes(2 * n, "little"), mono, coeff))
+        keyed.sort()  # keys are distinct, so no coefficient is compared
+        return [(mono, coeff) for _, _, mono, coeff in keyed]
 
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Exact quotient self/divisor; raises ValueError when not divisible.
@@ -341,6 +429,9 @@ def _mac(out: dict, a: dict, b: dict, sign: int = 1) -> None:
 
     ``a`` and ``b`` are canonical terms; ``out`` maps monomials to sums
     that may be zero or an integral ``Fraction`` until ``_poly`` wraps it.
+    A monomial product is ``ma + mb``.  Its exponents may pass
+    ``MAX_EXPONENT``, setting a guard bit, but two fields below 2**15 never
+    carry out of 16 bits, so the key stays exact until ``_poly`` rejects it.
     When either operand holds a ``Fraction``, both are scaled to integers
     by the lcm of their denominators, the product is taken over Z, and each
     output term is divided back once: one ``Fraction`` per output term, not
@@ -359,11 +450,11 @@ def _mac(out: dict, a: dict, b: dict, sign: int = 1) -> None:
     acc = out
     if scale != 1:
         a, b, acc = _scaled(a, da), _scaled(b, db), {}
-    get, mul = acc.get, monomial_mul
+    get = acc.get
     for ma, ca in a.items():
         ca *= sign
         for mb, cb in b.items():
-            mono = mul(ma, mb)
+            mono = ma + mb
             acc[mono] = get(mono, 0) + ca * cb
     if scale != 1:
         for mono, c in acc.items():
@@ -380,70 +471,85 @@ def _add_scaled(out: dict, terms: dict, scale) -> None:
 
 
 def _derivative(terms: dict, index: int) -> dict:
-    """The canonical terms of d/dx<index>: {monomial / x<index>: exponent * coefficient}."""
+    """The canonical terms of d/dx<index>: {monomial / x<index>: exponent * coefficient}.
+
+    No term holds an index outside 0 <= index < MAX_VARIABLES: its
+    derivative is zero, and no wide int is built for it."""
     out = {}
+    if not 0 <= index < MAX_VARIABLES:
+        return out
+    shift = W * index
+    unit = 1 << shift
     for mono, coeff in terms.items():
-        for pos, (var, exp) in enumerate(mono):
-            if var >= index:
-                if var == index:
-                    rest = mono[pos + 1 :] if exp == 1 else ((var, exp - 1),) + mono[pos + 1 :]
-                    out[mono[:pos] + rest] = _normal(coeff * exp)
-                break
+        exp = mono >> shift & FIELD
+        if exp:
+            out[mono - unit] = _normal(coeff * exp)
     return out
 
 
 def _poly(terms: dict) -> Poly:
     """The canonical ``Poly`` of sums from ``_mac``, which it takes over:
-    no zeros, integral values as ints."""
-    for c in terms.values():
+    no zeros, integral values as ints.  A key with a guard bit set holds an
+    exponent past ``MAX_EXPONENT`` and raises ``ResultTooLarge``: one AND
+    per term."""
+    rebuild = False
+    for mono, c in terms.items():
+        if mono & GUARD:
+            raise ResultTooLarge(f"a product has an exponent larger than {MAX_EXPONENT}")
         if not c or type(c) is Fraction:
-            return Poly._raw({
-                m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-                for m, c in terms.items()
-                if c
-            })
-    return Poly._raw(terms)
+            rebuild = True
+    if not rebuild:
+        return Poly._raw(terms)
+    return Poly._raw({
+        m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        for m, c in terms.items()
+        if c
+    })
 
 
 class _Packing:
     """Monomials over the variables of ``polys`` packed into ints, in the
     layout of the module docstring; ``bound`` is a total degree no monomial
-    of the computation exceeds, and ``guard`` is ``G``."""
+    of the computation exceeds."""
 
-    __slots__ = ("fields", "shift", "top", "mask", "guard")
+    __slots__ = ("fields", "top", "mask", "guard")
 
     def __init__(self, polys, bound):
         variables = sorted(set().union(*(p.variables() for p in polys)))
         width = bound.bit_length() + 1
         count = len(variables)
-        self.fields = [(v, width * (count - 1 - i)) for i, v in enumerate(variables)]
-        self.shift = dict(self.fields)
+        # (bit of the variable's field in a monomial, bit of it in a key)
+        self.fields = [(W * v, width * (count - 1 - i)) for i, v in enumerate(variables)]
         self.top = width * count
         self.mask = (1 << width) - 1
         self.guard = sum(1 << (width * i + width - 1) for i in range(count + 1))
 
     def pack(self, poly: Poly) -> "_Packed":
-        shift, top = self.shift, self.top
+        fields, top = self.fields, self.top
         terms = {}
         for mono, coeff in poly.terms.items():
             key = degree = 0
-            for var, exp in mono:
-                key += exp << shift[var]
+            for at, to in fields:
+                exp = mono >> at & FIELD
+                key += exp << to
                 degree += exp
             terms[key + (degree << top)] = coeff
         return _Packed(terms, self.guard)
 
     def unpack(self, terms: dict) -> Poly:
-        """The ``Poly`` of packed terms with canonical coefficients, in their order."""
+        """The ``Poly`` of packed terms with canonical coefficients, in their
+        order; an exponent past ``MAX_EXPONENT`` (a minor can reach one)
+        raises ``ResultTooLarge``."""
         fields, mask = self.fields, self.mask
         out = {}
         for key, coeff in terms.items():
-            mono = []
-            for var, at in fields:
-                exp = (key >> at) & mask
-                if exp:
-                    mono.append((var, exp))
-            out[tuple(mono)] = coeff
+            mono = 0
+            for at, to in fields:
+                exp = key >> to & mask
+                if exp > MAX_EXPONENT:
+                    raise ResultTooLarge(f"an exponent is larger than {MAX_EXPONENT}")
+                mono += exp << at
+            out[mono] = coeff
         return Poly._raw(out)
 
 
@@ -555,9 +661,9 @@ def render_fraction(value: Fraction) -> str:
         ) from None
 
 
-def _render_monomial(mono) -> str:
+def _render_monomial(pairs) -> str:
     parts = []
-    for var, exp in mono:
+    for var, exp in pairs:
         parts.append(f"x{var}" if exp == 1 else f"x{var}^{exp}")
     return "*".join(parts)
 
@@ -571,13 +677,14 @@ def render_poly(poly: Poly) -> str:
         return "0"
     pieces = []
     for mono, coeff in poly.sorted_terms():
+        pairs = decode(mono)
         magnitude = abs(coeff)
-        if not mono:
+        if not pairs:
             body = render_fraction(magnitude)
         elif magnitude == 1:
-            body = _render_monomial(mono)
+            body = _render_monomial(pairs)
         else:
-            body = render_fraction(magnitude) + "*" + _render_monomial(mono)
+            body = render_fraction(magnitude) + "*" + _render_monomial(pairs)
         pieces.append((coeff < 0, body))
     first_negative, first_body = pieces[0]
     text = ("-" if first_negative else "") + first_body

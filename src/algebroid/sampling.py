@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from algebroid.exterior import KForm, KVector, _wrap
-from algebroid.poly import Poly, _poly
+from algebroid.poly import Poly, _poly, encode
 
 _COEFFS = (-3, -2, -1, 1, 2, 3)
 
@@ -30,7 +30,7 @@ def monomials_of_degree(support, degree):
             else:
                 mono.append((var, 1))
         out.append(tuple(mono))
-    return sorted(out)
+    return [encode(mono) for mono in sorted(out)]
 
 
 def monomials_up_to(support, degree):

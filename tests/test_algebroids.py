@@ -12,6 +12,7 @@ Oracles:
   evaluated without ever materializing a cochain.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algebroid import symplectic
+from algebroid import algebroids, symplectic
 from algebroid.algebroids import (
     AlgebroidStructure,
     ce_differential,
@@ -238,6 +239,41 @@ class TestBracketTable:
         functions = [s.nonzero_poly(SUPPORT, 1) for _ in range(m)]
         assert check_algebroid_axioms(STD_COTANGENT, sections, functions).passed
         assert 0 < len(computed) <= n + n * n + m * n
+
+    @pytest.mark.parametrize(
+        "pi",
+        [STD.bivector(SUPPORT), KVector.blade((0, 1), Poly.variable(2)) + KVector.blade((2, 3))],
+        ids=["poisson", "not-poisson"],
+    )
+    def test_each_form_is_anchored_once(self, pi, monkeypatch):
+        # The Koszul bracket asks for anchor(a) and anchor(b) on every call;
+        # the structure keeps each form's anchor, so every form is contracted
+        # with pi once, and the report, witnesses included, is unchanged.
+        contract = algebroids.interior_product
+        calls = {"memo": [], "plain": []}
+
+        def counting(into):
+            def anchor(section, bivector):
+                calls[into].append(section)  # held, so that no id is reused
+                return contract(section, bivector)
+
+            return anchor
+
+        s = Sampler(419)
+        sections = [s.oneform(SUPPORT, 2) for _ in range(6)]
+        functions = [s.nonzero_poly(SUPPORT, 2) for _ in range(3)]
+        monkeypatch.setattr(algebroids, "interior_product", counting("memo"))
+        report = check_algebroid_axioms(cotangent_algebroid(pi), sections, functions)
+        plain_anchor = functools.partial(counting("plain"), bivector=pi)
+        plain = AlgebroidStructure(
+            "cotangent", "form", plain_anchor,
+            lambda a, b: symplectic._koszul_bracket(plain_anchor, a, b),
+        )
+        assert report == check_algebroid_axioms(plain, sections, functions)
+        assert report.passed == (pi == STD.bivector(SUPPORT))
+        distinct = {id(form) for form in calls["plain"]}
+        assert len(calls["memo"]) == len({id(form) for form in calls["memo"]}) == len(distinct)
+        assert len(calls["plain"]) > 2 * len(distinct)
 
     def test_empty_inputs_pass_vacuously(self):
         for structure in (tangent_algebroid(), STD_COTANGENT):

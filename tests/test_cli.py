@@ -435,6 +435,26 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == "error: a result has a number of more than 4300 digits\n"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("var x4096\n", "line 1, column 5: coordinate indices are below 4096, got 4096"),
+            ("var x5000000\n", "line 1, column 5: coordinate indices are below 4096"),
+            ("var x0\nfn f = x0^32768\n", "line 2, column 10: '^' would give an exponent "
+             "larger than 32767"),
+            ("var x0\nfn f = x0^32767 * x0\n", "error: a product has an exponent larger "
+             "than 32767"),
+        ],
+        ids=["variable", "far-variable", "power", "product"],
+    )
+    def test_a_monomial_past_its_fields_exits_two(self, capsys, tmp_path, text, message):
+        path = tmp_path / "wide.adsl"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "d", "--input", str(path), "--target", "f")
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, out, err = run_cli(
             capsys, "d", "--input", "/does/not/exist.adsl", "--target", "f"
@@ -508,6 +528,11 @@ class TestUsageErrors:
             ("check-courant", "courant_sections.adsl", ("--sections", "-1"), "--sections"),
             ("check-dirac", "dirac_std.adsl", ("--degree", "-1"), "--degree"),
             ("check-dirac", "dirac_std.adsl", ("--support=-1..3",), "negative support"),
+            ("check-dirac", "dirac_std.adsl", ("--support", "0..200000"),
+             "support entry 200000 is not below 4096"),
+            ("check-axioms", "tangent_sections.adsl",
+             ("--structure", "tangent", "--support", "0,4096"),
+             "support entry 4096 is not below 4096"),
             ("check-axioms", "std_basic.adsl", ("--structure", "tangent", "--support", "{}"),
              "support is empty"),
             ("check-courant", "courant_sections.adsl", ("--support", "{}"), "support is empty"),

@@ -50,7 +50,7 @@ from algebroid.cohomology import (
 from algebroid.errors import TruncationTooLarge
 from algebroid.exterior import KForm, KVector, de_rham, interior_product, wedge
 from algebroid.linalg import nullspace, rank
-from algebroid.poly import Poly
+from algebroid.poly import Poly, decode, encode
 from algebroid.sampling import Sampler, monomials_up_to
 from algebroid.symplectic import ConstantSymplectic, flat, sharp
 
@@ -101,7 +101,7 @@ def euler_primitive(form, support):
     out = KForm.zero(grade - 1) if grade > 1 else Poly.zero()
     for blade, coeff in form.terms.items():
         for mono, scalar in coeff.terms.items():
-            weight = grade + sum(e for _, e in mono)
+            weight = grade + sum(e for _, e in decode(mono))
             term = KForm.blade(blade, Poly({mono: scalar}))
             contracted = interior_product(euler, term)
             if grade == 1:
@@ -416,7 +416,7 @@ class TestCeImages:
         structure = so3_structure(scale)
         # d(dx[2]) (e0, e1) = -dx[2]([e0, e1]) = -scale
         image = cohomology._ce_image(structure, self.SUPPORT)
-        assert image(1, (2,), ()) == KForm(2, {(0, 1): -scale})
+        assert image(1, (2,), encode(())) == KForm(2, {(0, 1): -scale})
         self.assert_images_match(image, structure)
 
 

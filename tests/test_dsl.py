@@ -13,7 +13,7 @@ from algebroid.courant import GeneralizedSection
 from algebroid.dsl import parse_document, render_document, render_value
 from algebroid.errors import DslError, NotInvertible
 from algebroid.exterior import KForm, KVector, de_rham, wedge
-from algebroid.poly import Poly
+from algebroid.poly import MAX_EXPONENT, MAX_VARIABLES, Poly
 from algebroid.symplectic import ConstantSymplectic
 
 from conftest import fixture_path
@@ -199,6 +199,48 @@ class TestDigitLimit:
         assert doc.lookup("f").value == int("7" * 4300) * x(0)
 
 
+class TestRepresentationBounds:
+    """A monomial is one int with a 16-bit field per variable below
+    ``MAX_VARIABLES``: an index or an exponent that no field holds is a
+    DslError at its token."""
+
+    @pytest.mark.parametrize(
+        "text,column",
+        [
+            ("var x4096\n", 5),
+            ("var x5000000\n", 5),
+            ("var x0\nfn f = x4096\n", 8),
+            ("var x0\nform a = dx[4096]\n", 13),
+            ("var x0\nvector X = e[4096]\n", 14),
+            ("var x0 x1\nsymplectic explicit support {0, 4096} matrix [[0, 1], [-1, 0]]\n", 33),
+        ],
+        ids=["var", "far-var", "coordinate", "dx", "e", "support"],
+    )
+    def test_an_index_past_the_variables(self, text, column):
+        with pytest.raises(DslError, match=f"coordinate indices are below {MAX_VARIABLES}") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (text.count("\n"), column)
+
+    def test_the_last_index_parses(self):
+        doc = parse(f"var x{MAX_VARIABLES - 1}\nfn f = x{MAX_VARIABLES - 1}^2\n")
+        assert doc.lookup("f").value == x(MAX_VARIABLES - 1) ** 2
+
+    @pytest.mark.parametrize(
+        "power,column",
+        [("(x0^2)^16384", 14), ("(2*x0*x1^3)^10923", 19)],
+    )
+    def test_a_power_past_the_exponent_field(self, power, column):
+        with pytest.raises(DslError, match="'\\^' would give an exponent larger than 32767") as err:
+            parse(f"var x0 x1\nfn f = {power}\n")
+        assert (err.value.line, err.value.column) == (2, column)
+
+    def test_powers_up_to_the_largest_exponent_expand(self):
+        assert MAX_EXPONENT == 32767
+        assert parse("var x0\nfn f = (x0^2)^16383\n").lookup("f").value == x(0) ** 32766
+        doc = parse("var x0 x1\nfn f = (x0*x1^3 + 1)^3\n")
+        assert doc.lookup("f").value == (x(0) * x(1) ** 3 + 1) ** 3
+
+
 class TestExpressionBudget:
     """A ``^``, ``*`` or ``^^`` past the expression budget is a DslError at
     its operator, raised before anything is expanded."""
@@ -245,8 +287,11 @@ class TestExpressionBudget:
         # 101 * 100 * ceil(log2(21 * 29)) = 101,000 bits
         doc = parse("var x0\nfn f = (2/3*x0 + 5/7)^100\n")
         assert doc.lookup("f").value == (Fraction(2, 3) * x(0) + Fraction(5, 7)) ** 100
-        # a unit monomial's coefficient stays 1, whatever the exponent
-        assert parse("var x0\nfn f = x0^1000000\n").lookup("f").value == x(0) ** 1000000
+        # a unit monomial's coefficient stays 1, up to the largest exponent
+        assert parse("var x0\nfn f = x0^32767\n").lookup("f").value == x(0) ** 32767
+        with pytest.raises(DslError, match="exponent larger than 32767") as err:
+            parse("var x0\nfn f = x0^32768\n")
+        assert (err.value.line, err.value.column) == (2, 10)
         assert parse("var x0\nfn f = 2^500000 * x0\n").lookup("f").value == 2**500000 * x(0)
 
     @pytest.mark.parametrize("op", ["*", "^^"])

@@ -236,13 +236,13 @@ class TestGenericElimination:
 
     def test_no_poly_products_while_the_kernel_runs(self, monkeypatch):
         # Every entry is packed before elimination, so the Bareiss products
-        # add ints; a Poly or monomial product inside the kernel means the
-        # packed form was bypassed.
+        # add packed keys; a Poly product, or a call of the product kernel
+        # ``_mac``, inside the kernel means the packed form was bypassed.
         form = banded_form(8, 7)
         rows = [[interior_product(KVector.coordinate(i), form).coefficient((j,))
                  for j in range(8)] for i in range(8)]
         inside = [False]
-        calls = {"monomial_mul": 0, "Poly.__mul__": 0}
+        calls = {"_mac": 0, "Poly.__mul__": 0}
         kernel = linalg._row_echelon
 
         def running(rows, ncols):
@@ -260,13 +260,13 @@ class TestGenericElimination:
             return wrapped
 
         monkeypatch.setattr(linalg, "_row_echelon", running)
-        monkeypatch.setattr(poly, "monomial_mul", counting("monomial_mul", poly.monomial_mul))
+        monkeypatch.setattr(poly, "_mac", counting("_mac", poly._mac))
         product = counting("Poly.__mul__", Poly.__mul__)
         monkeypatch.setattr(Poly, "__mul__", product)
         monkeypatch.setattr(Poly, "__rmul__", product)
         rank_, caveats = linalg.rank_generic(rows, 8)
         assert rank_ == 8 and caveats
-        assert calls == {"monomial_mul": 0, "Poly.__mul__": 0}
+        assert calls == {"_mac": 0, "Poly.__mul__": 0}
 
     def test_an_inexact_division_is_an_internal_error(self, monkeypatch, capsys, tmp_path):
         # A Bareiss division is exact by the minors it divides; a wrong

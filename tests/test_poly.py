@@ -1,5 +1,5 @@
-"""Sparse polynomial arithmetic: ring laws, derivatives, exact division,
-orderings, and canonical rendering."""
+"""Sparse polynomial arithmetic: the int encoding of monomials, ring laws,
+derivatives, exact division, orderings, and canonical rendering."""
 
 import random
 from fractions import Fraction
@@ -9,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebroid import poly
+from algebroid.errors import ResultTooLarge
 from algebroid.poly import (
+    MAX_EXPONENT,
+    MAX_VARIABLES,
     Poly,
+    decode,
+    encode,
     monomial_degree,
     monomial_division_key,
     monomial_key,
-    monomial_mul,
     render_fraction,
     render_poly,
 )
@@ -36,18 +40,58 @@ wide_monomials = st.dictionaries(
 wide_polys = st.dictionaries(wide_monomials, coefficients, max_size=7).map(
     lambda terms: Poly({m: c for m, c in terms.items() if c})
 )
+# Pairs over the whole range of variables and exponents a field holds.
+far_monomials = st.dictionaries(
+    st.integers(min_value=0, max_value=MAX_VARIABLES - 1),
+    st.integers(min_value=1, max_value=MAX_EXPONENT),
+    max_size=5,
+).map(lambda d: tuple(sorted(d.items())))
+
+
+def monomial_mul(a, b):
+    """Merge two pair tuples, adding exponents of shared variables: the
+    tuple product the int encoding replaced, kept as its reference."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va < vb:
+            out.append(a[i])
+            i += 1
+        elif vb < va:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def packed(terms):
+    """``{pairs: coefficient}`` with each monomial encoded."""
+    return {encode(mono): coeff for mono, coeff in terms.items()}
+
+
+def display_key(pairs):
+    """The display order on pair tuples: total degree, then the tuple."""
+    return (sum(e for _, e in pairs), pairs)
 
 
 class TestMonomials:
-    def test_mul_merges_sorted(self):
-        assert monomial_mul(((0, 1), (2, 3)), ((1, 2), (2, 1))) == (
-            (0, 1),
-            (1, 2),
-            (2, 4),
-        )
-
-    def test_mul_identity(self):
-        assert monomial_mul((), ((3, 2),)) == ((3, 2),)
+    def test_product_is_an_int_sum(self):
+        a, b = ((0, 1), (2, 3)), ((1, 2), (2, 1))
+        assert monomial_mul(a, b) == ((0, 1), (1, 2), (2, 4))
+        assert encode(a) + encode(b) == encode(((0, 1), (1, 2), (2, 4)))
+        assert encode(()) == poly.CONSTANT_MONOMIAL == 0
+        assert encode(((3, 2),)) == 2 << 48
 
     def test_div_inverse_of_mul(self):
         a = ((0, 2), (1, 1))
@@ -59,13 +103,137 @@ class TestMonomials:
         assert monomial_div(((0, 1),), ((0, 2),)) is None
 
     def test_degree(self):
-        assert monomial_degree(()) == 0
-        assert monomial_degree(((0, 2), (5, 3))) == 5
+        assert monomial_degree(encode(())) == 0
+        assert monomial_degree(encode(((0, 2), (5, 3)))) == 5
 
     def test_key_orders_by_degree_first(self):
-        low = ((7, 1),)
-        high = ((0, 1), (1, 1))
+        low = encode(((7, 1),))
+        high = encode(((0, 1), (1, 1)))
         assert monomial_key(low) < monomial_key(high)
+
+
+class TestEncoding:
+    """A monomial is an int with the exponent of variable v in the 16-bit
+    field at bit 16 v; pairs enter through ``encode`` and leave through
+    ``decode``."""
+
+    @given(far_monomials)
+    def test_decode_inverts_encode(self, m):
+        assert decode(encode(m)) == m
+
+    @given(far_monomials, far_monomials)
+    def test_an_int_sum_is_the_tuple_product(self, a, b):
+        total = encode(a) + encode(b)
+        expected = monomial_mul(a, b)
+        assert decode(total) == expected
+        if all(e <= MAX_EXPONENT for _, e in expected):
+            assert total == encode(expected)
+            assert not total & poly.GUARD
+        else:
+            assert total & poly.GUARD
+
+    @given(far_monomials)
+    def test_degree_is_the_sum_of_the_exponents(self, m):
+        assert monomial_degree(encode(m)) == sum(e for _, e in m)
+
+    def test_degree_of_every_field_full(self):
+        full = encode(tuple((v, MAX_EXPONENT) for v in range(MAX_VARIABLES)))
+        assert monomial_degree(full) == MAX_VARIABLES * MAX_EXPONENT
+        assert full.bit_length() <= 16 * MAX_VARIABLES
+
+    @given(st.dictionaries(far_monomials, coefficients, max_size=5))
+    def test_derivative_matches_the_tuple_rule(self, terms):
+        p = Poly({m: c for m, c in terms.items() if c})
+        for index in {v for m in terms for v, _ in m} | {0, MAX_VARIABLES - 1}:
+            expected = {}
+            for mono, coeff in terms.items():
+                exponents = dict(mono)
+                if coeff and index in exponents:
+                    exponents[index] -= 1
+                    rest = tuple((v, e) for v, e in sorted(exponents.items()) if e)
+                    expected[rest] = coeff * dict(mono)[index]
+            assert poly._derivative(p.terms, index) == packed(expected)
+            assert p.partial(index) == Poly(expected)
+
+    @given(st.dictionaries(far_monomials, coefficients, max_size=6))
+    def test_sorted_terms_follow_the_display_order_of_pairs(self, terms):
+        p = Poly({m: c for m, c in terms.items() if c})
+        got = [decode(mono) for mono, _ in p.sorted_terms()]
+        assert got == sorted(got, key=display_key)
+        assert [monomial_key(mono) for mono, _ in p.sorted_terms()] == [
+            display_key(pairs) for pairs in got
+        ]
+
+    @given(st.dictionaries(far_monomials, coefficients, max_size=5))
+    def test_variables_and_largest_exponent(self, terms):
+        p = Poly({m: c for m, c in terms.items() if c})
+        pairs = [pair for mono in p.terms for pair in decode(mono)]
+        assert p.variables() == {v for v, _ in pairs}
+        assert p.max_exponent() == max((e for _, e in pairs), default=0)
+        assert p.total_degree() == max((monomial_degree(m) for m in p.terms), default=0)
+
+    def test_the_guard_trips_at_exactly_two_to_the_fifteen(self):
+        assert MAX_EXPONENT == 2**15 - 1
+        x1 = Poly.variable(1)
+        top = Poly.variable(1, MAX_EXPONENT)
+        assert x1 ** (2**14 - 1) * x1 ** (2**14) == top
+        assert top.coefficient(((1, MAX_EXPONENT),)) == 1
+        with pytest.raises(ResultTooLarge):
+            top * x1
+        with pytest.raises(ResultTooLarge):
+            x1 ** (2**14) * x1 ** (2**14)
+        with pytest.raises(ResultTooLarge):
+            x1 ** (2**15)
+        with pytest.raises(ResultTooLarge):
+            Poly.variable(1, 2**15)
+        with pytest.raises(ResultTooLarge):
+            encode(((1, 2**15),))
+        # the guard of x1 trips; nothing carries into x2
+        with pytest.raises(ResultTooLarge):
+            (top + Poly.variable(2)) * (x1 + 1)
+        # a product that cancels still made an exponent past the field
+        out = {}
+        poly._mac(out, top.terms, x1.terms)
+        poly._mac(out, top.terms, x1.terms, -1)
+        with pytest.raises(ResultTooLarge):
+            poly._poly(out)
+
+    def test_an_unpacked_minor_past_the_field_raises(self):
+        big = Poly.variable(0, 2**14)
+        packing = poly._Packing((big,), 2**16)
+        square = packing.pack(big) * packing.pack(big)
+        with pytest.raises(ResultTooLarge):
+            packing.unpack(square.terms)
+
+    def test_indices_at_or_past_the_variables(self):
+        last = Poly.variable(MAX_VARIABLES - 1)
+        assert last.variables() == {MAX_VARIABLES - 1}
+        assert last.partial(MAX_VARIABLES - 1) == 1
+        for index in (MAX_VARIABLES, 10**12, -1):
+            with pytest.raises(ValueError):
+                Poly.variable(index)
+            assert last.partial(index).is_zero()
+        with pytest.raises(ValueError):
+            encode(((MAX_VARIABLES, 1),))
+
+    def test_malformed_monomials_are_rejected(self):
+        for pairs in (((1, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 0),), ((-1, 1),)):
+            with pytest.raises(ValueError):
+                Poly({pairs: 1})
+        for key in (-1, 1 << 15, 1 << (16 * MAX_VARIABLES)):
+            with pytest.raises(ValueError):
+                Poly({key: 1})
+            with pytest.raises(ValueError):
+                Poly.one().coefficient(key)
+        with pytest.raises(ValueError):
+            Poly({(): 1, 0: 2})
+
+    def test_int_and_pair_keys_name_the_same_monomial(self):
+        p = Poly({((0, 2), (3, 1)): 5})
+        key = encode(((0, 2), (3, 1)))
+        assert p == Poly({key: 5})
+        assert p.terms == {key: 5}
+        assert p.coefficient(key) == p.coefficient(((0, 2), (3, 1))) == 5
 
 
 class TestRingLaws:
@@ -201,12 +369,12 @@ class TestCanonicalCoefficients:
         ]
         for p in cases:
             assert [type(c) for c in p.terms.values()] == [int]
-        assert (half * 2).terms == {((0, 1),): 1}
+        assert (half * 2).terms == packed({((0, 1),): 1})
 
     def test_exact_div_by_an_int_constant_gives_fractions_not_floats(self):
         x = Poly.variable(0)
         quotient = (3 * x + 1).exact_div(Poly.constant(2))
-        assert quotient.terms == {((0, 1),): Fraction(3, 2), (): Fraction(1, 2)}
+        assert quotient.terms == packed({((0, 1),): Fraction(3, 2), (): Fraction(1, 2)})
         assert {type(c) for c in quotient.terms.values()} == {Fraction}
 
     def test_accessors_return_fractions(self):
@@ -236,12 +404,12 @@ def reference_product(p, q):
     out = {}
     for ma, ca in p.terms.items():
         for mb, cb in q.terms.items():
-            exponents = dict(ma)
-            for var, exp in mb:
+            exponents = dict(decode(ma))
+            for var, exp in decode(mb):
                 exponents[var] = exponents.get(var, 0) + exp
             mono = tuple(sorted(exponents.items()))
             out[mono] = out.get(mono, Fraction(0)) + Fraction(ca) * Fraction(cb)
-    return {m: c for m, c in out.items() if c}
+    return packed({m: c for m, c in out.items() if c})
 
 
 class TestIntegerScaledProduct:
@@ -259,20 +427,20 @@ class TestIntegerScaledProduct:
         # (x0/3 + 1/2) * (3*x0 - 3/2) = x0^2 + x0 - 3/4
         x0 = Poly.variable(0)
         product = (x0 * Fraction(1, 3) + Fraction(1, 2)) * (x0 * 3 - Fraction(3, 2))
-        assert product.terms == {((0, 2),): 1, ((0, 1),): 1, (): Fraction(-3, 4)}
-        assert type(product.terms[((0, 2),)]) is int
-        assert type(product.terms[((0, 1),)]) is int
+        assert product.terms == packed({((0, 2),): 1, ((0, 1),): 1, (): Fraction(-3, 4)})
+        assert type(product.terms[encode(((0, 2),))]) is int
+        assert type(product.terms[encode(((0, 1),))]) is int
 
     def test_a_monomial_that_cancels_is_removed(self):
         # (x0/2 + 1/3) * (x0/2 - 1/3) = x0^2/4 - 1/9: the x0 terms cancel.
         x0 = Poly.variable(0)
         product = (x0 * Fraction(1, 2) + Fraction(1, 3)) * (x0 * Fraction(1, 2) - Fraction(1, 3))
-        assert product.terms == {((0, 2),): Fraction(1, 4), (): Fraction(-1, 9)}
-        assert ((0, 1),) not in product.terms
+        assert product.terms == packed({((0, 2),): Fraction(1, 4), (): Fraction(-1, 9)})
+        assert encode(((0, 1),)) not in product.terms
         # (2/3*x0 + 1) * (3/2*x0 - 9/4) = x0^2 - 9/4: an int and a removed term.
         product = (x0 * Fraction(2, 3) + 1) * (x0 * Fraction(3, 2) - Fraction(9, 4))
-        assert product.terms == {((0, 2),): 1, (): Fraction(-9, 4)}
-        assert type(product.terms[((0, 2),)]) is int
+        assert product.terms == packed({((0, 2),): 1, (): Fraction(-9, 4)})
+        assert type(product.terms[encode(((0, 2),))]) is int
 
     def test_accumulated_products_wrap_to_canonical_terms(self):
         # 1/2 * x0 * (x0 + 1) + 1/2 * x0 * (x0 - 1) = x0^2: two rational
@@ -281,7 +449,7 @@ class TestIntegerScaledProduct:
         out = {}
         poly._mac(out, (x0 * Fraction(1, 2)).terms, (x0 + 1).terms)
         poly._mac(out, (x0 * Fraction(1, 2)).terms, (x0 - 1).terms)
-        assert poly._poly(out).terms == {((0, 2),): 1}
+        assert poly._poly(out).terms == packed({((0, 2),): 1})
         out = {}
         poly._mac(out, (x0 * Fraction(1, 3)).terms, (x0 * 3).terms, -1)
         poly._mac(out, x0.terms, x0.terms)
@@ -322,10 +490,9 @@ class TestExactDivision:
     @given(monomials, monomials, monomials)
     @settings(deadline=None)
     def test_division_order_is_multiplicative(self, a, b, c):
+        a, b, c = encode(a), encode(b), encode(c)
         if monomial_division_key(a) <= monomial_division_key(b):
-            assert monomial_division_key(monomial_mul(a, c)) <= monomial_division_key(
-                monomial_mul(b, c)
-            )
+            assert monomial_division_key(a + c) <= monomial_division_key(b + c)
 
 
 def monomial_div(a, b):
@@ -354,7 +521,8 @@ def linear_scan_exact_div(dividend, divisor):
 
     The reference for ``Poly.exact_div``: it returns the quotient's terms
     and the number of monomials that entered the remainder (the dividend's
-    terms, then each product term not already present).
+    terms, then each product term not already present).  Monomials are
+    divided and multiplied as pair tuples.
     """
     rem = dict(dividend.terms)
     entered = len(rem)
@@ -363,13 +531,13 @@ def linear_scan_exact_div(dividend, divisor):
     dcoeff = Fraction(divisor.terms[dmono])
     while rem:
         mono = max(rem, key=monomial_division_key)
-        qmono = monomial_div(mono, dmono)
+        qmono = monomial_div(decode(mono), decode(dmono))
         if qmono is None:
             raise ValueError("polynomials do not divide exactly")
         qcoeff = rem[mono] / dcoeff
-        quot[qmono] = qcoeff
+        quot[encode(qmono)] = qcoeff
         for m2, c2 in divisor.terms.items():
-            target = monomial_mul(qmono, m2)
+            target = encode(monomial_mul(qmono, decode(m2)))
             if target not in rem:
                 entered += 1
             acc = rem.get(target, 0) - qcoeff * c2
@@ -407,9 +575,9 @@ class TestHeapDivision:
     @given(wide_monomials, wide_monomials)
     def test_packed_key_order_is_the_division_order(self, a, b):
         pa, pb = Poly({a: 1}), Poly({b: 1})
-        packing = poly._Packing((pa, pb), monomial_degree(a) + monomial_degree(b))
+        packing = poly._Packing((pa, pb), sum(e for _, e in a + b))
         (ka,), (kb,) = packing.pack(pa).terms, packing.pack(pb).terms
-        assert (ka < kb) == (monomial_division_key(a) < monomial_division_key(b))
+        assert (ka < kb) == (monomial_division_key(encode(a)) < monomial_division_key(encode(b)))
         assert (ka == kb) == (a == b)
         assert packing.unpack({ka + kb: 1}) == pa * pb
 
@@ -441,7 +609,7 @@ class TestHeapDivision:
         dividend = p * q
         assert len(dividend.terms) >= 200
         _, entered = linear_scan_exact_div(dividend, q)
-        calls = {"packed": 0, "unpacked": 0, "division": 0, "mul": 0}
+        calls = {"packed": 0, "unpacked": 0, "division": 0, "decode": 0}
         pack, unpack = poly._Packing.pack, poly._Packing.unpack
 
         def counting_pack(self, value):
@@ -464,11 +632,11 @@ class TestHeapDivision:
         monkeypatch.setattr(
             poly, "monomial_division_key", counting("division", monomial_division_key)
         )
-        monkeypatch.setattr(poly, "monomial_mul", counting("mul", monomial_mul))
+        monkeypatch.setattr(poly, "decode", counting("decode", decode))
         assert dividend.exact_div(q) == p
         assert calls["packed"] == len(dividend.terms) + len(q.terms) <= entered + len(q.terms)
         assert calls["unpacked"] == len(p.terms)
-        assert calls["division"] == calls["mul"] == 0
+        assert calls["division"] == calls["decode"] == 0
 
 
 class TestOrderingAndRendering:

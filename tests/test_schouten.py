@@ -27,7 +27,7 @@ from algebroid.exterior import (
     vector_apply,
     wedge,
 )
-from algebroid.poly import Poly
+from algebroid.poly import Poly, decode
 from algebroid.sampling import Sampler
 
 from conftest import graded_zero_sum, sgn
@@ -187,7 +187,7 @@ class TestDifferentiatedIndices:
         derivative = exterior._derivative
 
         def recording(terms, index):
-            calls.append((tuple(sorted({var for mono in terms for var, _ in mono})), index))
+            calls.append((tuple(sorted({v for mono in terms for v, _ in decode(mono)})), index))
             return derivative(terms, index)
 
         monkeypatch.setattr(exterior, "_derivative", recording)
