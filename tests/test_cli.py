@@ -455,6 +455,15 @@ class TestUsageErrors:
         assert message in err
         assert "Traceback" not in err
 
+    def test_a_minor_past_the_exponent_field_exits_two(self, capsys, tmp_path):
+        # Each entry holds x0^20000; the 2x2 minor x0^40000 holds no field.
+        path = tmp_path / "minor.adsl"
+        path.write_text("var x0 x1\nform B = x0^20000 * dx[0] ^^ dx[1]\n")
+        code, out, err = run_cli(
+            capsys, "check-weak-symplectic", "--target", "B", "--input", str(path)
+        )
+        assert (code, out, err) == (2, "", "error: an exponent is larger than 32767\n")
+
     def test_missing_file(self, capsys):
         code, out, err = run_cli(
             capsys, "d", "--input", "/does/not/exist.adsl", "--target", "f"
