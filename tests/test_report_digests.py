@@ -65,7 +65,10 @@ NAMED = {
         ("check-weak-symplectic", "--support", "2"),
         ("sigma", "--target", "f"),
     ],
-    "nonclosed_form.adsl": [("d", "--target", "B")],
+    "nonclosed_form.adsl": [
+        ("check-weak-symplectic", "--target", "B"),
+        ("d", "--target", "B"),
+    ],
     "rational_form.adsl": [
         ("check-weak-symplectic", "--target", "B"),
         ("d", "--target", "B"),
