@@ -487,7 +487,9 @@ def _cmd_cohomology(args, document, report):
     if args.complex in ("lp", "ce-cotangent"):
         w = _require_symplectic(document)
     spec = _truncation(args, _model_support(document, args), args.complex, w)
-    grades = _parse_index_list(args.grades, "grades")
+    # No support exceeds MAX_VARIABLES and a grade above the support's size
+    # is (0, 0), so a larger grade is refused before any range is built.
+    grades = _parse_index_list(args.grades, "grades", MAX_VARIABLES + 1)
     result = compute_cohomology(
         args.complex, w, spec, grades, max_basis=args.max_basis
     )
@@ -507,7 +509,7 @@ def _cmd_theorem_check(args, document, report):
     w = _require_symplectic(document)
     # ce-cotangent needs the same support closure as lp
     spec = _truncation(args, _sampling_support(document, args), "lp", w)
-    grades = _parse_index_list(args.grades, "grades")
+    grades = _parse_index_list(args.grades, "grades", MAX_VARIABLES + 1)
     result = check_lp_ce_agreement(
         w, spec, grades, args.trials, args.seed, max_basis=args.max_basis
     )

@@ -13,9 +13,9 @@ elimination cost follows the largest block, not the size of the matrix.
 A ``Poly`` matrix is reduced whole, so its pivot entries (the caveats of a
 generic rank) are those of the dense matrix.  It is eliminated over Z[x]:
 each row is scaled by the lcm of its coefficients' denominators, and each
-pivot row is divided back by the product of the scales of the pivot rows at
+pivot is divided back by the product of the scales of the pivot rows at
 and above it, so the kernel multiplies and divides no ``Fraction`` and the
-results equal those of eliminating the rational rows.  Its entries are
+pivots equal those of eliminating the rational rows.  Its entries are
 packed once for the whole matrix (``poly._Packing``): each monomial is one
 int, with the total degree in the top field over one field per variable,
 so a product of monomials is an addition and a quotient a subtraction
@@ -23,6 +23,10 @@ whose guard bits prove divisibility.  Fields are wide enough for twice the
 sum over rows of their largest entry degree, which bounds every Bareiss
 product, so they never carry.  ``Poly.exact_div`` runs the same packed
 division.
+
+One back-substitution, ``_back_substitute``, turns echelon rows of either
+entry type into kernel vectors with one exact ``//`` per coordinate, so no
+fraction arises and every product stays inside the fields' bound.
 
 A rational matrix is a list of sparse rows, and a sparse row is a list of
 ``(column, nonzero value)`` pairs; kernel vectors come back in the same
@@ -35,7 +39,7 @@ exactly.  ``Poly`` matrices stay dense lists of rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from algebroid.poly import Poly, _Packing
 
@@ -164,52 +168,52 @@ def rank(rows, ncols) -> int:
     return echelon(rows, ncols)[0]
 
 
-def _block_kernel(block, width):
-    """(free column, kernel vector) pairs of one integer block, in column order.
+def _back_substitute(rows, rank_, pivots, free, ncols, one):
+    """The kernel vector of ``_row_echelon``'s ``rows`` (ints or ``_Packed``)
+    that is zero at every free column but ``free``.
 
-    The vector for free column f is the kernel vector that is 1 at f and 0
-    at the other free columns, scaled by the lcm of its denominators.  Its
-    content is then 1: a prime dividing every entry divides the entry at f,
-    which is the lcm, and so leaves the coordinate whose denominator holds
-    that prime's full power with an integer prime to it.
+    Its entry at ``free`` is the last pivot (``one`` at rank 0); pivot t, at
+    column c, is ``-(sum over j > c of U[t][j] x[j]) // U[t][c]``.  By
+    Cramer's rule each entry is then a minor of the pivot rows, so every
+    division is exact (Bareiss 1968; Nakos, Turner & Williams 1997) and
+    every product, of two minors, stays inside the elimination's bound.
     """
-    rank_, pivots = _row_echelon(block, width)
-    pivot_set = set(pivots)
-    out = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
-        x = [Fraction(0)] * width
-        x[free] = Fraction(1)
-        for t in reversed(range(rank_)):
-            col = pivots[t]
-            row = block[t]
-            acc = Fraction(0)
-            for j in range(col + 1, width):
-                if x[j]:
-                    acc += row[j] * x[j]
-            x[col] = -acc / row[col]
-        scale = 1
-        for value in x:
-            scale = lcm(scale, value.denominator)
-        out.append((free, [int(value * scale) for value in x]))
-    return out
+    zero = one - one
+    x = [zero] * ncols
+    x[free] = rows[rank_ - 1][pivots[rank_ - 1]] if rank_ else one
+    for t in reversed(range(rank_)):
+        col = pivots[t]
+        row = rows[t]
+        acc = zero
+        for j in range(col + 1, ncols):
+            if x[j]:
+                acc = acc - row[j] * x[j]
+        x[col] = acc // row[col]
+    return x
 
 
 def nullspace(rows, ncols):
     """Integer kernel basis, one sparse vector per free column, in column order.
 
-    Each vector is scaled to integer entries with content 1 and a positive
-    coordinate at its free column, so the basis is canonical.  It is solved
-    inside the block of its free column and is zero outside it; a column no
-    row touches gets its unit vector.
+    Each vector is back-substituted, then divided by the gcd of its entries
+    and signed so that its free coordinate is positive: the primitive
+    integer vector on the line of kernel vectors that vanish at the other
+    free columns, so the basis is canonical.  It is solved inside the block
+    of its free column and is zero outside it; a column no row touches gets
+    its unit vector.
     """
     basis = {}
     untouched = set(range(ncols))
     for columns, block in _blocks(rows, ncols):
         untouched.difference_update(columns)
-        for free, values in _block_kernel(block, len(columns)):
-            basis[columns[free]] = [(j, value) for j, value in zip(columns, values) if value]
+        width = len(columns)
+        rank_, pivots = _row_echelon(block, width)
+        for free in range(width):
+            if free in pivots:
+                continue
+            x = _back_substitute(block, rank_, pivots, free, width, 1)
+            content = gcd(*x) if x[free] > 0 else -gcd(*x)
+            basis[columns[free]] = [(j, value // content) for j, value in zip(columns, x) if value]
     for j in untouched:
         basis[j] = [(j, 1)]
     return [basis[j] for j in sorted(basis)]
@@ -224,44 +228,27 @@ def row_space_contains(rows, vector, ncols) -> bool:
 # -- elimination over polynomial entries -----------------------------------
 
 
-def _echelon_generic(rows, ncols):
-    """Row echelon form of a ``Poly`` matrix, eliminated over Z[x] on packed keys.
+def _pack_rows(rows):
+    """``rows`` of ``Poly`` scaled to Z[x] and packed for ``_row_echelon``.
 
-    Each row is scaled by the lcm of the denominators of its entries'
-    coefficients, so the kernel sees integer coefficients only.  A nonzero
-    scale changes no zero test, so pivots and row swaps are those of the
-    unscaled rows.  Every entry is then packed once (``poly._Packing``), so
-    ``_row_echelon`` multiplies monomials by adding ints.  Each Bareiss
-    entry is a minor of the scaled matrix, so by Leibniz expansion its
-    degree is at most S, the sum over rows of their largest entry degree,
-    and a product before a division at most 2S: that bounds the fields.
-    From its pivot on, pivot row t holds minors over the first t + 1 pivot
-    rows, so each entry carries exactly the product of their scales;
-    dividing it back gives the entry of unscaled elimination.
-
-    Returns (rank, pivot_columns, rows): row t holds pivot t, zero before
-    its pivot column; the caller's rows are not touched.
+    Each row is scaled by the lcm of its coefficients' denominators, which
+    changes no zero test and no kernel, and each entry is packed once
+    (``poly._Packing``).  Each Bareiss entry is a minor of the scaled
+    matrix, so by Leibniz expansion its degree is at most S, the sum over
+    rows of their largest entry degree, and a product before a division at
+    most 2S: that bounds the fields.  Returns (packing, packed rows, scales
+    keyed by the id of each packed row, as ``_row_echelon`` swaps them).
     """
     bound = 2 * sum(max((entry.total_degree() for entry in row), default=0) for row in rows)
     packing = _Packing([entry for row in rows for entry in row], bound)
     work = []
-    scales = {}  # id of a working row -> its scale; _row_echelon swaps the lists
+    scales = {}
     for row in rows:
         scale = lcm(*(entry.denominator() for entry in row))
         packed = [packing.pack(entry * scale) for entry in row]
         scales[id(packed)] = scale
         work.append(packed)
-    rank_, pivots = _row_echelon(work, ncols)
-    echelon_rows = []
-    product = 1
-    for t, c in enumerate(pivots):
-        product *= scales[id(work[t])]
-        tail = [packing.unpack(entry.terms) for entry in work[t][c:]]
-        if product != 1:
-            inverse = Fraction(1, product)
-            tail = [entry * inverse for entry in tail]
-        echelon_rows.append([Poly.zero()] * c + tail)
-    return rank_, pivots, echelon_rows
+    return packing, work, scales
 
 
 def rank_generic(rows, ncols):
@@ -269,43 +256,40 @@ def rank_generic(rows, ncols):
 
     The rank is the rank at the generic point (pivot polynomials are nonzero
     as polynomials); non-constant pivot entries are the caller's caveats.
+    Pivot t is a minor over the first t + 1 pivot rows, so it carries the
+    product of their scales; only pivots are unpacked and divided back.
     """
-    rank_, pivots, work = _echelon_generic(rows, ncols)
-    return rank_, [work[t][c] for t, c in enumerate(pivots)]
+    packing, work, scales = _pack_rows(rows)
+    rank_, pivots = _row_echelon(work, ncols)
+    entries = []
+    product = 1
+    for t, c in enumerate(pivots):
+        product *= scales[id(work[t])]
+        entry = packing.unpack(work[t][c].terms)
+        entries.append(entry if product == 1 else entry * Fraction(1, product))
+    return rank_, entries
 
 
 def nullspace_generic(rows, ncols):
-    """Kernel basis of a ``Poly`` matrix at the generic point.
+    """Kernel vectors of a ``Poly`` matrix at the generic point, one per free
+    column, in column order, each computed when it is asked for.
 
-    Back-substitution runs in the fraction field, carried as (num, den)
-    pairs of polynomials; denominators are cleared at the end, so each
-    returned vector has ``Poly`` entries and satisfies M v = 0 identically.
+    Each is back-substituted on the packed rows, divided by the integer
+    content and the common monomial of its entries, and signed so that the
+    first of ``sorted_terms`` of its free entry is positive.  Its entries
+    have integer coefficients, and M v = 0 identically.
     """
-    rank_, pivots, work = _echelon_generic(rows, ncols)
-    pivot_set = set(pivots)
-    one = Poly.one()
-    zero = Poly.zero()
-    basis = []
+    packing, work, _ = _pack_rows(rows)
+    rank_, pivots = _row_echelon(work, ncols)
+    one = packing.pack(Poly.one())
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
-        x = [(zero, one)] * ncols
-        x[free] = (one, one)
-        for t in reversed(range(rank_)):
-            col = pivots[t]
-            row = work[t]
-            num, den = zero, one
-            for j in range(col + 1, ncols):
-                xn, xd = x[j]
-                if xn.is_zero():
-                    continue
-                # num/den += row[j] * xn/xd
-                num = num * xd + row[j] * xn * den
-                den = den * xd
-            x[col] = (-num, den * row[col])
-        clear = one
-        for _, xd in x:
-            clear = clear * xd
-        vector = [xn * clear.exact_div(xd) for xn, xd in x]
-        basis.append(vector)
-    return basis
+        x = _back_substitute(work, rank_, pivots, free, ncols, one)
+        content = gcd(*(c for entry in x for c in entry.terms.values()))
+        common = packing.common_monomial([key for entry in x for key in entry.terms])
+        vector = [packing.unpack({key - common: c // content for key, c in entry.terms.items()})
+                  for entry in x]
+        if vector[free].sorted_terms()[0][1] < 0:
+            vector = [-entry for entry in vector]
+        yield vector

@@ -536,6 +536,16 @@ class _Packing:
             terms[key + (degree << top)] = coeff
         return _Packed(terms, self.guard)
 
+    def common_monomial(self, keys) -> int:
+        """The key of the gcd of the monomials of ``keys``, a nonempty list:
+        each exponent is the least of the keys'."""
+        out = degree = 0
+        for _, to in self.fields:
+            exp = min(key >> to & self.mask for key in keys)
+            out += exp << to
+            degree += exp
+        return out + (degree << self.top)
+
     def unpack(self, terms: dict) -> Poly:
         """The ``Poly`` of packed terms with canonical coefficients, in their
         order; an exponent past ``MAX_EXPONENT`` (a minor can reach one)
@@ -557,8 +567,9 @@ class _Packed:
     """An integer polynomial on the keys of one ``_Packing``.
 
     ``terms`` maps each key to a nonzero int.  It has just what
-    ``linalg._row_echelon`` asks of an entry: ``*``, ``-``, exact ``//`` and
-    truth; a monomial product is one int addition.
+    ``linalg._row_echelon`` and ``linalg._back_substitute`` ask of an entry:
+    ``*``, ``-``, exact ``//`` and truth; a monomial product is one int
+    addition.
     """
 
     __slots__ = ("terms", "guard")

@@ -301,13 +301,13 @@ def check_weak_symplectic(form: KForm, support) -> WeakSymplecticReport:
     m = len(columns)
     rank_, pivot_entries = linalg.rank_generic(rows, m)
     caveats = [p for p in pivot_entries if not p.is_constant()]
-    kernel = [] if rank_ == n else _row_kernel_witness(rows, n, m)
     injective = rank_ == n
     witness = None
-    if not injective and kernel:
-        witness = KVector(
-            1, {(support[i],): kernel[0][i] for i in range(n) if not kernel[0][i].is_zero()}
-        )
+    if not injective:
+        # The left kernel: the kernel of the transpose.
+        transposed = [[rows[i][j] for i in range(n)] for j in range(m)]
+        vector = next(linalg.nullspace_generic(transposed, n))
+        witness = KVector(1, {(support[i],): vector[i] for i in range(n) if vector[i]})
     return WeakSymplecticReport(
         passed=closed and injective,
         closed=closed,
@@ -320,8 +320,3 @@ def check_weak_symplectic(form: KForm, support) -> WeakSymplecticReport:
         caveats=caveats,
     )
 
-
-def _row_kernel_witness(rows, n, m):
-    """Left-kernel vectors of an n-by-m Poly matrix (kernel of the transpose)."""
-    transposed = [[rows[i][j] for i in range(n)] for j in range(m)]
-    return linalg.nullspace_generic(transposed, n)

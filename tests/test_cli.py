@@ -539,6 +539,9 @@ class TestUsageErrors:
             ("check-dirac", "dirac_std.adsl", ("--support=-1..3",), "negative support"),
             ("check-dirac", "dirac_std.adsl", ("--support", "0..200000"),
              "support entry 200000 is not below 4096"),
+            ("cohomology", "std_small.adsl",
+             ("--complex", "lp", "--support", "0..1", "--degree", "2", "--grades", "0..200000"),
+             "grades entry 200000 is not below 4097"),
             ("check-axioms", "tangent_sections.adsl",
              ("--structure", "tangent", "--support", "0,4096"),
              "support entry 4096 is not below 4096"),

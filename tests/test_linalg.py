@@ -1,6 +1,7 @@
 """Exact linear algebra: fraction-free elimination, rank, nullspace, and a
 cross-check against a dense reference Bareiss kept here."""
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -138,12 +139,12 @@ class TestGenericElimination:
 
     def test_empty_matrix(self):
         assert linalg.rank_generic([], 3) == (0, [])
-        assert linalg.nullspace_generic([], 1) == [[Poly.one()]]
+        assert list(linalg.nullspace_generic([], 1)) == [[Poly.one()]]
 
     def test_polynomial_nullspace_annihilates(self):
         x, y = Poly.variable(0), Poly.variable(1)
         rows = [[x, y]]
-        basis = linalg.nullspace_generic(rows, 2)
+        basis = list(linalg.nullspace_generic(rows, 2))
         assert len(basis) == 1
         for vec in basis:
             total = Poly.zero()
@@ -181,9 +182,9 @@ class TestGenericElimination:
             return result
 
         monkeypatch.setattr(linalg, "_row_echelon", checked)
-        for function in (linalg.rank_generic, linalg.nullspace_generic):
-            for rows, ncols in random_rational_poly_matrices(61, 20):
-                function(rows, ncols)
+        for rows, ncols in random_rational_poly_matrices(61, 20):
+            linalg.rank_generic(rows, ncols)
+            list(linalg.nullspace_generic(rows, ncols))
         assert seen == {int}
 
 
@@ -219,7 +220,7 @@ class TestGenericElimination:
         for nrows in (1, 3):
             assert_matches_reference([[] for _ in range(nrows)], 0)
         assert linalg.rank_generic([[], []], 0) == (0, [])
-        assert linalg.nullspace_generic([[], []], 0) == []
+        assert list(linalg.nullspace_generic([[], []], 0)) == []
 
     def test_high_degree_entries_widen_the_fields(self):
         x, y = Poly.variable(0), Poly.variable(1)
@@ -236,21 +237,26 @@ class TestGenericElimination:
 
     def test_no_poly_products_while_the_kernel_runs(self, monkeypatch):
         # Every entry is packed before elimination, so the Bareiss products
-        # add packed keys; a Poly product, or a call of the product kernel
-        # ``_mac``, inside the kernel means the packed form was bypassed.
-        form = banded_form(8, 7)
-        rows = [[interior_product(KVector.coordinate(i), form).coefficient((j,))
-                 for j in range(8)] for i in range(8)]
+        # and those of the back-substitution add packed keys; a Poly product,
+        # or a call of the product kernel ``_mac``, inside either means the
+        # packed form was bypassed.
+        def flat_rows(n):
+            form = banded_form(n, 7)
+            return [[interior_product(KVector.coordinate(i), form).coefficient((j,))
+                     for j in range(n)] for i in range(n)]
+
         inside = [False]
         calls = {"_mac": 0, "Poly.__mul__": 0}
-        kernel = linalg._row_echelon
 
-        def running(rows, ncols):
-            inside[0] = True
-            try:
-                return kernel(rows, ncols)
-            finally:
-                inside[0] = False
+        def running(kernel):
+            def wrapped(*args):
+                inside[0] = True
+                try:
+                    return kernel(*args)
+                finally:
+                    inside[0] = False
+
+            return wrapped
 
         def counting(name, fn):
             def wrapped(*args):
@@ -259,14 +265,34 @@ class TestGenericElimination:
 
             return wrapped
 
-        monkeypatch.setattr(linalg, "_row_echelon", running)
+        rows, odd_rows = flat_rows(8), flat_rows(7)
+        monkeypatch.setattr(linalg, "_row_echelon", running(linalg._row_echelon))
+        monkeypatch.setattr(linalg, "_back_substitute", running(linalg._back_substitute))
         monkeypatch.setattr(poly, "_mac", counting("_mac", poly._mac))
         product = counting("Poly.__mul__", Poly.__mul__)
         monkeypatch.setattr(Poly, "__mul__", product)
         monkeypatch.setattr(Poly, "__rmul__", product)
         rank_, caveats = linalg.rank_generic(rows, 8)
         assert rank_ == 8 and caveats
+        # An antisymmetric matrix of odd size is singular.
+        assert len(list(linalg.nullspace_generic(odd_rows, 7))) == 1
         assert calls == {"_mac": 0, "Poly.__mul__": 0}
+
+    def test_a_unit_kernel_vector_is_its_own_witness(self, capsys, tmp_path):
+        # x0 lies outside the explicit block, so e[0] spans a kernel line of
+        # flat: the witness must carry no factor of the pivots.
+        document = tmp_path / "block6.adsl"
+        document.write_text(
+            "var x0 x1 x2 x3 x4 x5 x6 x7\n"
+            "symplectic explicit support {1, 2, 4, 5, 6, 7} matrix [[0, 2, 1, 0, 3, -1],"
+            " [-2, 0, 5, 1, 0, 2], [-1, -5, 0, 4, 1, 0], [0, -1, -4, 0, 2, 7],"
+            " [-3, 0, -1, -2, 0, 1], [1, -2, 0, -7, -1, 0]]\n"
+        )
+        argv = ["check-weak-symplectic", "--input", str(document), "--format", "json"]
+        assert cli.run(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert (report["rank"], report["dimension"]) == (6, 8)
+        assert report["injective_witness"] == "e[0]"
 
     def test_an_inexact_division_is_an_internal_error(self, monkeypatch, capsys, tmp_path):
         # A Bareiss division is exact by the minors it divides; a wrong
@@ -298,20 +324,38 @@ class TestGenericElimination:
 
 def assert_matches_reference(rows, ncols):
     """``rank_generic`` and ``nullspace_generic`` agree with the textbook
-    Bareiss of ``reference_echelon_generic``, and the kernel annihilates."""
+    Bareiss of ``reference_echelon_generic``: each kernel vector is
+    proportional to the reference one, annihilates, and is in normal form."""
     rank_, pivot_entries = linalg.rank_generic(rows, ncols)
-    basis = linalg.nullspace_generic(rows, ncols)
+    basis = list(linalg.nullspace_generic(rows, ncols))
     want_rank, want_pivots, echelon_rows = reference_echelon_generic(rows, ncols)
     assert rank_ == want_rank
     assert pivot_entries == [echelon_rows[t][c] for t, c in enumerate(want_pivots)]
-    assert basis == reference_nullspace_generic(rows, ncols)
-    assert len(basis) == ncols - rank_
-    for vec in basis:
+    want = reference_nullspace_generic(rows, ncols)
+    assert len(basis) == len(want) == ncols - rank_
+    free = [j for j in range(ncols) if j not in want_pivots]
+    for f, vec, ref in zip(free, basis, want):
+        assert all(vec[i] * ref[j] == vec[j] * ref[i]
+                   for i in range(ncols) for j in range(i + 1, ncols))
+        assert_normal_form(vec, f, free)
         for row in rows:
             total = Poly.zero()
             for entry, coeff in zip(row, vec):
                 total = total + entry * coeff
             assert total.is_zero()
+
+
+def assert_normal_form(vec, f, free):
+    """The normal form of a generic kernel vector for free column ``f``:
+    integer coefficients of content 1, no monomial dividing every term, a
+    positive first term at ``f`` and zero at the other ``free`` columns."""
+    terms = [(mono, c) for entry in vec for mono, c in entry.terms.items()]
+    assert all(type(c) is int for _, c in terms)
+    assert gcd(*(c for _, c in terms)) == 1
+    shared = set.intersection(*({v for v, _ in poly.decode(mono)} for mono, _ in terms))
+    assert shared == set()
+    assert vec[f].sorted_terms()[0][1] > 0
+    assert all(vec[g].is_zero() for g in free if g != f)
 
 
 BAND = (1, Fraction(-1, 2), 2, Fraction(-1, 3), 3, Fraction(-2, 3), Fraction(3, 2))
@@ -361,7 +405,7 @@ def reference_echelon_generic(matrix, ncols):
     """One-step Bareiss on a copy of a ``Poly`` matrix, on its coefficients
     as given, rational ones included.
 
-    The textbook counterpart of ``linalg._echelon_generic`` without its row
+    The textbook counterpart of ``linalg.rank_generic`` without its row
     scales: pivots are the first nonzero entry down each column, and every
     division is checked to be exact.  Returns (rank, pivot columns, rows);
     row t holds pivot t.
@@ -386,8 +430,10 @@ def reference_echelon_generic(matrix, ncols):
 
 
 def reference_nullspace_generic(matrix, ncols):
-    """The kernel basis of ``nullspace_generic``, back-substituted in the
-    fraction field over the rows of ``reference_echelon_generic``."""
+    """A kernel basis with the lines of ``nullspace_generic``'s, one vector
+    per free column that vanishes at the other free columns,
+    back-substituted in the fraction field over the rows of
+    ``reference_echelon_generic``."""
     rank, pivots, rows = reference_echelon_generic(matrix, ncols)
     one, zero = Poly.one(), Poly.zero()
     basis = []
