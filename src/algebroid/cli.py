@@ -46,12 +46,7 @@ from algebroid.courant import (
     dorfman_bracket,
     orthogonal_complement,
 )
-from algebroid.errors import (
-    AlgebroidError,
-    DslError,
-    NotInvertible,
-    TruncationTooLarge,
-)
+from algebroid.errors import AlgebroidError, DslError, NotInvertible
 from algebroid.exterior import (
     KForm,
     KVector,
@@ -154,11 +149,15 @@ def _load(args):
     return document, digest
 
 
-def _base_report(args, digest) -> dict:
+def _base_report(args, digest=None) -> dict:
+    """The fields every report starts with; ``sha256`` only with a digest."""
+    source = {"file": os.path.basename(args.input)}
+    if digest is not None:
+        source["sha256"] = digest
     return {
         "schema": 1,
         "command": args.command,
-        "input": {"file": os.path.basename(args.input), "sha256": digest},
+        "input": source,
         "seed": getattr(args, "seed", DEFAULT_SEED),
     }
 
@@ -679,24 +678,16 @@ def _run(args) -> int:
     except NotInvertible as exc:
         # A declared symplectic structure that is singular is a mathematical
         # failure of the model, reported with its kernel witness.
-        report = {
-            "schema": 1,
-            "command": args.command,
-            "input": {"file": os.path.basename(args.input)},
-            "seed": getattr(args, "seed", DEFAULT_SEED),
-            "error": "the symplectic matrix is singular",
-            "witness": str(getattr(exc, "witness", "")),
-            "passed": False,
-        }
+        report = _base_report(args)
+        report["error"] = "the symplectic matrix is singular"
+        report["witness"] = str(getattr(exc, "witness", ""))
+        report["passed"] = False
         _emit(report, args)
         return 1
 
     report = _base_report(args, digest)
     try:
         passed = _HANDLERS[args.command](args, document, report)
-    except TruncationTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NotInvertible as exc:
         report["error"] = str(exc)
         witness = getattr(exc, "witness", None)

@@ -16,13 +16,9 @@ each row is scaled by the lcm of its coefficients' denominators, and each
 pivot is divided back by the product of the scales of the pivot rows at
 and above it, so the kernel multiplies and divides no ``Fraction`` and the
 pivots equal those of eliminating the rational rows.  Its entries are
-packed once for the whole matrix (``poly._Packing``): each monomial is one
-int, with the total degree in the top field over one field per variable,
-so a product of monomials is an addition and a quotient a subtraction
-whose guard bits prove divisibility.  Fields are wide enough for twice the
-sum over rows of their largest entry degree, which bounds every Bareiss
-product, so they never carry.  ``Poly.exact_div`` runs the same packed
-division.
+packed once for the whole matrix (``poly._Packing``, described in the
+``poly`` module docstring), with fields wide enough for twice the sum over
+rows of their largest entry degree, which bounds every Bareiss product.
 
 One back-substitution, ``_back_substitute``, turns echelon rows of either
 entry type into kernel vectors with one exact ``//`` per coordinate, so no

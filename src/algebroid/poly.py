@@ -32,18 +32,21 @@ many products into one dict and ``_poly`` wraps it once.  Rational operands
 are multiplied over Z: both are scaled by the lcm of their denominators,
 and each output term is divided back once.
 
-Exact division and fraction-free elimination run on a private packed form
-of their own.  A ``_Packing`` built from some polynomials maps each
-monomial over their variables to one int: the total degree in the top
-field, then one field per variable that occurs, at dense positions with the
-lowest index most significant, so integer order is
-``monomial_division_key`` order.  Each field has ``width`` bits, with
+Integer order on these keys is a monomial order, lex with the highest
+variable first: a product adds one int to both sides of a comparison.
+Exact division, ``_divide``, is long division in that order on any keys
+of this layout, one field per variable with the higher variable more
+significant, whatever the field width: ``Poly.exact_div`` divides
+``Poly``'s own keys.  Fraction-free elimination packs its entries once
+(``_Packing``): the variables that occur are renumbered 0, 1, ... in
+their order, and each gets a field of ``width`` bits, with
 ``2**(width - 1)`` above every total degree the computation reaches (the
-caller's bound), so a monomial product is one int addition and fields
-never carry.  ``guard`` holds the top bit of every field: in
-``(a | guard) - b`` a field keeps its guard bit exactly when b's exponent
-there is at most a's, so one subtraction gives the quotient a/b or, by a
-cleared guard bit, proves that b does not divide a.
+caller's bound), so fields never carry, and the keys of a matrix over
+high or scattered variables stay a few narrow fields wide.  With
+``guard`` the top bit of every field, in ``(a | guard) - b`` a field keeps
+its guard bit exactly when b's exponent there is at most a's, so one
+subtraction gives the quotient a/b or, by a cleared guard bit, proves
+that b does not divide a.
 """
 
 from __future__ import annotations
@@ -136,24 +139,10 @@ def monomial_key(mono: int):
 
     This is the order of ``sorted_terms`` and of the renderer.  It is a
     total order but not a monomial order (it is not compatible with
-    multiplication), so division must not use it; see
-    ``monomial_division_key``.
+    multiplication), so division must not use it; division compares the
+    int keys themselves.
     """
     return (monomial_degree(mono), decode(mono))
-
-
-def monomial_division_key(mono: int):
-    """True graded-lex order (x0 > x1 > ...), compatible with multiplication.
-
-    Ties in total degree are broken by the exponent vector read
-    lexicographically from the lowest variable index; encoding each pair as
-    ``(-variable, exponent)`` makes plain tuple comparison implement exactly
-    that.  Division is by this order: a leading term chosen by a
-    non-multiplicative order need not stay leading inside products, which
-    derails long division on exactly divisible inputs.  The keys of a
-    ``_Packing`` compare as integers in exactly this order.
-    """
-    return (monomial_degree(mono), tuple((-v, e) for v, e in decode(mono)))
 
 
 def _coefficient(value):
@@ -390,18 +379,16 @@ class Poly:
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Exact quotient self/divisor; raises ValueError when not divisible.
 
-        Both operands are packed over their variables and divided by
-        ``_divide``, the division of fraction-free elimination.  No monomial
-        of the computation exceeds the dividend's total degree (see
-        ``_divide``), so the larger of the two degrees bounds the fields.
+        ``_divide`` runs on the operands' own keys, with ``GUARD`` cut to
+        the fields they span.
         """
         if not isinstance(divisor, Poly) or divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        packing = _Packing((self, divisor), max(self.total_degree(), divisor.total_degree()))
-        quot = _divide(packing.pack(self).terms, packing.pack(divisor).terms, packing.guard)
+        fields = -(-max(max(self.terms, default=0), max(divisor.terms)).bit_length() // W)
+        quot = _divide(self.terms, divisor.terms, GUARD & ((1 << W * fields) - 1))
         if quot is None:
             raise ValueError("polynomials do not divide exactly")
-        return packing.unpack(quot)
+        return Poly._raw(quot)
 
     def __floordiv__(self, divisor: "Poly") -> "Poly":
         """The exact quotient, as ``//`` is on exact integer multiples."""
@@ -512,39 +499,31 @@ class _Packing:
     layout of the module docstring; ``bound`` is a total degree no monomial
     of the computation exceeds."""
 
-    __slots__ = ("fields", "top", "mask", "guard")
+    __slots__ = ("fields", "mask", "guard")
 
     def __init__(self, polys, bound):
         variables = sorted(set().union(*(p.variables() for p in polys)))
         width = bound.bit_length() + 1
-        count = len(variables)
         # (bit of the variable's field in a monomial, bit of it in a key)
-        self.fields = [(W * v, width * (count - 1 - i)) for i, v in enumerate(variables)]
-        self.top = width * count
+        self.fields = [(W * v, width * i) for i, v in enumerate(variables)]
         self.mask = (1 << width) - 1
-        self.guard = sum(1 << (width * i + width - 1) for i in range(count + 1))
+        self.guard = sum(1 << (width * i + width - 1) for i in range(len(variables)))
 
     def pack(self, poly: Poly) -> "_Packed":
-        fields, top = self.fields, self.top
+        fields = self.fields
         terms = {}
         for mono, coeff in poly.terms.items():
-            key = degree = 0
+            key = 0
             for at, to in fields:
-                exp = mono >> at & FIELD
-                key += exp << to
-                degree += exp
-            terms[key + (degree << top)] = coeff
+                key += (mono >> at & FIELD) << to
+            terms[key] = coeff
         return _Packed(terms, self.guard)
 
     def common_monomial(self, keys) -> int:
         """The key of the gcd of the monomials of ``keys``, a nonempty list:
         each exponent is the least of the keys'."""
-        out = degree = 0
-        for _, to in self.fields:
-            exp = min(key >> to & self.mask for key in keys)
-            out += exp << to
-            degree += exp
-        return out + (degree << self.top)
+        mask = self.mask
+        return sum(min(key >> to & mask for key in keys) << to for _, to in self.fields)
 
     def unpack(self, terms: dict) -> Poly:
         """The ``Poly`` of packed terms with canonical coefficients, in their
@@ -609,19 +588,23 @@ class _Packed:
 
 
 def _divide(terms: dict, divisor: dict, guard: int):
-    """Exact quotient of packed ``terms`` by packed ``divisor``, or None when
-    the division is not exact.
+    """Exact quotient of ``terms`` by ``divisor``, or None when the division
+    is not exact.  Both are on int keys in the layout of the module
+    docstring, and ``guard`` holds the top bit of each of their fields.
 
-    Long division under the division order.  The remainder's keys sit in a
-    heap, negated, so each leading term is a pop, not a scan of the whole
+    Long division in int order.  The remainder's keys sit in a heap,
+    negated, so each leading term is a pop, not a scan of the whole
     remainder.  A quotient term ``q`` cancels the leading term and adds
     ``q + k`` for the other divisor keys ``k``; each ``k`` is below the
-    divisor's leading key and the order is multiplicative, so every added
-    term is strictly below the one cancelled and the heap top stays the
-    true leading term.  No added term exceeds the total degree of the one
-    it follows, so none exceeds the dividend's.  A key is pushed only when
-    it enters the remainder; one cancelled since it was pushed is a stale
-    entry, skipped when popped.  Quotient terms come in descending order.
+    divisor's leading key, so ``q + k`` is below the key cancelled and the
+    heap top stays the true leading term.  Neither ``q`` nor ``k`` holds a
+    guard bit, so no field carries into the next, but lex order bounds no
+    exponent of a lower variable, and ``q + k`` may set a guard bit; such a
+    key, popped, ends the division as inexact.  In an exact division every
+    remainder term lies in the dividend's Newton polytope, so this never
+    happens there.  A key is pushed only when it enters the remainder; one
+    cancelled since it was pushed is a stale entry, skipped when popped.
+    Quotient terms come in descending order.
     """
     rem = dict(terms)
     heap = [-key for key in rem]
@@ -635,6 +618,8 @@ def _divide(terms: dict, divisor: dict, guard: int):
         coeff = rem.pop(key, None)
         if coeff is None:  # stale: cancelled since it was pushed
             continue
+        if key & guard:  # an exponent past the field: not in the dividend's polytope
+            return None
         q = (key | guard) - lead
         if q & guard != guard:  # some exponent of the divisor's is larger
             return None

@@ -11,11 +11,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
+from algebroid.errors import TruncationTooLarge
 from algebroid.exterior import KForm, KVector, _wrap
 from algebroid.poly import Poly, _poly, encode
 
 _COEFFS = (-3, -2, -1, 1, 2, 3)
+# The most monomials a draw may choose from: the pool is enumerated before
+# the first draw, and 80,601 monomials (support 0..400, degree 2) take about
+# 0.24 s, 3,108,105 about 17 s (2 vCPU, CPython 3.11.7).
+MAX_POOL = 100_000
 
 
 def monomials_of_degree(support, degree):
@@ -54,6 +60,13 @@ class Sampler:
         key = (tuple(sorted(set(support))), degree)
         pool = self._pools.get(key)
         if pool is None:
+            count = len(key[0])
+            size = comb(count + degree, degree)
+            if size > MAX_POOL:
+                raise TruncationTooLarge(
+                    f"sampling at degree {degree} over {count} variables draws "
+                    f"from {size} monomials (limit {MAX_POOL})"
+                )
             pool = monomials_up_to(*key)
             self._pools[key] = pool
         return pool

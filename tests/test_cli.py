@@ -551,6 +551,14 @@ class TestUsageErrors:
             ("check-dirac", "dirac_std.adsl", ("--support", "{}"), "support is empty"),
             ("theorem-check", "std_basic.adsl", ("--support", "{}", "--degree", "1"),
              "support is empty"),
+            # Sampling pools past sampling.MAX_POOL monomials, which were
+            # enumerated in full before the first draw.
+            ("check-axioms", "std_basic.adsl", ("--structure", "tangent", "--degree", "300"),
+             "from 348881876 monomials (limit 100000)"),
+            ("check-dirac", "dirac_std.adsl", ("--support", "0..3000"),
+             "from 4507503 monomials (limit 100000)"),
+            ("theorem-check", "std_basic.adsl", ("--support", "0..3", "--degree", "300"),
+             "from 348881876 monomials (limit 100000)"),
         ],
     )
     def test_bad_argument_values_exit_two(self, capsys, command, fixture, extra, reason):

@@ -17,7 +17,6 @@ from algebroid.poly import (
     decode,
     encode,
     monomial_degree,
-    monomial_division_key,
     monomial_key,
     render_fraction,
     render_poly,
@@ -487,12 +486,20 @@ class TestExactDivision:
         q = x0 * x1 * x2 + x0 * x1 * x3
         assert (p * q).exact_div(q) == p
 
-    @given(monomials, monomials, monomials)
+    @given(wide_monomials, wide_monomials, wide_monomials)
     @settings(deadline=None)
-    def test_division_order_is_multiplicative(self, a, b, c):
-        a, b, c = encode(a), encode(b), encode(c)
-        if monomial_division_key(a) <= monomial_division_key(b):
-            assert monomial_division_key(a + c) <= monomial_division_key(b + c)
+    def test_packed_division_order_is_multiplicative(self, a, b, c):
+        pa, pb, pc = Poly({a: 1}), Poly({b: 1}), Poly({c: 1})
+        packing = poly._Packing((pa, pb, pc), sum(e for _, e in a + b + c))
+        (ka,), (kb,) = packing.pack(pa).terms, packing.pack(pb).terms
+        (kac,), (kbc,) = packing.pack(pa * pc).terms, packing.pack(pb * pc).terms
+        if ka <= kb:
+            assert kac <= kbc
+
+    def test_a_key_past_its_field_ends_the_division(self):
+        # 40000 sets the guard bit of a 16-bit field; read without it, the
+        # key is x0^7232 and the quotient a wrong x0^7231.
+        assert poly._divide({40000: 1}, {1: 1}, 1 << 15) is None
 
 
 def monomial_div(a, b):
@@ -519,18 +526,16 @@ def monomial_div(a, b):
 def linear_scan_exact_div(dividend, divisor):
     """Long division that finds each leading term by scanning the remainder.
 
-    The reference for ``Poly.exact_div``: it returns the quotient's terms
-    and the number of monomials that entered the remainder (the dividend's
-    terms, then each product term not already present).  Monomials are
-    divided and multiplied as pair tuples.
+    The reference for ``Poly.exact_div``: it returns the quotient's terms.
+    The leading term is the ``max`` of the int keys; monomials are divided
+    and multiplied as pair tuples.
     """
     rem = dict(dividend.terms)
-    entered = len(rem)
     quot = {}
-    dmono = max(divisor.terms, key=monomial_division_key)
+    dmono = max(divisor.terms)
     dcoeff = Fraction(divisor.terms[dmono])
     while rem:
-        mono = max(rem, key=monomial_division_key)
+        mono = max(rem)
         qmono = monomial_div(decode(mono), decode(dmono))
         if qmono is None:
             raise ValueError("polynomials do not divide exactly")
@@ -538,14 +543,12 @@ def linear_scan_exact_div(dividend, divisor):
         quot[encode(qmono)] = qcoeff
         for m2, c2 in divisor.terms.items():
             target = encode(monomial_mul(qmono, decode(m2)))
-            if target not in rem:
-                entered += 1
             acc = rem.get(target, 0) - qcoeff * c2
             if acc:
                 rem[target] = acc
             else:
                 rem.pop(target, None)
-    return quot, entered
+    return quot
 
 
 class TestHeapDivision:
@@ -555,7 +558,7 @@ class TestHeapDivision:
         if q.is_zero():
             return
         quotient = (p * q).exact_div(q)
-        expected, _ = linear_scan_exact_div(p * q, q)
+        expected = linear_scan_exact_div(p * q, q)
         assert list(quotient.terms.items()) == list(expected.items())
         assert quotient == p
 
@@ -565,7 +568,7 @@ class TestHeapDivision:
         if q.is_zero():
             return
         try:
-            expected, _ = linear_scan_exact_div(f, q)
+            expected = linear_scan_exact_div(f, q)
         except ValueError:
             with pytest.raises(ValueError):
                 f.exact_div(q)
@@ -573,12 +576,13 @@ class TestHeapDivision:
             assert list(f.exact_div(q).terms.items()) == list(expected.items())
 
     @given(wide_monomials, wide_monomials)
-    def test_packed_key_order_is_the_division_order(self, a, b):
+    def test_packing_keeps_the_int_order_and_maps_sums_to_sums(self, a, b):
         pa, pb = Poly({a: 1}), Poly({b: 1})
         packing = poly._Packing((pa, pb), sum(e for _, e in a + b))
         (ka,), (kb,) = packing.pack(pa).terms, packing.pack(pb).terms
-        assert (ka < kb) == (monomial_division_key(encode(a)) < monomial_division_key(encode(b)))
+        assert (ka < kb) == (encode(a) < encode(b))
         assert (ka == kb) == (a == b)
+        assert packing.pack(pa * pb).terms == {ka + kb: 1}
         assert packing.unpack({ka + kb: 1}) == pa * pb
 
     def test_failure_after_some_quotient_terms_raises(self):
@@ -589,11 +593,10 @@ class TestHeapDivision:
         with pytest.raises(ValueError):
             (p * q + x3).exact_div(q)
 
-    def test_each_monomial_entering_the_remainder_is_packed_once(self, monkeypatch):
-        # A scan of the remainder per quotient term evaluates an order key
-        # for every remaining monomial each time; packed division packs
-        # each operand's monomials once, and every product and comparison
-        # after that is on ints.
+    def test_exact_div_divides_its_own_keys(self, monkeypatch):
+        # Poly keys already compare in a monomial order, so exact division
+        # builds no packing and decodes no monomial: every product and
+        # comparison is on the keys themselves.
         rng = random.Random(2009)
 
         def sample(count):
@@ -608,17 +611,7 @@ class TestHeapDivision:
         p, q = sample(24), sample(12)
         dividend = p * q
         assert len(dividend.terms) >= 200
-        _, entered = linear_scan_exact_div(dividend, q)
-        calls = {"packed": 0, "unpacked": 0, "division": 0, "decode": 0}
-        pack, unpack = poly._Packing.pack, poly._Packing.unpack
-
-        def counting_pack(self, value):
-            calls["packed"] += len(value.terms)
-            return pack(self, value)
-
-        def counting_unpack(self, terms):
-            calls["unpacked"] += len(terms)
-            return unpack(self, terms)
+        calls = {"packing": 0, "decode": 0}
 
         def counting(name, fn):
             def wrapped(*args):
@@ -627,16 +620,10 @@ class TestHeapDivision:
 
             return wrapped
 
-        monkeypatch.setattr(poly._Packing, "pack", counting_pack)
-        monkeypatch.setattr(poly._Packing, "unpack", counting_unpack)
-        monkeypatch.setattr(
-            poly, "monomial_division_key", counting("division", monomial_division_key)
-        )
+        monkeypatch.setattr(poly, "_Packing", counting("packing", poly._Packing))
         monkeypatch.setattr(poly, "decode", counting("decode", decode))
         assert dividend.exact_div(q) == p
-        assert calls["packed"] == len(dividend.terms) + len(q.terms) <= entered + len(q.terms)
-        assert calls["unpacked"] == len(p.terms)
-        assert calls["division"] == calls["decode"] == 0
+        assert calls == {"packing": 0, "decode": 0}
 
 
 class TestOrderingAndRendering:
