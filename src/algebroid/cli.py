@@ -181,7 +181,8 @@ def _require_binding(document, name, kinds, what):
 
 def _parse_index_list(text, what, bound=None):
     """Accept ``a..b`` ranges and comma lists, with optional braces; every
-    entry must be below ``bound`` when one is given."""
+    entry, a range's ends before it is expanded, must be a natural number
+    below ``bound`` when one is given."""
     body = text.strip().strip("{}").strip()
     if not body:
         return ()
@@ -196,20 +197,21 @@ def _parse_index_list(text, what, bound=None):
                 raise UsageError(f"bad {what} range {piece!r}") from None
             if hi < lo:
                 raise UsageError(f"empty {what} range {piece!r}")
-            _check_bound(hi, what, bound)
+            _check_entry(lo, what, bound)
+            _check_entry(hi, what, bound)
             out.extend(range(lo, hi + 1))
         else:
             try:
                 out.append(int(piece))
             except ValueError:
                 raise UsageError(f"bad {what} entry {piece!r}") from None
-            _check_bound(out[-1], what, bound)
-    if out and min(out) < 0:
-        raise UsageError(f"negative {what} entry {min(out)}")
+            _check_entry(out[-1], what, bound)
     return tuple(sorted(set(out)))
 
 
-def _check_bound(index, what, bound):
+def _check_entry(index, what, bound):
+    if index < 0:
+        raise UsageError(f"negative {what} entry {index}")
     if bound is not None and index >= bound:
         raise UsageError(f"{what} entry {index} is not below {bound}")
 

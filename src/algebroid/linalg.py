@@ -1,35 +1,26 @@
 """Exact linear algebra over the rationals and over polynomial entries.
 
-One kernel, ``_row_echelon``, eliminates for the whole package: one-step
+A matrix of either entry type is a list of sparse rows, and a sparse row is
+a list of ``(column, nonzero value)`` pairs, the values ints, ``Fraction``s
+or ``Poly``s; kernel vectors come back in the same form.  Callers pass the
+column count explicitly so empty matrices keep their shape.
+
+``_blocks`` splits a matrix once into connected blocks: columns that share
+a row are joined by union-find over the row supports.  Each block is
+eliminated on its own columns; ranks add up over blocks and kernel vectors
+vanish outside their block, so the results equal those of eliminating the
+whole matrix.  The cochain differentials and constant flat maps split into
+blocks of a few columns, so elimination cost follows the largest block,
+not the size of the matrix.
+
+One kernel, ``_row_echelon``, eliminates every block: one-step
 fraction-free Bareiss (Bareiss 1968) in pure Python, on arbitrary-precision
-integers or on ``Poly`` entries, so every result is exact.  A rational
-matrix is split into connected blocks first: columns that share a row are
-joined by union-find over the row supports, and each block is reduced on
-its own columns.  Ranks add up over blocks and kernel vectors vanish
-outside their block, so the results equal those of eliminating the whole
-matrix; a dense matrix is one block.  The cochain differentials hold about
-two nonzeros per row and split into blocks of a few columns, so
-elimination cost follows the largest block, not the size of the matrix.
-A ``Poly`` matrix is reduced whole, so its pivot entries (the caveats of a
-generic rank) are those of the dense matrix.  It is eliminated over Z[x]:
-each row is scaled by the lcm of its coefficients' denominators, and each
-pivot is divided back by the product of the scales of the pivot rows at
-and above it, so the kernel multiplies and divides no ``Fraction`` and the
-pivots equal those of eliminating the rational rows.  Its entries are
-packed once for the whole matrix (``poly._Packing``, described in the
-``poly`` module docstring), with fields wide enough for twice the sum over
-rows of their largest entry degree, which bounds every Bareiss product.
-
-One back-substitution, ``_back_substitute``, turns echelon rows of either
-entry type into kernel vectors with one exact ``//`` per coordinate, so no
-fraction arises and every product stays inside the fields' bound.
-
-A rational matrix is a list of sparse rows, and a sparse row is a list of
-``(column, nonzero value)`` pairs; kernel vectors come back in the same
-form.  Callers pass the column count explicitly so empty matrices keep
-their shape.  Each row is scaled by the lcm of its denominators before
-elimination — row scaling preserves both the row space and the kernel
-exactly.  ``Poly`` matrices stay dense lists of rows.
+integers or on packed integer polynomials (``_pack_rows``), so every result
+is exact.  Each row is scaled by the lcm of its coefficients' denominators
+first, which preserves both the row space and the kernel, so
+``_row_echelon`` multiplies and divides no ``Fraction``.  One back-substitution,
+``_back_substitute``, turns echelon rows of either entry type into kernel
+vectors with one exact ``//`` per coordinate.
 """
 
 from __future__ import annotations
@@ -87,15 +78,12 @@ def _row_echelon(rows, ncols):
     return r, pivots
 
 
-def _blocks(rows, ncols):
-    """Split a sparse rational matrix into its connected blocks.
-
-    Each row is scaled by the lcm of its denominators.  Columns that share a
-    row are joined (union-find over row supports), so no row has entries in
-    two blocks.  Returns a list of (columns, integer_rows): the block's
-    columns in ascending order, and its rows as dense integer lists over
-    those columns, in input order.  Blocks come in the order of their first
-    column; columns no row touches belong to no block.
+def _blocks(rows, ncols, zero=0):
+    """Split a sparse matrix into its connected blocks: a list of (columns,
+    rows), the block's columns in ascending order and its rows, in input
+    order, as dense lists over those columns filled with ``zero``.  Blocks
+    come in the order of their first column; columns no row touches belong
+    to no block.
     """
     parent = list(range(ncols))
 
@@ -105,26 +93,21 @@ def _blocks(rows, ncols):
             c = parent[c]
         return c
 
-    scaled = []
     for row in rows:
-        if not row:
-            continue
-        scale = 1
-        for j, value in row:
+        root = -1
+        for j, _ in row:
             if not 0 <= j < ncols:
                 raise ValueError(f"column {j} is out of range for {ncols} columns")
-            if isinstance(value, Fraction):
-                scale = lcm(scale, value.denominator)
-        root = find(row[0][0])
-        for j, _ in row:
             other = find(j)
-            if other != root:
+            if root < 0:
+                root = other
+            elif other != root:
                 parent[other] = root
-        scaled.append([(j, int(value * scale)) for j, value in row])
 
     block_rows = {}  # root -> rows, keyed in first-row order
-    for row in scaled:
-        block_rows.setdefault(find(row[0][0]), []).append(row)
+    for row in rows:
+        if row:
+            block_rows.setdefault(find(row[0][0]), []).append(row)
     columns = {}  # root -> columns in ascending order, keyed in first-column order
     for j in range(ncols):
         root = find(j)
@@ -135,7 +118,7 @@ def _blocks(rows, ncols):
         local = {j: position for position, j in enumerate(cols)}
         dense = []
         for row in block_rows[root]:
-            values = [0] * len(cols)
+            values = [zero] * len(cols)
             for j, value in row:
                 values[local[j]] = value
             dense.append(values)
@@ -143,25 +126,22 @@ def _blocks(rows, ncols):
     return out
 
 
-def echelon(rows, ncols):
-    """Rank and pivot columns of a rational matrix, block by block.
-
-    A column is a pivot when it is not in the span of the columns before it;
-    that does not depend on row order, so the blocks' pivots, merged in
-    column order, are the pivots of the whole matrix.
-    """
-    rank_ = 0
-    pivots = []
-    for columns, block in _blocks(rows, ncols):
-        block_rank, block_pivots = _row_echelon(block, len(columns))
-        rank_ += block_rank
-        pivots.extend(columns[c] for c in block_pivots)
-    pivots.sort()
-    return rank_, pivots
+def _integer_rows(rows):
+    """Sparse rational rows, each scaled by the lcm of its denominators."""
+    out = []
+    for row in rows:
+        denominators = [value.denominator for _, value in row if isinstance(value, Fraction)]
+        if denominators:
+            scale = lcm(*denominators)
+            row = [(j, int(value * scale)) for j, value in row]
+        out.append(row)
+    return out
 
 
 def rank(rows, ncols) -> int:
-    return echelon(rows, ncols)[0]
+    """Rank of a sparse rational matrix: the sum of its blocks' ranks."""
+    return sum(_row_echelon(block, len(columns))[0]
+               for columns, block in _blocks(_integer_rows(rows), ncols))
 
 
 def _back_substitute(rows, rank_, pivots, free, ncols, one):
@@ -200,7 +180,7 @@ def nullspace(rows, ncols):
     """
     basis = {}
     untouched = set(range(ncols))
-    for columns, block in _blocks(rows, ncols):
+    for columns, block in _blocks(_integer_rows(rows), ncols):
         untouched.difference_update(columns)
         width = len(columns)
         rank_, pivots = _row_echelon(block, width)
@@ -225,7 +205,7 @@ def row_space_contains(rows, vector, ncols) -> bool:
 
 
 def _pack_rows(rows):
-    """``rows`` of ``Poly`` scaled to Z[x] and packed for ``_row_echelon``.
+    """Dense ``rows`` of ``Poly`` scaled to Z[x] and packed for ``_row_echelon``.
 
     Each row is scaled by the lcm of its coefficients' denominators, which
     changes no zero test and no kernel, and each entry is packed once
@@ -248,44 +228,55 @@ def _pack_rows(rows):
 
 
 def rank_generic(rows, ncols):
-    """(generic rank, pivot entries) of a matrix of ``Poly`` values.
-
-    The rank is the rank at the generic point (pivot polynomials are nonzero
-    as polynomials); non-constant pivot entries are the caller's caveats.
-    Pivot t is a minor over the first t + 1 pivot rows, so it carries the
-    product of their scales; only pivots are unpacked and divided back.
+    """(generic rank, pivot entries in column order) of a sparse matrix of
+    ``Poly`` values: the rank at the generic point, where pivots are nonzero
+    polynomials.  Non-constant pivot entries are the caller's caveats.
+    Pivot t of a block is a minor over the block's first t + 1 pivot rows,
+    so it carries the product of their scales; only pivots are unpacked
+    and divided back.
     """
-    packing, work, scales = _pack_rows(rows)
-    rank_, pivots = _row_echelon(work, ncols)
-    entries = []
-    product = 1
-    for t, c in enumerate(pivots):
-        product *= scales[id(work[t])]
-        entry = packing.unpack(work[t][c].terms)
-        entries.append(entry if product == 1 else entry * Fraction(1, product))
-    return rank_, entries
+    rank_ = 0
+    entries = {}  # pivot column -> pivot entry
+    for columns, block in _blocks(rows, ncols, Poly.zero()):
+        packing, work, scales = _pack_rows(block)
+        block_rank, pivots = _row_echelon(work, len(columns))
+        rank_ += block_rank
+        product = 1
+        for t, c in enumerate(pivots):
+            product *= scales[id(work[t])]
+            entry = packing.unpack(work[t][c].terms)
+            entries[columns[c]] = entry if product == 1 else entry * Fraction(1, product)
+    return rank_, [entries[j] for j in sorted(entries)]
 
 
 def nullspace_generic(rows, ncols):
-    """Kernel vectors of a ``Poly`` matrix at the generic point, one per free
-    column, in column order, each computed when it is asked for.
-
-    Each is back-substituted on the packed rows, divided by the integer
+    """Kernel vectors of a sparse ``Poly`` matrix at the generic point, as
+    ``nullspace`` gives them, each computed when it is asked for; a block is
+    eliminated when its first vector is.  Each is divided by the integer
     content and the common monomial of its entries, and signed so that the
-    first of ``sorted_terms`` of its free entry is positive.  Its entries
-    have integer coefficients, and M v = 0 identically.
+    first of ``sorted_terms`` of its free entry is positive.
     """
-    packing, work, _ = _pack_rows(rows)
-    rank_, pivots = _row_echelon(work, ncols)
-    one = packing.pack(Poly.one())
-    for free in range(ncols):
+    blocks = _blocks(rows, ncols, Poly.zero())
+    place = {j: (b, free) for b, (columns, _) in enumerate(blocks)
+             for free, j in enumerate(columns)}
+    eliminated = {}  # block index -> (packing, packed rows, rank, pivots)
+    for j in range(ncols):
+        if j not in place:
+            yield [(j, Poly.one())]
+            continue
+        b, free = place[j]
+        columns, block = blocks[b]
+        if b not in eliminated:
+            packing, work, _ = _pack_rows(block)
+            eliminated[b] = (packing, work, *_row_echelon(work, len(columns)))
+        packing, work, rank_, pivots = eliminated[b]
         if free in pivots:
             continue
-        x = _back_substitute(work, rank_, pivots, free, ncols, one)
+        x = _back_substitute(work, rank_, pivots, free, len(columns), packing.pack(Poly.one()))
         content = gcd(*(c for entry in x for c in entry.terms.values()))
         common = packing.common_monomial([key for entry in x for key in entry.terms])
-        vector = [packing.unpack({key - common: c // content for key, c in entry.terms.items()})
-                  for entry in x]
-        if vector[free].sorted_terms()[0][1] < 0:
-            vector = [-entry for entry in vector]
-        yield vector
+        vector = {k: packing.unpack({key - common: c // content for key, c in entry.terms.items()})
+                  for k, entry in zip(columns, x) if entry}
+        if vector[j].sorted_terms()[0][1] < 0:
+            vector = {k: -entry for k, entry in vector.items()}
+        yield list(vector.items())

@@ -292,11 +292,10 @@ def check_weak_symplectic(form: KForm, support) -> WeakSymplecticReport:
     closed_defect = de_rham(form)
     closed = closed_defect.is_zero()
 
-    # Row i of the matrix holds the components of interior(e_i, form).
-    rows = []
-    for i in support:
-        image = interior_product(KVector.coordinate(i), form)
-        rows.append([image.coefficient((j,)) for j in columns])
+    # Sparse row i of the matrix holds the components of interior(e_i, form).
+    position = {j: k for k, j in enumerate(columns)}
+    rows = [[(position[j], value) for (j,), value in
+             interior_product(KVector.coordinate(i), form).terms.items()] for i in support]
     n = len(support)
     m = len(columns)
     rank_, pivot_entries = linalg.rank_generic(rows, m)
@@ -305,9 +304,12 @@ def check_weak_symplectic(form: KForm, support) -> WeakSymplecticReport:
     witness = None
     if not injective:
         # The left kernel: the kernel of the transpose.
-        transposed = [[rows[i][j] for i in range(n)] for j in range(m)]
+        transposed = [[] for _ in range(m)]
+        for i, row in enumerate(rows):
+            for k, value in row:
+                transposed[k].append((i, value))
         vector = next(linalg.nullspace_generic(transposed, n))
-        witness = KVector(1, {(support[i],): vector[i] for i in range(n) if vector[i]})
+        witness = KVector(1, {(support[i],): value for i, value in vector})
     return WeakSymplecticReport(
         passed=closed and injective,
         closed=closed,

@@ -456,9 +456,13 @@ class TestUsageErrors:
         assert "Traceback" not in err
 
     def test_a_minor_past_the_exponent_field_exits_two(self, capsys, tmp_path):
-        # Each entry holds x0^20000; the 2x2 minor x0^40000 holds no field.
+        # The flat map is one block whose entries hold x0^20000 or 1; its
+        # minors reach x0^40000, which no field holds.
         path = tmp_path / "minor.adsl"
-        path.write_text("var x0 x1\nform B = x0^20000 * dx[0] ^^ dx[1]\n")
+        path.write_text(
+            "var x0 x1 x2 x3\nform B = x0^20000 * dx[0] ^^ dx[1] + x0^20000 * dx[1] ^^ dx[2]"
+            " + x0^20000 * dx[2] ^^ dx[3] + dx[0] ^^ dx[3]\n"
+        )
         code, out, err = run_cli(
             capsys, "check-weak-symplectic", "--target", "B", "--input", str(path)
         )
@@ -539,6 +543,13 @@ class TestUsageErrors:
             ("check-dirac", "dirac_std.adsl", ("--support=-1..3",), "negative support"),
             ("check-dirac", "dirac_std.adsl", ("--support", "0..200000"),
              "support entry 200000 is not below 4096"),
+            # Negative range starts, which were expanded element by element
+            # before they were rejected.
+            ("check-dirac", "dirac_std.adsl", ("--support=-200000000..3",),
+             "negative support entry -200000000"),
+            ("cohomology", "std_basic.adsl",
+             ("--complex", "lp", "--support", "0..3", "--degree", "2", "--grades=-200000000..2"),
+             "negative grades entry -200000000"),
             ("cohomology", "std_small.adsl",
              ("--complex", "lp", "--support", "0..1", "--degree", "2", "--grades", "0..200000"),
              "grades entry 200000 is not below 4097"),

@@ -113,14 +113,14 @@ class TestGenericElimination:
         for _ in range(20):
             nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
             rows = random_int_matrix(rng, nrows, ncols, bound=5)
-            as_polys = [[Poly.constant(v) for v in row] for row in rows]
+            as_polys = sparse_rows([[Poly.constant(v) for v in row] for row in rows])
             got, pivot_entries = linalg.rank_generic(as_polys, ncols)
             assert got == linalg.rank(sparse_rows(rows), ncols)
             assert all(entry.is_constant() for entry in pivot_entries)
 
     def test_polynomial_rank(self):
         x = Poly.variable(0)
-        rows = [[x, Poly.one()], [x * x, x]]  # second row = x * first
+        rows = [[(0, x), (1, Poly.one())], [(0, x * x), (1, x)]]  # second row = x * first
         got, pivot_entries = linalg.rank_generic(rows, 2)
         assert got == 1
         assert pivot_entries == [x]
@@ -131,32 +131,33 @@ class TestGenericElimination:
         # non-constant ones as caveats, so they are part of its reports.
         x, y = Poly.variable(0), Poly.variable(1)
         one = Poly.one()
-        rows = [[x, one, y], [y, x, Poly.zero()], [one, y, x]]
+        rows = sparse_rows([[x, one, y], [y, x, Poly.zero()], [one, y, x]])
         got, pivot_entries = linalg.rank_generic(rows, 3)
         assert got == 3
         assert pivot_entries == [x, x * x - y, x * x * x - 2 * x * y + y * y * y]
-        assert rows[1] == [y, x, Poly.zero()]  # the caller's rows are not touched
+        assert rows[1] == [(0, y), (1, x)]  # the caller's rows are not touched
 
     def test_empty_matrix(self):
         assert linalg.rank_generic([], 3) == (0, [])
-        assert list(linalg.nullspace_generic([], 1)) == [[Poly.one()]]
+        assert list(linalg.nullspace_generic([], 1)) == [[(0, Poly.one())]]
 
     def test_polynomial_nullspace_annihilates(self):
         x, y = Poly.variable(0), Poly.variable(1)
-        rows = [[x, y]]
+        rows = [[(0, x), (1, y)]]
         basis = list(linalg.nullspace_generic(rows, 2))
         assert len(basis) == 1
         for vec in basis:
+            coeffs = dict(vec)
             total = Poly.zero()
-            for entry, coeff in zip(rows[0], vec):
-                total = total + entry * coeff
+            for j, entry in rows[0]:
+                total = total + entry * coeffs.get(j, Poly.zero())
             assert total.is_zero()
 
     def test_ties_in_display_order_do_not_break_elimination(self):
         # pivots whose quotients exercise exact_div on same-degree monomials
         x2, x3 = Poly.variable(2), Poly.variable(3)
         p = x2 * x3 + x2 * x2
-        rows = [[p, p * x2], [p * x3, p * x2 * x3]]
+        rows = sparse_rows([[p, p * x2], [p * x3, p * x2 * x3]])
         assert linalg.rank_generic(rows, 2)[0] == 1
 
     def test_rational_rows_match_unscaled_elimination(self):
@@ -183,8 +184,8 @@ class TestGenericElimination:
 
         monkeypatch.setattr(linalg, "_row_echelon", checked)
         for rows, ncols in random_rational_poly_matrices(61, 20):
-            linalg.rank_generic(rows, ncols)
-            list(linalg.nullspace_generic(rows, ncols))
+            linalg.rank_generic(sparse_rows(rows), ncols)
+            list(linalg.nullspace_generic(sparse_rows(rows), ncols))
         assert seen == {int}
 
 
@@ -228,6 +229,20 @@ class TestGenericElimination:
         assert_matches_reference(rows, 3)
         assert_matches_reference([rows[0], rows[0], rows[1]], 3)  # rank deficient
 
+    def test_block_structured_matches_reference(self):
+        # Direct sums of 1-4 rational Poly matrices, padded with zero rows
+        # and columns, then rows and columns permuted; most split into
+        # several blocks.
+        rng = random.Random(67)
+        source = random_rational_poly_matrices(71, 400)
+        split = 0
+        for matrix, ncols, pieces in direct_sums(rng, source, 100, Poly.zero()):
+            assert_matches_reference(matrix, ncols)
+            rank_ = linalg.rank_generic(sparse_rows(matrix), ncols)[0]
+            assert rank_ == sum(reference_echelon_generic(rows, width)[0] for rows, width in pieces)
+            split += len(reference_blocks(matrix, ncols)) > 1
+        assert split > 50
+
     def test_fraction_coefficient_rows(self):
         x, y = Poly.variable(0), Poly.variable(1)
         half, third = Fraction(1, 2), Fraction(1, 3)
@@ -242,8 +257,8 @@ class TestGenericElimination:
         # packed form was bypassed.
         def flat_rows(n):
             form = banded_form(n, 7)
-            return [[interior_product(KVector.coordinate(i), form).coefficient((j,))
-                     for j in range(n)] for i in range(n)]
+            return sparse_rows([[interior_product(KVector.coordinate(i), form).coefficient((j,))
+                                 for j in range(n)] for i in range(n)])
 
         inside = [False]
         calls = {"_mac": 0, "Poly.__mul__": 0}
@@ -323,26 +338,97 @@ class TestGenericElimination:
 
 
 def assert_matches_reference(rows, ncols):
-    """``rank_generic`` and ``nullspace_generic`` agree with the textbook
-    Bareiss of ``reference_echelon_generic``: each kernel vector is
-    proportional to the reference one, annihilates, and is in normal form."""
-    rank_, pivot_entries = linalg.rank_generic(rows, ncols)
-    basis = list(linalg.nullspace_generic(rows, ncols))
-    want_rank, want_pivots, echelon_rows = reference_echelon_generic(rows, ncols)
+    """``rank_generic`` and ``nullspace_generic`` on the sparse form of the
+    dense ``Poly`` matrix ``rows`` agree, block by block, with the textbook
+    Bareiss of ``reference_echelon_generic`` on each block that
+    ``reference_blocks`` finds: the ranks add up, the pivot entries are the
+    blocks' own, in column order, and each kernel vector vanishes outside
+    its block, is proportional to the reference one, annihilates, and is in
+    normal form.  A column no row touches has its unit vector."""
+    rank_, pivot_entries = linalg.rank_generic(sparse_rows(rows), ncols)
+    basis = list(linalg.nullspace_generic(sparse_rows(rows), ncols))
+    one, zero = Poly.one(), Poly.zero()
+    want_rank, want_pivots, want, block_of = 0, {}, {}, {}
+    for columns, row_indices in reference_blocks(rows, ncols):
+        block = [[rows[i][j] for j in columns] for i in row_indices]
+        width = len(columns)
+        block_rank, pivots, echelon_rows = reference_echelon_generic(block, width)
+        want_rank += block_rank
+        want_pivots.update((columns[c], echelon_rows[t][c]) for t, c in enumerate(pivots))
+        free = [c for c in range(width) if c not in pivots]
+        for f, ref in zip(free, reference_nullspace_generic(block, width)):
+            want[columns[f]] = dict(zip(columns, ref))
+            block_of[columns[f]] = set(columns)
+    for j in range(ncols):
+        if not any(row[j] for row in rows):
+            want[j] = {j: one}
+            block_of[j] = {j}
     assert rank_ == want_rank
-    assert pivot_entries == [echelon_rows[t][c] for t, c in enumerate(want_pivots)]
-    want = reference_nullspace_generic(rows, ncols)
-    assert len(basis) == len(want) == ncols - rank_
-    free = [j for j in range(ncols) if j not in want_pivots]
-    for f, vec, ref in zip(free, basis, want):
-        assert all(vec[i] * ref[j] == vec[j] * ref[i]
+    assert pivot_entries == [want_pivots[j] for j in sorted(want_pivots)]
+    free = sorted(want)
+    assert len(basis) == len(free) == ncols - rank_
+    for f, vec in zip(free, basis):
+        columns = [j for j, _ in vec]
+        assert columns == sorted(columns) and all(entry for _, entry in vec)
+        assert set(columns) <= block_of[f]
+        dense = [zero] * ncols
+        for j, entry in vec:
+            dense[j] = entry
+        ref = [want[f].get(j, zero) for j in range(ncols)]
+        assert all(dense[i] * ref[j] == dense[j] * ref[i]
                    for i in range(ncols) for j in range(i + 1, ncols))
-        assert_normal_form(vec, f, free)
+        assert_normal_form(dense, f, free)
         for row in rows:
-            total = Poly.zero()
-            for entry, coeff in zip(row, vec):
+            total = zero
+            for entry, coeff in zip(row, dense):
                 total = total + entry * coeff
             assert total.is_zero()
+
+
+def reference_blocks(matrix, ncols):
+    """The connected blocks of a dense matrix, by breadth-first search over
+    the bipartite graph of rows and columns joined at nonzero entries.
+
+    Returns a list of (columns, row indices), both ascending, in the order
+    of their first column; columns no row touches belong to no block.
+    """
+    seen = set()
+    out = []
+    for start in range(ncols):
+        if start in seen or not any(row[start] for row in matrix):
+            continue
+        columns, row_indices, frontier = {start}, set(), [start]
+        while frontier:
+            c = frontier.pop()
+            for i, row in enumerate(matrix):
+                if row[c] and i not in row_indices:
+                    row_indices.add(i)
+                    reached = {j for j in range(ncols) if row[j]} - columns
+                    columns |= reached
+                    frontier.extend(reached)
+        seen |= columns
+        out.append((sorted(columns), sorted(row_indices)))
+    return out
+
+
+def direct_sums(rng, source, count, zero):
+    """``count`` direct sums of 1-4 matrices drawn from ``source``, padded
+    with 0-2 rows and columns of ``zero``, with rows and columns permuted.
+    Yields (matrix, ncols, pieces)."""
+    for _ in range(count):
+        pieces = [next(source) for _ in range(rng.randint(1, 4))]
+        nrows = sum(len(rows) for rows, _ in pieces) + rng.randint(0, 2)
+        ncols = sum(width for _, width in pieces) + rng.randint(0, 2)
+        matrix = [[zero] * ncols for _ in range(nrows)]
+        r = c = 0
+        for rows, width in pieces:
+            for i, row in enumerate(rows):
+                matrix[r + i][c:c + width] = row
+            r += len(rows)
+            c += width
+        row_order = rng.sample(range(nrows), nrows)
+        col_order = rng.sample(range(ncols), ncols)
+        yield [[matrix[i][j] for j in col_order] for i in row_order], ncols, pieces
 
 
 def assert_normal_form(vec, f, free):
@@ -533,10 +619,10 @@ def random_matrices(seed, count, bound=10**40):
 
 class TestReferenceBareiss:
     def test_rank_and_pivots_match_reference(self):
+        # The pivot columns are the complement of the kernel's free columns.
         for rows, ncols in random_matrices(41, 150):
-            rank_, pivots = linalg.echelon(sparse_rows(rows), ncols)
-            assert rank_ == linalg.rank(sparse_rows(rows), ncols) == reference_rank(rows, ncols)
-            assert pivots == reference_pivots(rows, ncols)
+            assert linalg.rank(sparse_rows(rows), ncols) == reference_rank(rows, ncols)
+            assert_canonical_kernel(rows, ncols, reference_pivots(rows, ncols))
 
     def test_nullspace_is_the_canonical_kernel(self):
         for rows, ncols in random_matrices(43, 150):
@@ -546,29 +632,11 @@ class TestReferenceBareiss:
         # Direct sums of 1-4 blocks drawn from the generator above, padded
         # with all-zero rows and columns, then rows and columns permuted.
         rng = random.Random(47)
-        source = random_matrices(53, 400)
-        for _ in range(100):
-            pieces = [next(source) for _ in range(rng.randint(1, 4))]
-            nrows = sum(len(rows) for rows, _ in pieces) + rng.randint(0, 2)
-            ncols = sum(width for _, width in pieces) + rng.randint(0, 2)
-            matrix = [[0] * ncols for _ in range(nrows)]
-            r = c = 0
-            for rows, width in pieces:
-                for i, row in enumerate(rows):
-                    matrix[r + i][c:c + width] = row
-                r += len(rows)
-                c += width
-            row_order = rng.sample(range(nrows), nrows)
-            col_order = rng.sample(range(ncols), ncols)
-            matrix = [[matrix[i][j] for j in col_order] for i in row_order]
-
-            rank_, pivots = linalg.echelon(sparse_rows(matrix), ncols)
+        for matrix, ncols, pieces in direct_sums(rng, random_matrices(53, 400), 100, 0):
             want = reference_rank(matrix, ncols)
-            assert rank_ == linalg.rank(sparse_rows(matrix), ncols) == want
+            assert linalg.rank(sparse_rows(matrix), ncols) == want
             assert want == sum(reference_rank(rows, width) for rows, width in pieces)
-            want_pivots = reference_pivots(matrix, ncols)
-            assert pivots == want_pivots
-            assert_canonical_kernel(matrix, ncols, want_pivots)
+            assert_canonical_kernel(matrix, ncols, reference_pivots(matrix, ncols))
 
     def test_huge_entries_stay_exact(self):
         # arbitrary-precision integers pass through elimination exactly
@@ -627,7 +695,7 @@ class TestOneKernel:
         form = KForm(2, {(0, 1): x + 1, (2, 3): x * x + 1, (1, 2): Poly.variable(3)})
         report = check_weak_symplectic(form, (0, 1, 2, 3))
         assert report.injective and report.caveats
-        assert calls == [4]
+        assert calls == [2, 2]  # the blocks on columns {0, 2} and {1, 3}
 
     def test_explicit_inverse(self, calls):
         matrix = [[0, 2, 1, 0], [-2, 0, 0, 3], [-1, 0, 0, 1], [0, -3, -1, 0]]
