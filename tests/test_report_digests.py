@@ -66,10 +66,12 @@ NAMED = {
         ("sigma", "--target", "f"),
     ],
     "nonclosed_form.adsl": [
+        ("check-dirac", "--target", "B"),
         ("check-weak-symplectic", "--target", "B"),
         ("d", "--target", "B"),
     ],
     "rational_form.adsl": [
+        ("check-dirac", "--target", "B"),
         ("check-weak-symplectic", "--target", "B"),
         ("d", "--target", "B"),
     ],
