@@ -61,7 +61,7 @@ from algebroid.exterior import (
     wedge,
 )
 from algebroid.poly import Poly
-from algebroid.sampling import Sampler, monomials_up_to
+from algebroid.sampling import monomials_up_to
 from algebroid.symplectic import (
     ConstantSymplectic,
     WeakSymplecticReport,

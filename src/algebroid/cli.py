@@ -322,9 +322,12 @@ def _cmd_check_dirac(args, document, report):
         structure = DiracStructure(w.materialize(support))
     else:
         raise UsageError("check-dirac needs a symplectic declaration or --target")
-    result = check_dirac(
-        structure, args.trials, args.seed, support=support, degree=args.degree
-    )
+    sampler = Sampler(args.seed)
+    draw = functools.partial(sampler.vector_field, support, args.degree)
+    pairs = [(draw(), draw()) for _ in range(args.trials)]
+    fields = [draw() for _ in range(3)]
+    functions = [sampler.nonzero_poly(support, args.degree) for _ in range(2)]
+    result = check_dirac(structure, pairs, fields, functions)
     report["options"] = {
         "trials": args.trials,
         "support": list(support),
@@ -511,9 +514,17 @@ def _cmd_theorem_check(args, document, report):
     # ce-cotangent needs the same support closure as lp
     spec = _truncation(args, _sampling_support(document, args), "lp", w)
     grades = _parse_index_list(args.grades, "grades", MAX_VARIABLES + 1)
-    result = check_lp_ce_agreement(
-        w, spec, grades, args.trials, args.seed, max_basis=args.max_basis
+    sampler = Sampler(args.seed)
+    operator_grades = [0, 1, 2]
+    # Drawn lazily: a case's forms and their memoized derivatives are
+    # released once the case is checked.
+    cases = (
+        (k, sampler.kvector(k, spec.support, spec.degree),
+         [sampler.oneform(spec.support, spec.degree) for _ in range(k + 1)])
+        for k in operator_grades
+        for _ in range(args.trials)
     )
+    result = check_lp_ce_agreement(w, spec, grades, cases, max_basis=args.max_basis)
     report["options"] = {
         "support": list(spec.support),
         "degree": spec.degree,
@@ -521,7 +532,7 @@ def _cmd_theorem_check(args, document, report):
         "trials": args.trials,
         "max_basis": args.max_basis,
     }
-    report["operator_grades"] = list(result.operator_grades)
+    report["operator_grades"] = operator_grades
     report["operator_mismatches"] = [
         {"grade": grade, "field": field, "difference": diff}
         for grade, field, _args, diff in result.mismatches

@@ -21,7 +21,7 @@ The graph of a 2-form w, a grade-2 KForm such as ``materialize(cover)`` of
 a constant structure, collects the sections (X, i_X w).  For a closed w
 the graph is involutive; in general
 courant(graph X, graph Y) - graph([X, Y]) = (0, i_Y i_X dw), which
-``check_dirac`` verifies trial by trial.
+``check_dirac`` verifies on each pair of vector fields it is given.
 
 ``check_courant_axioms`` checks the Courant axioms on every tuple of
 section indices (i, j[, k]), and delta's defining property on every pair
@@ -55,7 +55,6 @@ from algebroid.exterior import (
     vector_apply,
 )
 from algebroid.poly import Poly, _poly
-from algebroid.sampling import Sampler
 from algebroid.symplectic import ConstantSymplectic
 
 
@@ -277,8 +276,9 @@ class DiracStructure:
         return GeneralizedSection(field, interior_product(field, self.form))
 
     def default_support(self):
-        """The sampling support of check_dirac when none is given: the
-        form's support, or (0, 1, 2, 3) when it is zero."""
+        """The support the ``check-dirac`` subcommand draws its fields over
+        when none is given: the form's support, or (0, 1, 2, 3) when it is
+        zero."""
         return tuple(sorted(self.form.support())) or (0, 1, 2, 3)
 
     def curvature(self) -> KForm:
@@ -375,8 +375,6 @@ def orthogonal_complement(w: ConstantSymplectic, support) -> ComplementReport:
 
 @dataclass
 class DiracReport:
-    seed: int
-    trials: int
     isotropy_failures: list
     involutivity_failures: list
     defect_matches_prediction: bool
@@ -384,33 +382,19 @@ class DiracReport:
     passed: bool
 
 
-def check_dirac(
-    structure: DiracStructure,
-    trials: int,
-    seed: int,
-    support=None,
-    degree: int = 2,
-) -> DiracReport:
-    """Randomized isotropy and involutivity checks on graph sections, then
-    the algebroid axioms on a sampled triple.
+def check_dirac(structure: DiracStructure, pairs, fields, functions) -> DiracReport:
+    """Isotropy and involutivity of the graph on each pair (X, Y) of vector
+    fields in ``pairs``, then the algebroid axioms on the graph sections of
+    ``fields`` with ``functions``.
 
     Involutivity compares courant(graph X, graph Y) with graph([X, Y]); the
     form-part defect is also compared against the predicted i_Y i_X (dw).
     """
-    sampler = Sampler(seed)
-    if support is None:
-        support = structure.default_support()
-    support = tuple(sorted(set(support)))
-    if not support:
-        raise ValueError("check_dirac needs a nonempty sampling support")
-
     curvature = structure.curvature()
     isotropy_failures = []
     involutivity_failures = []
     defect_ok = True
-    for _ in range(trials):
-        x = sampler.vector_field(support, degree)
-        y = sampler.vector_field(support, degree)
+    for x, y in pairs:
         s1 = structure.generate(x)
         s2 = structure.generate(y)
         value = tm_pairing(s1, s2)
@@ -425,12 +409,8 @@ def check_dirac(
         if not defect.is_zero():
             involutivity_failures.append((x, y, defect.form))
 
-    section_samples = [
-        structure.generate(sampler.vector_field(support, degree)) for _ in range(3)
-    ]
-    functions = [sampler.nonzero_poly(support, degree) for _ in range(2)]
     axioms = check_algebroid_axioms(
-        dirac_algebroid(structure), section_samples, functions
+        dirac_algebroid(structure), [structure.generate(x) for x in fields], functions
     )
     passed = (
         not isotropy_failures
@@ -439,8 +419,6 @@ def check_dirac(
         and axioms.passed
     )
     return DiracReport(
-        seed=seed,
-        trials=trials,
         isotropy_failures=isotropy_failures,
         involutivity_failures=involutivity_failures,
         defect_matches_prediction=defect_ok,

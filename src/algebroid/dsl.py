@@ -18,7 +18,7 @@ Grammar (one declaration per line, ``#`` starts a comment)::
     sum     : wedge (('+' | '-') wedge)*
     wedge   : product ('^^' product)*
     product : unary ('*' unary)*
-    unary   : '-' unary | power
+    unary   : '-'* power
     power   : atom ('^' INT)?             (scalar base, integer exponent)
     atom    : INT ('/' INT)?              exact rational literal
             | NAME                        declared coordinate x<i> or bound name
@@ -32,7 +32,8 @@ Every coordinate index that appears (in x<i>, dx[i], e[i], or the explicit
 support) must be declared on a ``var`` line and be below
 ``poly.MAX_VARIABLES``; binding names are unique and may not collide with
 keywords or with the coordinate pattern ``x<digits>``.  A ``^`` whose result
-would hold an exponent above ``poly.MAX_EXPONENT`` is rejected at the ``^``.
+would hold an exponent above ``poly.MAX_EXPONENT`` is rejected at the ``^``,
+and a ``(`` or ``d[`` nested more than ``MAX_NESTING`` deep at its bracket.
 Binding a tensor kind to an identically zero value of grade >= 1 is
 rejected: the canonical printer could not preserve its grade.
 
@@ -95,6 +96,12 @@ EXPANSION_MULTIPLICATIONS = 250_000
 # about 0.35 s each on the same VM.  The largest benchmark power may hold
 # 1,001 * 5 * 5 = 25,025 bits.
 EXPANSION_BITS = 500_000
+
+# '(' and 'd[' nest at most MAX_NESTING deep.  A level costs eight parser
+# frames, so a line stays inside Python's recursion limit of 1,000 frames,
+# under a test runner's deeper stack too; a deeper one is a parse error at
+# its bracket.
+MAX_NESTING = 64
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -169,6 +176,7 @@ class _LineParser:
     def __init__(self, tokens, document):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.document = document
 
     # -- token plumbing --------------------------------------------------
@@ -242,6 +250,15 @@ class _LineParser:
     def parse_expr(self):
         return self.parse_sum()
 
+    def parse_nested(self, bracket):
+        """An expression inside the '(' or 'd[' at token ``bracket``."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"brackets nest at most {MAX_NESTING} deep", bracket)
+        self.depth += 1
+        value = self.parse_expr()
+        self.depth -= 1
+        return value
+
     def parse_sum(self):
         value = self.parse_wedge()
         while self.current.kind == "sym" and self.current.text in "+-":
@@ -267,11 +284,12 @@ class _LineParser:
         return value
 
     def parse_unary(self):
-        if self.at_sym("-"):
+        negative = False
+        while self.at_sym("-"):
             self.advance()
-            value = self.parse_unary()
-            return -value
-        return self.parse_power()
+            negative = not negative
+        value = self.parse_power()
+        return -value if negative else value
 
     def parse_power(self):
         value = self.parse_atom()
@@ -320,7 +338,7 @@ class _LineParser:
             if token.text == "d":
                 self.advance()
                 self.expect_sym("[")
-                inner = self.parse_expr()
+                inner = self.parse_nested(token)
                 self.expect_sym("]")
                 if isinstance(inner, Poly):
                     return de_rham(inner)
@@ -342,10 +360,10 @@ class _LineParser:
             return binding.value
         if token.kind == "sym" and token.text == "(":
             self.advance()
-            first = self.parse_expr()
+            first = self.parse_nested(token)
             if self.at_sym(","):
                 self.advance()
-                second = self.parse_expr()
+                second = self.parse_nested(token)
                 self.expect_sym(")")
                 return self.make_section(first, second, token)
             self.expect_sym(")")

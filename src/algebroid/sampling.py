@@ -1,4 +1,5 @@
-"""Seeded random generators for property tests and randomized checks.
+"""Seeded random generators for property tests and for the inputs the CLI
+draws for its sampled checks; no library check draws its own.
 
 Draws are uniform over the monomials of bounded total degree and over the
 blades of a given grade on the support; coefficients are nonzero integers
@@ -13,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
+from algebroid.courant import GeneralizedSection
 from algebroid.errors import TruncationTooLarge
 from algebroid.exterior import KForm, KVector, _wrap
 from algebroid.poly import Poly, _poly, encode
@@ -120,9 +122,7 @@ class Sampler:
     def vector_field(self, support, degree, terms: int = 2) -> KVector:
         return self.kvector(1, support, degree, terms)
 
-    def section(self, support, degree, terms: int = 2):
-        from algebroid.courant import GeneralizedSection
-
+    def section(self, support, degree, terms: int = 2) -> GeneralizedSection:
         return GeneralizedSection(
             self.vector_field(support, degree, terms),
             self.oneform(support, degree, terms),

@@ -62,6 +62,7 @@ from test_cohomology import (
     raise_,
     sigma_matrix,
 )
+from test_dirac import drawn_inputs
 from test_exterior import intrinsic_d
 
 STD = ConstantSymplectic.standard()
@@ -254,7 +255,7 @@ def test_criterion_7_courant_axioms(capsys):
 def test_criterion_8_dirac_structures(capsys):
     with criterion(capsys, 8, "graph-dirac-structures"):
         std_graph = DiracStructure(STD.materialize((0, 1, 2, 3)))
-        report = check_dirac(std_graph, trials=8, seed=1729)
+        report = check_dirac(std_graph, *drawn_inputs(std_graph, 8, 1729))
         assert report.passed
         assert report.isotropy_failures == []
         assert report.involutivity_failures == []
@@ -276,7 +277,7 @@ def test_criterion_8_dirac_structures(capsys):
         ).is_zero()
 
         nonclosed = DiracStructure(KForm.blade((1, 2), Poly.variable(0)))
-        bad = check_dirac(nonclosed, trials=6, seed=3)
+        bad = check_dirac(nonclosed, *drawn_inputs(nonclosed, 6, 3))
         assert not bad.passed
         assert bad.involutivity_failures
         assert bad.defect_matches_prediction

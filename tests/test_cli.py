@@ -455,6 +455,41 @@ class TestUsageErrors:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text,column",
+        [
+            ("fn f = " + "(" * 160 + "x0" + ")" * 160, 72),
+            ("form w = " + "d[" * 150 + "x0" + "]" * 150, 138),
+            ("form w = " + "(" * 64 + "d[x0]" + ")" * 64, 74),
+        ],
+        ids=["parentheses", "derivatives", "mixed"],
+    )
+    def test_nesting_past_the_bound_exits_two(self, capsys, tmp_path, text, column):
+        path = tmp_path / "deep.adsl"
+        path.write_text(f"var x0\n{text}\n")
+        code, out, err = run_cli(capsys, "d", "--input", str(path), "--target", "f")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line 2, column {column}: brackets nest at most 64 deep\n"
+
+    def test_nesting_at_the_bound_parses(self, capsys, tmp_path):
+        path = tmp_path / "deep.adsl"
+        path.write_text(
+            "var x0 x1\nfn f = " + "(" * 64 + "x0" + ")" * 64 + "\n"
+            "form w = " + "(" * 63 + "d[x1]" + ")" * 63 + "\n"
+        )
+        for target, result in (("f", "dx[0]"), ("w", "0")):
+            code, out, err = run_cli(capsys, "d", "--input", str(path), "--target", target)
+            assert (code, err) == (0, "")
+            assert f"result: {result}\n" in out
+
+    @pytest.mark.parametrize("signs,result", [(990, "dx[0]"), (991, "-dx[0]")])
+    def test_a_long_run_of_unary_minus_parses(self, capsys, tmp_path, signs, result):
+        path = tmp_path / "signs.adsl"
+        path.write_text("var x0\nfn f = " + "-" * signs + "x0\n")
+        code, out, err = run_cli(capsys, "d", "--input", str(path), "--target", "f")
+        assert (code, err) == (0, "")
+        assert f"result: {result}\n" in out
+
     def test_a_minor_past_the_exponent_field_exits_two(self, capsys, tmp_path):
         # The flat map is one block whose entries hold x0^20000 or 1; its
         # minors reach x0^40000, which no field holds.

@@ -59,6 +59,16 @@ from conftest import sgn, sparse_rows
 STD = ConstantSymplectic.standard()
 
 
+def drawn_cases(spec, trials, seed):
+    """``check_lp_ce_agreement``'s cases, drawn over the truncation in the
+    order ``theorem-check`` draws them."""
+    draw = Sampler(seed)
+    for grade in (0, 1, 2):
+        for _ in range(trials):
+            field = draw.kvector(grade, spec.support, spec.degree)
+            yield grade, field, [draw.oneform(spec.support, spec.degree) for _ in range(grade + 1)]
+
+
 # --- transport and homotopy -------------------------------------------------
 
 def lower(field):
@@ -331,9 +341,8 @@ class TestKunneth:
     @given(block_with_spectators(4))
     def test_theorem_check_agrees(self, case):
         w, m, s, degree = case
-        report = check_lp_ce_agreement(
-            w, TruncationSpec(range(m), degree), range(m + 1), trials=2, seed=m + degree
-        )
+        spec = TruncationSpec(range(m), degree)
+        report = check_lp_ce_agreement(w, spec, range(m + 1), drawn_cases(spec, 2, m + degree))
         assert report.passed and report.tables_equal
         assert [report.lp_table[grade][2] for grade in range(m + 1)] == [
             kunneth_counts(s, degree, grade) for grade in range(m + 1)
@@ -512,9 +521,9 @@ class TestH1Decomposition:
 
 class TestAgreement:
     def test_lp_ce_agreement_passes(self):
+        spec = TruncationSpec((0, 1), 3)
         report = check_lp_ce_agreement(
-            STD, TruncationSpec((0, 1), 3), [0, 1, 2], trials=4, seed=77,
-            max_basis=20000,
+            STD, spec, [0, 1, 2], drawn_cases(spec, 4, 77), max_basis=20000
         )
         assert report.passed
         assert report.tables_equal

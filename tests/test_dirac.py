@@ -43,6 +43,30 @@ STD_GRAPH = DiracStructure(STD.materialize((0, 1, 2, 3)))
 BLOCK_GRAPH = DiracStructure(BLOCK.materialize(()))
 
 
+def drawn_inputs(structure, trials, seed, degree=2):
+    """``check_dirac``'s pairs, fields and functions, drawn over the
+    structure's default support in the order ``check-dirac`` draws them."""
+    draw = Sampler(seed)
+    support = structure.default_support()
+    pairs = [
+        (draw.vector_field(support, degree), draw.vector_field(support, degree))
+        for _ in range(trials)
+    ]
+    fields = [draw.vector_field(support, degree) for _ in range(3)]
+    functions = [draw.nonzero_poly(support, degree) for _ in range(2)]
+    return pairs, fields, functions
+
+
+def coordinate_pairs(support):
+    """The pairs (e_i, e_j), i < j, of coordinate vector fields."""
+    return [
+        (KVector.coordinate(i), KVector.coordinate(j))
+        for i in support
+        for j in support
+        if i < j
+    ]
+
+
 class TestGraphConstruction:
     def test_constant_graph_uses_flat(self):
         s = Sampler(601)
@@ -88,12 +112,20 @@ class TestIsotropy:
 
 class TestStandardGraph:
     def test_check_passes(self):
-        report = check_dirac(STD_GRAPH, trials=8, seed=1729)
+        report = check_dirac(STD_GRAPH, *drawn_inputs(STD_GRAPH, 8, 1729))
         assert report.passed
         assert report.isotropy_failures == []
         assert report.involutivity_failures == []
         assert report.defect_matches_prediction
         assert report.axioms.passed
+
+    def test_every_coordinate_pair_passes(self):
+        support = range(6)
+        graph = DiracStructure(STD.materialize(support))
+        fields = [KVector.coordinate(i) for i in support]
+        functions = [Poly.variable(0) * Poly.variable(1)]
+        report = check_dirac(graph, coordinate_pairs(support), fields, functions)
+        assert report.passed
 
     def test_complement_equals_subbundle(self):
         report = orthogonal_complement(STD, (0, 1, 2, 3))
@@ -284,7 +316,8 @@ class TestComplementAgainstBruteForce:
 
 class TestNonClosedGraph:
     def test_involutivity_fails_with_predicted_defect(self):
-        report = check_dirac(DiracStructure(NONCLOSED), trials=6, seed=3)
+        structure = DiracStructure(NONCLOSED)
+        report = check_dirac(structure, *drawn_inputs(structure, 6, 3))
         assert not report.passed
         assert report.isotropy_failures == []
         assert len(report.involutivity_failures) == 6
@@ -292,6 +325,21 @@ class TestNonClosedGraph:
         curvature = de_rham(NONCLOSED)
         for x, y, defect in report.involutivity_failures:
             assert defect == interior_product(y, interior_product(x, curvature))
+
+    def test_coordinate_pairs_decide_involutivity(self):
+        # The defect i_Y i_X dw is C-infinity-bilinear in X and Y, so the
+        # coordinate pairs decide involutivity exactly, with nothing drawn.
+        structure = DiracStructure(NONCLOSED)
+        curvature = structure.curvature()
+        report = check_dirac(structure, coordinate_pairs(range(4)), [], [])
+        assert not report.passed
+        assert report.isotropy_failures == []
+        assert [(x, y) for x, y, _ in report.involutivity_failures] == [
+            (KVector.coordinate(i), KVector.coordinate(j)) for i, j in ((0, 1), (0, 2), (1, 2))
+        ]
+        for x, y, defect in report.involutivity_failures:
+            assert defect == interior_product(y, interior_product(x, curvature))
+        assert report.defect_matches_prediction
 
     def test_defect_identity_directly(self):
         structure = DiracStructure(NONCLOSED)
@@ -311,16 +359,13 @@ class TestNonClosedGraph:
     def test_closed_polynomial_graph_is_involutive(self):
         closed = de_rham(KForm.blade((1,), Poly.variable(0) * Poly.variable(2)))
         assert not closed.is_zero()
-        report = check_dirac(DiracStructure(closed), trials=6, seed=5)
+        structure = DiracStructure(closed)
+        report = check_dirac(structure, *drawn_inputs(structure, 6, 5))
         assert report.involutivity_failures == []
         assert report.defect_matches_prediction
 
 
 class TestSamplingSupport:
-    def test_empty_support_rejected(self):
-        with pytest.raises(ValueError):
-            check_dirac(STD_GRAPH, trials=1, seed=1, support=())
-
     def test_default_support(self):
         # A constant structure's default comes from its 2-form over no
         # cover: the standard one forces no index, a block forces itself.
@@ -332,5 +377,5 @@ class TestSamplingSupport:
         assert STD_GRAPH.default_support() == (0, 1, 2, 3)
 
     def test_block_structure_samples_its_own_block(self):
-        report = check_dirac(BLOCK_GRAPH, trials=4, seed=9)
+        report = check_dirac(BLOCK_GRAPH, *drawn_inputs(BLOCK_GRAPH, 4, 9))
         assert report.passed
