@@ -78,6 +78,9 @@ NAMED = {
     "std_basic.adsl": [
         ("bracket", "--left", "f", "--right", "g"),
         ("bracket", "--left", "X", "--right", "Y"),
+        ("bracket", "--left", "X", "--right", "f"),
+        ("bracket", "--left", "f", "--right", "P"),
+        ("bracket", "--left", "Y", "--right", "P"),
         ("d", "--target", "a"),
         ("lie", "--vector", "X", "--target", "a"),
         ("lie", "--vector", "Y", "--target", "f"),
