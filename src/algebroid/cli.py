@@ -513,6 +513,8 @@ def _cmd_theorem_check(args, document, report):
     w = _require_symplectic(document)
     # ce-cotangent needs the same support closure as lp
     spec = _truncation(args, _sampling_support(document, args), "lp", w)
+    if len(spec.support) < 2:
+        raise UsageError("theorem-check draws bivectors, so its support needs 2 coordinates")
     grades = _parse_index_list(args.grades, "grades", MAX_VARIABLES + 1)
     sampler = Sampler(args.seed)
     operator_grades = [0, 1, 2]

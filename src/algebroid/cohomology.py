@@ -28,9 +28,9 @@ Three complexes are supported:
   ``cotangent_algebroid(pi)`` (cochains are multivectors, evaluated on
   coordinate coframes).
 
-``compute_cohomology`` and ``casimir_space`` read pi = ``w.bivector(support)``
-once per call and build one image map from it.  A grade above the support's
-size has no blades: its window is (0, 0) and no strand of it is assembled.
+``compute_cohomology`` reads pi = ``w.bivector(support)`` once per call
+and builds one image map from it.  A grade above the support's size has no
+blades: its window is (0, 0) and no strand of it is assembled.
 
 Both CE complexes read two tables built once per call through the
 structure: anchor(e_j) for each j in the support, and the nonzero e_l
@@ -260,47 +260,6 @@ def compute_cohomology(
         support=spec.support,
         degree=spec.degree,
         grades=out,
-    )
-
-
-def casimir_space(w: ConstantSymplectic, spec: TruncationSpec, max_basis: int = DEFAULT_MAX_BASIS):
-    """A canonical basis of the degree-bounded kernel of the differential on
-    functions (grade-0 cocycles of the "lp" complex)."""
-    _validate_support("lp", w, spec)
-    _guard_basis(spec, 0, spec.degree, max_basis)
-    image = _differential("lp", w, spec)
-    basis = []
-    for degree in range(spec.degree + 1):
-        rows, domain = _assemble_strand("lp", image, spec, 0, degree)
-        for vector in linalg.nullspace(rows, len(domain)):
-            basis.append(Poly({domain[i][1]: value for i, value in vector}))
-    return basis
-
-
-@dataclass
-class H1Report:
-    dim_closed_fields: int
-    dim_exact_fields: int
-    dim_quotient: int
-    support: tuple
-    degree: int
-
-
-def h1_decomposition(
-    w: ConstantSymplectic, spec: TruncationSpec, max_basis: int = DEFAULT_MAX_BASIS
-) -> H1Report:
-    """Grade-1 cocycles modulo exact fields for the "lp" complex.
-
-    Cocycles are the degree-bounded fields annihilated by the differential;
-    exact fields are differentials of functions one degree higher.
-    """
-    dims = compute_cohomology("lp", w, spec, [1], max_basis).grades[1]
-    return H1Report(
-        dim_closed_fields=dims.cocycles,
-        dim_exact_fields=dims.coboundaries,
-        dim_quotient=dims.dim,
-        support=spec.support,
-        degree=spec.degree,
     )
 
 

@@ -286,14 +286,8 @@ class DiracStructure:
         return de_rham(self.form)
 
 
-def dirac_algebroid(structure: DiracStructure) -> AlgebroidStructure:
-    """The algebroid the Courant bracket induces on graph sections."""
-    return AlgebroidStructure(
-        name="dirac",
-        section_kind="generalized",
-        anchor=anchor,
-        bracket=courant_bracket,
-    )
+# The algebroid the Courant bracket induces on graph sections.
+_DIRAC = AlgebroidStructure("dirac", "generalized", anchor, courant_bracket)
 
 
 @dataclass
@@ -409,9 +403,7 @@ def check_dirac(structure: DiracStructure, pairs, fields, functions) -> DiracRep
         if not defect.is_zero():
             involutivity_failures.append((x, y, defect.form))
 
-    axioms = check_algebroid_axioms(
-        dirac_algebroid(structure), [structure.generate(x) for x in fields], functions
-    )
+    axioms = check_algebroid_axioms(_DIRAC, [structure.generate(x) for x in fields], functions)
     passed = (
         not isotropy_failures
         and not involutivity_failures

@@ -10,7 +10,6 @@ so a seed pins the entire stream and every report is reproducible.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -72,9 +71,6 @@ class Sampler:
             pool = monomials_up_to(*key)
             self._pools[key] = pool
         return pool
-
-    def coefficient(self) -> Fraction:
-        return Fraction(self.rng.choice(_COEFFS))
 
     def monomial(self, support, degree):
         return self.rng.choice(self._monomial_pool(support, degree))

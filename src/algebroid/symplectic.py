@@ -24,8 +24,8 @@ the declaration back.
 sharp's table and zero on unpaired coordinates.  Below the CLI a structure
 reaches the other modules only as these two tensors: the Dirac graph and
 the weak check read omega; the cotangent algebroid (anchor a -> i_a pi),
-sigma = -[pi, .], Casimirs and cohomology read pi, so degenerate blocks
-still carry their Poisson calculus.
+sigma = -[pi, .] and cohomology read pi, so degenerate blocks still carry
+their Poisson calculus.
 
 Musical conventions, fixed once:
 
@@ -228,13 +228,6 @@ def poisson_bracket(w: ConstantSymplectic, f: Poly, g: Poly) -> Poly:
     xg = hamiltonian_vf(w, g)
     cover = sorted(xf.support() | xg.support())
     return w.materialize(cover).evaluate(xf, xg)
-
-
-def induced_pairing(w: ConstantSymplectic, a: KForm, b: KForm) -> Poly:
-    """The pairing b(sharp(a)) of 1-forms induced by the 2-form."""
-    _check_grade1(a, KForm, "induced_pairing's first argument")
-    _check_grade1(b, KForm, "induced_pairing's second argument")
-    return b.evaluate(sharp(w, a))
 
 
 def _koszul_bracket(anchor, a: KForm, b: KForm) -> KForm:

@@ -455,6 +455,17 @@ class TestUsageErrors:
         assert message in err
         assert "Traceback" not in err
 
+    def test_theorem_check_on_one_coordinate_exits_two(self, capsys, tmp_path):
+        # An empty explicit block leaves x0 unpaired, so the support {0} is
+        # closed; the grade-2 cases cannot draw a bivector on it.
+        path = tmp_path / "one.adsl"
+        path.write_text("var x0\nsymplectic explicit support {} matrix []\n")
+        code, out, err = run_cli(
+            capsys, "theorem-check", "--input", str(path), "--support", "0", "--degree", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: theorem-check draws bivectors, so its support needs 2 coordinates\n"
+
     @pytest.mark.parametrize(
         "text,column",
         [

@@ -8,6 +8,7 @@ give equal, canonical values and leave the random stream in the same state,
 including when draws cancel.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -19,10 +20,15 @@ from algebroid.sampling import Sampler, monomials_of_degree
 from conftest import is_canonical
 
 
+def reference_coefficient(sampler):
+    """One draw of a nonzero integer coefficient in [-3, 3]."""
+    return Fraction(sampler.rng.choice((-3, -2, -1, 1, 2, 3)))
+
+
 def reference_poly(sampler, support, degree, terms):
     total = Poly.zero()
     for _ in range(terms):
-        total = total + Poly({sampler.monomial(support, degree): sampler.coefficient()})
+        total = total + Poly({sampler.monomial(support, degree): reference_coefficient(sampler)})
     return total
 
 
@@ -92,7 +98,7 @@ def _cancels(sampler, support, degree, terms) -> bool:
     sums = {}
     for _ in range(terms):
         mono = sampler.monomial(support, degree)
-        sums[mono] = sums.get(mono, 0) + sampler.coefficient()
+        sums[mono] = sums.get(mono, 0) + reference_coefficient(sampler)
     return 0 in sums.values()
 
 

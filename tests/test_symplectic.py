@@ -40,7 +40,6 @@ from algebroid.symplectic import (
     check_weak_symplectic,
     flat,
     hamiltonian_vf,
-    induced_pairing,
     oneform_bracket,
     poisson_bracket,
     sharp,
@@ -288,10 +287,13 @@ class TestKoszulAgainstComposition:
 
 
 class TestInducedPairing:
+    """The pairing b(sharp(a)) of 1-forms induced by the 2-form."""
+
     def test_standard_partners(self):
-        assert induced_pairing(STD, KForm.coordinate(0), KForm.coordinate(1)) == 1
-        assert induced_pairing(STD, KForm.coordinate(1), KForm.coordinate(0)) == -1
-        assert induced_pairing(STD, KForm.coordinate(0), KForm.coordinate(2)).is_zero()
+        dx0, dx1, dx2 = (KForm.coordinate(i) for i in range(3))
+        assert dx1.evaluate(sharp(STD, dx0)) == 1
+        assert dx0.evaluate(sharp(STD, dx1)) == -1
+        assert dx2.evaluate(sharp(STD, dx0)).is_zero()
 
     def test_antisymmetry(self):
         s = Sampler(312)
@@ -299,7 +301,7 @@ class TestInducedPairing:
         for _ in range(30):
             a = s.oneform(SUPPORT, 2)
             b = s.oneform(SUPPORT, 2)
-            assert induced_pairing(w, a, b) == -induced_pairing(w, b, a)
+            assert b.evaluate(sharp(w, a)) == -a.evaluate(sharp(w, b))
 
 
 class TestWeakSymplecticCheck:
