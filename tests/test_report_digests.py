@@ -44,6 +44,10 @@ GENERIC = [
 
 # Commands on the names each fixture binds.
 NAMED = {
+    "corank_form.adsl": [
+        ("check-dirac", "--target", "B"),
+        ("check-weak-symplectic", "--target", "B"),
+    ],
     "cotangent_sections.adsl": [
         ("bracket", "--left", "a", "--right", "b"),
         ("check-axioms", "--structure", "cotangent", "--support", "0..1"),
