@@ -17,13 +17,15 @@ order.
 
 ``cotangent_algebroid(pi)`` is the cotangent structure of a Poisson
 bivector pi, a grade-2 KVector: 1-forms with the anchor a -> i_a pi and
-the Koszul bracket.  It reads pi alone; a constant symplectic form enters
-as ``w.bivector(cover)``, over a cover holding every section's indices.
+the Koszul bracket.  ``ce_differential`` is the Chevalley-Eilenberg
+differential of such a structure on alternating polynomial cochains; for
+the cotangent structure it is ``contravariant_differential(pi, .)``,
+sigma = -[pi, .], the Schouten bracket with pi negated.
 
-``ce_differential`` is the Chevalley-Eilenberg differential of such a
-structure on alternating polynomial cochains; for the cotangent structure
-it is ``contravariant_differential``, sigma = -[pi, .], the Schouten
-bracket with the Poisson bivector negated.
+Both read pi alone; a constant symplectic form enters as
+``w.bivector(cover)``.  The cover must hold every section's indices for the
+anchor, and the indices of a field's coefficients for sigma: a constant
+term of pi reaches [pi, field] only through those.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from algebroid.exterior import (
     vector_apply,
 )
 from algebroid.poly import Poly, _add_scaled, _poly
-from algebroid.symplectic import ConstantSymplectic, _koszul_bracket
+from algebroid.symplectic import _koszul_bracket
 
 
 @dataclass(frozen=True)
@@ -251,16 +253,11 @@ def ce_differential(structure, cochain, sections) -> Poly:
     return ce_value(structure, cochain.grade, cochain.evaluate, sections)
 
 
-def contravariant_differential(w: ConstantSymplectic, field) -> KVector:
-    """sigma = -[pi, .], the Schouten bracket with the Poisson bivector pi of
-    ``w`` (over the pairing-closure of the field's variables) negated.
+def contravariant_differential(pi: KVector, field) -> KVector:
+    """sigma = -[pi, .], the Schouten bracket with the Poisson bivector pi
+    negated.
 
     It is the Chevalley-Eilenberg differential of the cotangent structure,
     materialized on the coordinate coframe; sigma f = -X_f = -[pi, f].
     """
-    if isinstance(field, (Poly, int, Fraction)):
-        field = KVector.from_poly(field)
-    if type(field) is not KVector:
-        raise GradeError("contravariant_differential acts on KVectors")
-    variables = set().union(*(coeff.variables() for coeff in field.terms.values()))
-    return schouten_bracket(-w.bivector(variables), field)
+    return schouten_bracket(-pi, field)

@@ -33,12 +33,10 @@ from algebroid.cohomology import (
     COMPLEXES,
     DEFAULT_MAX_BASIS,
     TruncationSpec,
-    _validate_support,
     check_lp_ce_agreement,
     compute_cohomology,
 )
 from algebroid.courant import (
-    DiracStructure,
     GeneralizedSection,
     check_courant_axioms,
     check_dirac,
@@ -311,15 +309,20 @@ def _target_form(document, name):
     return binding.value
 
 
+def _dirac_default_support(form):
+    """check-dirac's support when none is given: the form's, or 0..3 when it is zero."""
+    return tuple(sorted(form.support())) or (0, 1, 2, 3)
+
+
 def _cmd_check_dirac(args, document, report):
     if args.target:
-        structure = DiracStructure(_target_form(document, args.target))
-        support = _sampling_support(document, args, default=structure.default_support())
+        form = _target_form(document, args.target)
+        support = _sampling_support(document, args, default=_dirac_default_support(form))
     elif document.symplectic is not None:
         w = document.symplectic
-        default = DiracStructure(w.materialize(())).default_support()
+        default = _dirac_default_support(w.materialize(()))
         support = _sampling_support(document, args, default=default)
-        structure = DiracStructure(w.materialize(support))
+        form = w.materialize(support)
     else:
         raise UsageError("check-dirac needs a symplectic declaration or --target")
     sampler = Sampler(args.seed)
@@ -327,7 +330,7 @@ def _cmd_check_dirac(args, document, report):
     pairs = [(draw(), draw()) for _ in range(args.trials)]
     fields = [draw() for _ in range(3)]
     functions = [sampler.nonzero_poly(support, args.degree) for _ in range(2)]
-    result = check_dirac(structure, pairs, fields, functions)
+    result = check_dirac(form, pairs, fields, functions)
     report["options"] = {
         "trials": args.trials,
         "support": list(support),
@@ -346,7 +349,7 @@ def _cmd_check_dirac(args, document, report):
     report["axioms"] = _axiom_entries(result.axioms)
     passed = result.passed
     if not args.target:
-        complement = orthogonal_complement(w, support)
+        complement = orthogonal_complement(form, w.closure(support))
         report["complement"] = {
             "ambient": list(complement.ambient_indices),
             "fiber_dimension": complement.fiber_dimension,
@@ -356,7 +359,7 @@ def _cmd_check_dirac(args, document, report):
             "equals_complement": complement.equals_complement,
             "witness": complement.witness,
         }
-        passed = passed and complement.equals_complement and complement.isotropic
+        passed = passed and complement.equals_complement
     report["passed"] = passed
     return passed
 
@@ -458,7 +461,7 @@ def _cmd_sigma(args, document, report):
     binding = _require_binding(
         document, args.target, ("fn", "vector", "multivector"), "--target"
     )
-    value = contravariant_differential(w, binding.value)
+    value = contravariant_differential(w.bivector(document.var_indices), binding.value)
     report["options"] = {"target": args.target}
     report["result"] = value
     report["result_grade"] = value.grade
@@ -466,12 +469,16 @@ def _cmd_sigma(args, document, report):
     return True
 
 
-def _truncation(args, support, complex_name, w):
+def _truncation(args, support, w):
+    """The truncation over ``support``, which must be closed under the
+    pairing of ``w`` when there is one: pi over it then reaches every
+    partner of its indices."""
     spec = TruncationSpec(support=support, degree=args.degree)
-    try:
-        _validate_support(complex_name, w, spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if w is not None and not w.is_closed_support(spec.support):
+        raise UsageError(
+            "the truncation support must be closed under the pairing; "
+            f"its closure is {list(w.closure(spec.support))}"
+        )
     return spec
 
 
@@ -490,13 +497,12 @@ def _cmd_cohomology(args, document, report):
     w = None
     if args.complex in ("lp", "ce-cotangent"):
         w = _require_symplectic(document)
-    spec = _truncation(args, _model_support(document, args), args.complex, w)
+    spec = _truncation(args, _model_support(document, args), w)
     # No support exceeds MAX_VARIABLES and a grade above the support's size
     # is (0, 0), so a larger grade is refused before any range is built.
     grades = _parse_index_list(args.grades, "grades", MAX_VARIABLES + 1)
-    result = compute_cohomology(
-        args.complex, w, spec, grades, max_basis=args.max_basis
-    )
+    pi = None if w is None else w.bivector(spec.support)
+    result = compute_cohomology(args.complex, pi, spec, grades, max_basis=args.max_basis)
     report["options"] = {
         "complex": args.complex,
         "support": list(spec.support),
@@ -511,8 +517,7 @@ def _cmd_cohomology(args, document, report):
 
 def _cmd_theorem_check(args, document, report):
     w = _require_symplectic(document)
-    # ce-cotangent needs the same support closure as lp
-    spec = _truncation(args, _sampling_support(document, args), "lp", w)
+    spec = _truncation(args, _sampling_support(document, args), w)
     if len(spec.support) < 2:
         raise UsageError("theorem-check draws bivectors, so its support needs 2 coordinates")
     grades = _parse_index_list(args.grades, "grades", MAX_VARIABLES + 1)
@@ -526,7 +531,9 @@ def _cmd_theorem_check(args, document, report):
         for k in operator_grades
         for _ in range(args.trials)
     )
-    result = check_lp_ce_agreement(w, spec, grades, cases, max_basis=args.max_basis)
+    result = check_lp_ce_agreement(
+        w.bivector(spec.support), spec, grades, cases, max_basis=args.max_basis
+    )
     report["options"] = {
         "support": list(spec.support),
         "degree": spec.degree,

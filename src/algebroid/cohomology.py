@@ -28,9 +28,11 @@ Three complexes are supported:
   ``cotangent_algebroid(pi)`` (cochains are multivectors, evaluated on
   coordinate coframes).
 
-``compute_cohomology`` reads pi = ``w.bivector(support)`` once per call
-and builds one image map from it.  A grade above the support's size has no
-blades: its window is (0, 0) and no strand of it is assembled.
+``compute_cohomology`` takes pi itself, a grade-2 KVector over the
+support (``ce-tangent`` reads none), and builds one image map from it.  The
+support must be closed under the pairing, so that pi carries every partner
+of its indices; the CLI checks this.  A grade above the support's size has
+no blades: its window is (0, 0) and no strand of it is assembled.
 
 Both CE complexes read two tables built once per call through the
 structure: anchor(e_j) for each j in the support, and the nonzero e_l
@@ -62,7 +64,6 @@ from algebroid.exterior import KVector, _insert_into_blade, _wrap
 from algebroid.exterior import schouten_bracket, vector_apply
 from algebroid.poly import Poly, _add_scaled, _mac, monomial_degree
 from algebroid.sampling import monomials_of_degree
-from algebroid.symplectic import ConstantSymplectic
 
 DEFAULT_MAX_BASIS = 20000
 
@@ -100,26 +101,11 @@ def _guard_basis(spec, grade, degree, max_basis):
     return size
 
 
-def _validate_support(complex_name, w, spec):
-    if complex_name not in COMPLEXES:
-        raise ValueError(f"unknown complex {complex_name!r}")
-    if complex_name == "ce-tangent":
-        return
-    if not isinstance(w, ConstantSymplectic):
-        raise TypeError(f"the {complex_name} complex needs a ConstantSymplectic")
-    if not w.is_closed_support(spec.support):
-        raise ValueError(
-            "the truncation support must be closed under the pairing; "
-            f"its closure is {list(w.closure(spec.support))}"
-        )
-
-
-def _differential(complex_name, w, spec):
+def _differential(complex_name, pi, spec):
     """A map (grade, blade, monomial) -> image object of grade + 1; ``lp``
-    and ``ce-cotangent`` read pi over the support, which is pairing-closed."""
+    and ``ce-cotangent`` read pi, ``ce-tangent`` ignores it."""
     if complex_name == "ce-tangent":
         return _ce_image(tangent_algebroid(), spec.support)
-    pi = w.bivector(spec.support)
     if complex_name == "ce-cotangent":
         return _ce_image(cotangent_algebroid(pi), spec.support)
     minus_pi = -pi
@@ -215,21 +201,20 @@ class CohomologyReport:
 
 def compute_cohomology(
     complex_name,
-    w,
+    pi,
     spec: TruncationSpec,
     grades,
     max_basis: int = DEFAULT_MAX_BASIS,
     _permute=None,
 ) -> CohomologyReport:
     """Cocycle, coboundary, and quotient dimensions per requested grade."""
-    _validate_support(complex_name, w, spec)
     grades = sorted(set(grades))
     if any(g < 0 for g in grades):
         raise ValueError("grades are nonnegative")
 
     out = {}
     strand_ranks = {}
-    image = _differential(complex_name, w, spec)
+    image = _differential(complex_name, pi, spec)
 
     def window_rank(grade, degree):
         """(rank, size) of the differential on grade-``grade`` cochains of
@@ -273,7 +258,7 @@ class AgreementReport:
 
 
 def check_lp_ce_agreement(
-    w: ConstantSymplectic,
+    pi: KVector,
     spec: TruncationSpec,
     grades,
     cases,
@@ -288,16 +273,15 @@ def check_lp_ce_agreement(
     evaluations exactly.  The tables are computed by the same exact pipeline
     on both complexes.
     """
-    pi = w.bivector(spec.support)
     mismatches = []
     for grade, field, args in cases:
         # A structure per case: its anchor memo holds this case's forms only.
         lhs = ce_differential(cotangent_algebroid(pi), field, args)
-        rhs = contravariant_differential(w, field).evaluate(*args)
+        rhs = contravariant_differential(pi, field).evaluate(*args)
         if lhs != rhs:
             mismatches.append((grade, field, args, lhs - rhs))
-    lp = compute_cohomology("lp", w, spec, grades, max_basis)
-    ce = compute_cohomology("ce-cotangent", w, spec, grades, max_basis)
+    lp = compute_cohomology("lp", pi, spec, grades, max_basis)
+    ce = compute_cohomology("ce-cotangent", pi, spec, grades, max_basis)
     tables_equal = lp.table() == ce.table()
     return AgreementReport(
         mismatches=mismatches,

@@ -22,6 +22,9 @@ a constant structure, collects the sections (X, i_X w).  For a closed w
 the graph is involutive; in general
 courant(graph X, graph Y) - graph([X, Y]) = (0, i_Y i_X dw), which
 ``check_dirac`` verifies on each pair of vector fields it is given.
+``orthogonal_complement`` compares the graph of a constant w with its
+orthogonal complement in the fiber over an ambient index set.  Both take
+the 2-form itself, not the symplectic structure it may come from.
 
 ``check_courant_axioms`` checks the Courant axioms on every tuple of
 section indices (i, j[, k]), and delta's defining property on every pair
@@ -55,7 +58,6 @@ from algebroid.exterior import (
     vector_apply,
 )
 from algebroid.poly import Poly, _poly
-from algebroid.symplectic import ConstantSymplectic
 
 
 class GeneralizedSection:
@@ -257,33 +259,9 @@ def check_courant_axioms(
     )
 
 
-class DiracStructure:
-    """The graph of a 2-form w, a grade-2 KForm: sections (X, i_X w).
-
-    A constant form restricted to a block smaller than the ambient support
-    gives a subbundle strictly contained in its orthogonal complement; a
-    non-closed form gives a graph that fails involutivity with a computable
-    defect.
-    """
-
-    def __init__(self, form):
-        if type(form) is not KForm or form.grade != 2:
-            raise GradeError("a Dirac structure is the graph of a grade-2 KForm")
-        self.form = form
-
-    def generate(self, field: KVector) -> GeneralizedSection:
-        """The graph section over a vector field."""
-        return GeneralizedSection(field, interior_product(field, self.form))
-
-    def default_support(self):
-        """The support the ``check-dirac`` subcommand draws its fields over
-        when none is given: the form's support, or (0, 1, 2, 3) when it is
-        zero."""
-        return tuple(sorted(self.form.support())) or (0, 1, 2, 3)
-
-    def curvature(self) -> KForm:
-        """d of the defining 2-form (zero exactly when the graph is involutive)."""
-        return de_rham(self.form)
+def _graph(form: KForm, field: KVector) -> GeneralizedSection:
+    """The section (X, i_X w) of the graph of ``form`` over the field X."""
+    return GeneralizedSection(field, interior_product(field, form))
 
 
 # The algebroid the Courant bracket induces on graph sections.
@@ -301,67 +279,56 @@ class ComplementReport:
     witness: GeneralizedSection = None
 
 
-def orthogonal_complement(w: ConstantSymplectic, support) -> ComplementReport:
-    """The orthogonal complement of the graph of a constant structure ``w``
-    inside the ambient fiber.
+def orthogonal_complement(form: KForm, ambient) -> ComplementReport:
+    """The orthogonal complement of the graph of a constant 2-form ``form``
+    inside the fiber over ``ambient``, which holds the form's support.
 
     The fiber over the generic point is spanned by the coordinate frame and
-    coframe over the pairing-closure of ``support``; the subbundle is
-    generated by the graph sections of the indices the pairing pairs.
-    Everything is exact integer linear algebra.
+    coframe over ``ambient``; the subbundle is generated by the graph
+    sections (e_i, i_{e_i} w) of the indices the form pairs, its nonzero
+    rows.  Everything is exact integer linear algebra.
 
-    The fiber pairing [[0, I], [I, 0]] is nondegenerate on the 2n-dimensional
-    fiber, so the complement has dimension 2n - dim L, and an isotropic L
-    (L inside its complement) equals its complement exactly when dim L = n.
-    A complement basis is computed only to find a witness when it does not.
+    The graph of a 2-form is isotropic: the pairing of the sections over
+    e_i and e_j is w_ij + w_ji = 0.  The fiber pairing [[0, I], [I, 0]] is
+    nondegenerate on the 2n-dimensional fiber, so the complement has
+    dimension 2n - dim L, and L equals its complement exactly when
+    dim L = n.  A complement basis is computed only to find a witness when
+    it does not.
     """
-    ambient = w.closure(support)
+    ambient = tuple(ambient)
     n = len(ambient)
     position = {index: k for k, index in enumerate(ambient)}
 
-    basis_rows = []
-    for i in w.paired_indices(support):
-        row = [(position[i], Fraction(1))]
-        row.extend((n + position[j], value) for j, value in w.flat_components(i))
-        basis_rows.append(row)
-
-    # pairing matrix in block form [[0, I], [I, 0]]: swap the two halves
-    constraint_rows = [[(k + n if k < n else k - n, a) for k, a in row] for row in basis_rows]
+    flat = {}  # i -> i_{e_i} w as [(j, w_ij)]
+    for (i, j), coeff in form.terms.items():
+        flat.setdefault(i, []).append((j, coeff.constant_term()))
+        flat.setdefault(j, []).append((i, -coeff.constant_term()))
+    basis_rows = [
+        [(position[i], Fraction(1))] + [(n + position[j], value) for j, value in flat[i]]
+        for i in ambient
+        if i in flat
+    ]
     # Row i has a 1 in generator i's frame column and no other row touches
     # that column, so the rows are independent and the rank is their count.
     dim_sub = len(basis_rows)
 
-    # L is isotropic when every constraint row is orthogonal to every basis
-    # row; each dot product is summed only over the columns the two share.
-    column = {}
-    for t, row in enumerate(basis_rows):
-        for k, a in row:
-            column.setdefault(k, []).append((t, a))
-    isotropic = True
-    for paired in constraint_rows:
-        dots = {}
-        for k, a in paired:
-            for t, b in column.get(k, ()):
-                dots[t] = dots.get(t, 0) + a * b
-        if any(dots.values()):
-            isotropic = False
-            break
-
-    equals = isotropic and dim_sub == n
+    equals = dim_sub == n
     witness = None
     if not equals:
+        # pairing matrix in block form [[0, I], [I, 0]]: swap the two halves
+        constraint_rows = [[(k + n if k < n else k - n, a) for k, a in row] for row in basis_rows]
         for vec in linalg.nullspace(constraint_rows, 2 * n):
             if not linalg.row_space_contains(basis_rows, vec, 2 * n):
                 vector = {(ambient[k],): Fraction(v) for k, v in vec if k < n}
-                form = {(ambient[k - n],): Fraction(v) for k, v in vec if k >= n}
-                witness = GeneralizedSection(KVector(1, vector), KForm(1, form))
+                coframe = {(ambient[k - n],): Fraction(v) for k, v in vec if k >= n}
+                witness = GeneralizedSection(KVector(1, vector), KForm(1, coframe))
                 break
     return ComplementReport(
         ambient_indices=ambient,
         fiber_dimension=2 * n,
         dim_subbundle=dim_sub,
         dim_complement=2 * n - dim_sub,
-        isotropic=isotropic,
+        isotropic=True,
         equals_complement=equals,
         witness=witness,
     )
@@ -376,26 +343,28 @@ class DiracReport:
     passed: bool
 
 
-def check_dirac(structure: DiracStructure, pairs, fields, functions) -> DiracReport:
-    """Isotropy and involutivity of the graph on each pair (X, Y) of vector
-    fields in ``pairs``, then the algebroid axioms on the graph sections of
-    ``fields`` with ``functions``.
+def check_dirac(form: KForm, pairs, fields, functions) -> DiracReport:
+    """Isotropy and involutivity of the graph of the 2-form ``form`` on each
+    pair (X, Y) of vector fields in ``pairs``, then the algebroid axioms on
+    the graph sections of ``fields`` with ``functions``.
 
     Involutivity compares courant(graph X, graph Y) with graph([X, Y]); the
     form-part defect is also compared against the predicted i_Y i_X (dw).
     """
-    curvature = structure.curvature()
+    if type(form) is not KForm or form.grade != 2:
+        raise GradeError("a Dirac structure is the graph of a grade-2 KForm")
+    curvature = de_rham(form)
     isotropy_failures = []
     involutivity_failures = []
     defect_ok = True
     for x, y in pairs:
-        s1 = structure.generate(x)
-        s2 = structure.generate(y)
+        s1 = _graph(form, x)
+        s2 = _graph(form, y)
         value = tm_pairing(s1, s2)
         if not value.is_zero():
             isotropy_failures.append((x, y, value))
         bracket = courant_bracket(s1, s2)
-        expected = structure.generate(lie_bracket(x, y))
+        expected = _graph(form, lie_bracket(x, y))
         defect = bracket - expected
         predicted = interior_product(y, interior_product(x, curvature)) if not curvature.is_zero() else KForm.zero(1)
         if not (defect.vector.is_zero() and (defect.form - predicted).is_zero()):
@@ -403,7 +372,7 @@ def check_dirac(structure: DiracStructure, pairs, fields, functions) -> DiracRep
         if not defect.is_zero():
             involutivity_failures.append((x, y, defect.form))
 
-    axioms = check_algebroid_axioms(_DIRAC, [structure.generate(x) for x in fields], functions)
+    axioms = check_algebroid_axioms(_DIRAC, [_graph(form, x) for x in fields], functions)
     passed = (
         not isotropy_failures
         and not involutivity_failures

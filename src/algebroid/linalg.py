@@ -250,33 +250,33 @@ def rank_generic(rows, ncols):
 
 
 def nullspace_generic(rows, ncols):
-    """Kernel vectors of a sparse ``Poly`` matrix at the generic point, as
-    ``nullspace`` gives them, each computed when it is asked for; a block is
-    eliminated when its first vector is.  Each is divided by the integer
-    content and the common monomial of its entries, and signed so that the
-    first of ``sorted_terms`` of its free entry is positive.
+    """Kernel basis of a sparse ``Poly`` matrix at the generic point, as
+    ``nullspace`` gives it: one vector per free column, in column order.
+    Each is divided by the integer content and the common monomial of its
+    entries, and signed so that the first of ``sorted_terms`` of its free
+    entry is positive.
     """
-    blocks = _blocks(rows, ncols, Poly.zero())
-    place = {j: (b, free) for b, (columns, _) in enumerate(blocks)
-             for free, j in enumerate(columns)}
-    eliminated = {}  # block index -> (packing, packed rows, rank, pivots)
-    for j in range(ncols):
-        if j not in place:
-            yield [(j, Poly.one())]
-            continue
-        b, free = place[j]
-        columns, block = blocks[b]
-        if b not in eliminated:
-            packing, work, _ = _pack_rows(block)
-            eliminated[b] = (packing, work, *_row_echelon(work, len(columns)))
-        packing, work, rank_, pivots = eliminated[b]
-        if free in pivots:
-            continue
-        x = _back_substitute(work, rank_, pivots, free, len(columns), packing.pack(Poly.one()))
-        content = gcd(*(c for entry in x for c in entry.terms.values()))
-        common = packing.common_monomial([key for entry in x for key in entry.terms])
-        vector = {k: packing.unpack({key - common: c // content for key, c in entry.terms.items()})
-                  for k, entry in zip(columns, x) if entry}
-        if vector[j].sorted_terms()[0][1] < 0:
-            vector = {k: -entry for k, entry in vector.items()}
-        yield list(vector.items())
+    basis = {}
+    untouched = set(range(ncols))
+    for columns, block in _blocks(rows, ncols, Poly.zero()):
+        untouched.difference_update(columns)
+        width = len(columns)
+        packing, work, _ = _pack_rows(block)
+        rank_, pivots = _row_echelon(work, width)
+        one = packing.pack(Poly.one())
+        for free in range(width):
+            if free in pivots:
+                continue
+            x = _back_substitute(work, rank_, pivots, free, width, one)
+            content = gcd(*(c for entry in x for c in entry.terms.values()))
+            common = packing.common_monomial([key for entry in x for key in entry.terms])
+            vector = {
+                j: packing.unpack({key - common: c // content for key, c in entry.terms.items()})
+                for j, entry in zip(columns, x) if entry
+            }
+            if vector[columns[free]].sorted_terms()[0][1] < 0:
+                vector = {j: -entry for j, entry in vector.items()}
+            basis[columns[free]] = list(vector.items())
+    for j in untouched:
+        basis[j] = [(j, Poly.one())]
+    return [basis[j] for j in sorted(basis)]

@@ -22,10 +22,10 @@ the declaration back.
 ``materialize(cover)`` is the 2-form omega, a grade-2 KForm, and
 ``bivector(cover)`` the Poisson bivector pi, a grade-2 KVector read off
 sharp's table and zero on unpaired coordinates.  Below the CLI a structure
-reaches the other modules only as these two tensors: the Dirac graph and
-the weak check read omega; the cotangent algebroid (anchor a -> i_a pi),
-sigma = -[pi, .] and cohomology read pi, so degenerate blocks still carry
-their Poisson calculus.
+reaches the other modules only as these two tensors: the Dirac graph, its
+orthogonal complement and the weak check read omega; the cotangent
+algebroid (anchor a -> i_a pi), sigma = -[pi, .] and cohomology read pi,
+so degenerate blocks still carry their Poisson calculus.
 
 Musical conventions, fixed once:
 
@@ -301,7 +301,7 @@ def check_weak_symplectic(form: KForm, support) -> WeakSymplecticReport:
         for i, row in enumerate(rows):
             for k, value in row:
                 transposed[k].append((i, value))
-        vector = next(linalg.nullspace_generic(transposed, n))
+        vector = linalg.nullspace_generic(transposed, n)[0]
         witness = KVector(1, {(support[i],): value for i, value in vector})
     return WeakSymplecticReport(
         passed=closed and injective,

@@ -225,6 +225,17 @@ class TestCommandResults:
             "2": {"cocycles": 10, "coboundaries": 10, "dim": 0},
         }
 
+    @pytest.mark.parametrize("fixture", ["tangent_sections.adsl", "std_basic.adsl"])
+    def test_ce_tangent_reads_no_pairing(self, capsys, fixture):
+        # The tangent complex needs no symplectic declaration, and a support
+        # the pairing does not close is still a support.
+        code, report, _ = run_json(
+            capsys, "cohomology", fixture,
+            "--complex", "ce-tangent", "--support", "0", "--degree", "1",
+        )
+        assert code == 0
+        assert report["table"]["1"] == {"cocycles": 2, "coboundaries": 2, "dim": 0}
+
     def test_theorem_check(self, capsys):
         code, report, _ = run_json(
             capsys,
@@ -576,6 +587,13 @@ class TestUsageErrors:
              ("--complex", "lp", "--support", "0..2", "--degree", "1"), "closed under"),
             ("theorem-check", "std_basic.adsl", ("--support", "0..2", "--degree", "1"),
              "closed under"),
+            # An explicit block closes a support only if it lies inside it.
+            ("cohomology", "explicit_block.adsl",
+             ("--complex", "lp", "--support", "1..2", "--degree", "1"),
+             "closed under the pairing; its closure is [0, 1, 2]"),
+            ("cohomology", "tangent_sections.adsl",
+             ("--complex", "ce-cotangent", "--support", "0..1", "--degree", "1"),
+             "needs a 'symplectic' declaration"),
             ("theorem-check", "std_small.adsl",
              ("--support", "0..1", "--degree", "1", "--trials", "-1"), "--trials"),
             ("theorem-check", "std_small.adsl",
@@ -649,6 +667,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.run(["cohomology", "--input", "x.adsl"])  # missing required flags
         assert exc.value.code == 2
+
+    def test_an_unknown_complex_is_not_a_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["cohomology", "--input", str(fixture_path("std_small.adsl")),
+                     "--complex", "nope", "--support", "0..1", "--degree", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_mixed_bracket_kinds_rejected(self, capsys):
         code, out, err = run_cli(

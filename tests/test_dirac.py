@@ -7,6 +7,9 @@ operators.  The orthogonal complement is checked against dense Fraction
 elimination written out below.
 """
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -14,15 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebroid import cli, linalg
 from algebroid.courant import (
-    DiracStructure,
     GeneralizedSection,
     check_dirac,
     courant_bracket,
     orthogonal_complement,
     tm_pairing,
 )
-from algebroid import linalg
 from algebroid.errors import GradeError, NotInvertible
 from algebroid.exterior import (
     KForm,
@@ -35,19 +37,31 @@ from algebroid.poly import Poly
 from algebroid.sampling import Sampler
 from algebroid.symplectic import ConstantSymplectic, flat
 
+from conftest import fixture_path
+
 STD = ConstantSymplectic.standard()
 BLOCK = ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]])
 NONCLOSED = KForm.blade((1, 2), Poly.variable(0))
-# The graphs of the constant structures over the sampling support (0, 1, 2, 3)
-STD_GRAPH = DiracStructure(STD.materialize((0, 1, 2, 3)))
-BLOCK_GRAPH = DiracStructure(BLOCK.materialize(()))
+# The 2-forms check-dirac graphs over its default sampling supports
+STD_FORM = STD.materialize((0, 1, 2, 3))
+BLOCK_FORM = BLOCK.materialize(())
 
 
-def drawn_inputs(structure, trials, seed, degree=2):
-    """``check_dirac``'s pairs, fields and functions, drawn over the
-    structure's default support in the order ``check-dirac`` draws them."""
+def graph(form, field):
+    """The graph section (X, i_X w) over the vector field X."""
+    return GeneralizedSection(field, interior_product(field, form))
+
+
+def complement(w, support):
+    """The orthogonal complement of the graph of ``w`` over ``support``, as
+    ``check-dirac`` asks for it."""
+    return orthogonal_complement(w.materialize(support), w.closure(support))
+
+
+def drawn_inputs(support, trials, seed, degree=2):
+    """``check_dirac``'s pairs, fields and functions, drawn over ``support``
+    in the order ``check-dirac`` draws them."""
     draw = Sampler(seed)
-    support = structure.default_support()
     pairs = [
         (draw.vector_field(support, degree), draw.vector_field(support, degree))
         for _ in range(trials)
@@ -72,47 +86,45 @@ class TestGraphConstruction:
         s = Sampler(601)
         for _ in range(10):
             x = s.vector_field((0, 1, 2, 3), 2)
-            section = STD_GRAPH.generate(x)
-            assert section.vector == x
-            assert section.form == flat(STD, x)
+            assert graph(STD_FORM, x).form == flat(STD, x)
 
-    def test_form_graph_uses_contraction(self):
-        structure = DiracStructure(NONCLOSED)
-        s = Sampler(602)
-        for _ in range(10):
-            x = s.vector_field((0, 1, 2), 2)
-            section = structure.generate(x)
-            assert section.form == interior_product(x, NONCLOSED)
+    def test_check_compares_contraction_graphs(self):
+        # Each involutivity defect is courant(graph X, graph Y) - graph([X, Y])
+        # for the graph sections (X, i_X w).
+        pairs, _, _ = drawn_inputs((0, 1, 2), 4, 602)
+        report = check_dirac(NONCLOSED, pairs, [], [])
+        assert [(x, y) for x, y, _ in report.involutivity_failures] == pairs
+        for x, y, defect in report.involutivity_failures:
+            expected = courant_bracket(graph(NONCLOSED, x), graph(NONCLOSED, y))
+            assert defect == (expected - graph(NONCLOSED, lie_bracket(x, y))).form
 
     def test_curvature(self):
-        assert STD_GRAPH.curvature().is_zero()
-        assert DiracStructure(NONCLOSED).curvature() == de_rham(NONCLOSED)
+        assert de_rham(STD_FORM).is_zero()
+        assert de_rham(NONCLOSED) == KForm.blade((0, 1, 2), Poly.one())
 
     def test_rejects_wrong_grade(self):
         with pytest.raises(GradeError):
-            DiracStructure(KForm.coordinate(0))
+            check_dirac(KForm.coordinate(0), [], [], [])
         with pytest.raises(GradeError):
-            DiracStructure(Poly.variable(0))
+            check_dirac(Poly.variable(0), [], [], [])
         # a constant structure enters as its 2-form over a cover
         with pytest.raises(GradeError):
-            DiracStructure(STD)
+            check_dirac(STD, [], [], [])
 
 
 class TestIsotropy:
     def test_graph_sections_pair_to_zero(self):
         s = Sampler(603)
-        for structure in (STD_GRAPH, DiracStructure(NONCLOSED)):
+        for form in (STD_FORM, NONCLOSED):
             for _ in range(10):
                 x = s.vector_field((0, 1, 2, 3), 2)
                 y = s.vector_field((0, 1, 2, 3), 2)
-                assert tm_pairing(
-                    structure.generate(x), structure.generate(y)
-                ).is_zero()
+                assert tm_pairing(graph(form, x), graph(form, y)).is_zero()
 
 
 class TestStandardGraph:
     def test_check_passes(self):
-        report = check_dirac(STD_GRAPH, *drawn_inputs(STD_GRAPH, 8, 1729))
+        report = check_dirac(STD_FORM, *drawn_inputs((0, 1, 2, 3), 8, 1729))
         assert report.passed
         assert report.isotropy_failures == []
         assert report.involutivity_failures == []
@@ -121,14 +133,13 @@ class TestStandardGraph:
 
     def test_every_coordinate_pair_passes(self):
         support = range(6)
-        graph = DiracStructure(STD.materialize(support))
         fields = [KVector.coordinate(i) for i in support]
         functions = [Poly.variable(0) * Poly.variable(1)]
-        report = check_dirac(graph, coordinate_pairs(support), fields, functions)
+        report = check_dirac(STD.materialize(support), coordinate_pairs(support), fields, functions)
         assert report.passed
 
     def test_complement_equals_subbundle(self):
-        report = orthogonal_complement(STD, (0, 1, 2, 3))
+        report = complement(STD, (0, 1, 2, 3))
         assert report.fiber_dimension == 8
         assert report.dim_subbundle == 4
         assert report.dim_complement == 4
@@ -139,7 +150,7 @@ class TestStandardGraph:
 
 class TestUnpairedDirections:
     def test_strictly_smaller_than_complement(self):
-        report = orthogonal_complement(BLOCK, (0, 1, 2))
+        report = complement(BLOCK, (0, 1, 2))
         assert report.ambient_indices == (0, 1, 2)
         assert report.fiber_dimension == 6
         assert report.dim_subbundle == 2
@@ -149,11 +160,11 @@ class TestUnpairedDirections:
         assert str(report.witness) == "(e[2], 0)"
 
     def test_witness_is_orthogonal_to_every_graph_section(self):
-        report = orthogonal_complement(BLOCK, (0, 1, 2))
+        report = complement(BLOCK, (0, 1, 2))
         s = Sampler(604)
         for _ in range(10):
             x = s.vector_field((0, 1), 2)
-            assert tm_pairing(report.witness, BLOCK_GRAPH.generate(x)).is_zero()
+            assert tm_pairing(report.witness, graph(BLOCK_FORM, x)).is_zero()
 
 
 def _reduced(rows, ncols):
@@ -186,27 +197,15 @@ def _kernel(rows, ncols):
     return basis
 
 
-def brute_force_complement(w, support):
-    """(isotropic, equals_complement) from the graph sections themselves.
+def brute_force_complement(ambient, sections):
+    """(isotropic, equals_complement) of the subbundle spanned by the graph
+    ``sections`` inside the fiber over ``ambient``.
 
-    Each generating section is (e_i, flat(e_i)), read off the structure's
-    raw rows, so a block that is not antisymmetric keeps its asymmetry.
-    The ambient indices and the generators are read off the pairing's own
-    storage here: the standard pairing closes ``support`` under i <-> i ^ 1
-    and pairs all of it, an explicit one adds its block and pairs only that.
-    Isotropy pairs every two generating sections with ``tm_pairing``.  The
-    complement is the kernel of the paired coordinate rows, and it equals
-    the subbundle when the dimensions agree and every kernel vector lies in
-    the row space.
+    Isotropy pairs every two sections with ``tm_pairing``.  The complement
+    is the kernel of the paired coordinate rows, and it equals the
+    subbundle when the dimensions agree and every kernel vector lies in the
+    row space.
     """
-    if w.kind == "standard":
-        ambient = sorted(set(support) | {i ^ 1 for i in support})
-        generators = ambient
-    else:
-        ambient = sorted(set(support) | set(w.block))
-        generators = w.block
-    fields = [KVector.coordinate(i) for i in generators]
-    sections = [GeneralizedSection(x, flat(w, x)) for x in fields]
     isotropic = all(tm_pairing(s, t).is_zero() for s in sections for t in sections)
     rows = [
         [s.vector.coefficient((j,)).constant_term() for j in ambient]
@@ -221,11 +220,31 @@ def brute_force_complement(w, support):
     return isotropic, dim_sub == len(perp) and inside
 
 
+def structure_sections(w, support):
+    """The ambient indices and the graph sections (e_i, flat(e_i)) of ``w``
+    over ``support``, read off the pairing's own storage: the standard
+    pairing closes ``support`` under i <-> i ^ 1 and pairs all of it, an
+    explicit one adds its block and pairs only that."""
+    if w.kind == "standard":
+        ambient = sorted(set(support) | {i ^ 1 for i in support})
+        generators = ambient
+    else:
+        ambient = sorted(set(support) | set(w.block))
+        generators = w.block
+    fields = [KVector.coordinate(i) for i in generators]
+    return ambient, [GeneralizedSection(x, flat(w, x)) for x in fields]
+
+
+def form_sections(form, ambient):
+    """The graph sections (e_i, i_{e_i} w) over ``ambient`` whose form part
+    is not zero."""
+    sections = [graph(form, KVector.coordinate(i)) for i in ambient]
+    return [section for section in sections if not section.form.is_zero()]
+
+
 def _seeded_structures(seed):
-    """Constant structures with a seeded support: the standard structure, an
-    invertible antisymmetric block, and an arbitrary block, which only the
-    raw constructor accepts (``explicit`` demands antisymmetry), so that
-    isotropy can fail."""
+    """Constant structures with a seeded support: the standard structure and
+    an invertible antisymmetric block."""
     rng = random.Random(seed)
     support = tuple(sorted(rng.sample(range(7), rng.randint(1, 5))))
     size = rng.choice((2, 4))
@@ -239,58 +258,53 @@ def _seeded_structures(seed):
         out.append((ConstantSymplectic.explicit(block, antisymmetric), support))
     except NotInvertible:
         pass
-    arbitrary = [[Fraction(rng.randint(-2, 2)) for _ in range(size)] for _ in range(size)]
-    out.append((ConstantSymplectic("explicit", block, arbitrary), support))
     return out
+
+
+# Constant 2-forms on coordinates below 8, degenerate ones included: up to
+# six blades (i, j), i < j, each with a coefficient in -2..2.
+constant_forms = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7))
+    .filter(lambda blade: blade[0] < blade[1]),
+    st.integers(min_value=-2, max_value=2),
+    max_size=6,
+).map(lambda terms: KForm(2, terms))
 
 
 class TestComplementAgainstBruteForce:
     def test_unpaired_block_case(self):
-        report = orthogonal_complement(BLOCK, (0, 1, 2))
-        assert brute_force_complement(BLOCK, (0, 1, 2)) == (True, False)
+        report = complement(BLOCK, (0, 1, 2))
+        assert brute_force_complement(*structure_sections(BLOCK, (0, 1, 2))) == (True, False)
         assert (report.isotropic, report.equals_complement) == (True, False)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_seeded_constant_structures(self, seed):
         for w, support in _seeded_structures(seed):
-            report = orthogonal_complement(w, support)
-            expected = brute_force_complement(w, support)
+            ambient, sections = structure_sections(w, support)
+            report = complement(w, support)
+            assert report.ambient_indices == tuple(ambient)
+            expected = brute_force_complement(ambient, sections)
             assert (report.isotropic, report.equals_complement) == expected
 
     def test_seeds_reach_every_verdict(self):
+        # A 2-form's graph is isotropic, so these are all the verdicts.
         verdicts = set()
         for seed in range(12):
             for w, support in _seeded_structures(seed):
-                verdicts.add(brute_force_complement(w, support))
-        assert verdicts == {(True, True), (True, False), (False, False)}
+                verdicts.add(brute_force_complement(*structure_sections(w, support)))
+        assert verdicts == {(True, True), (True, False)}
 
-    @given(
-        st.integers(min_value=1, max_value=4).flatmap(
-            lambda size: st.tuples(
-                st.sets(st.integers(min_value=0, max_value=7), min_size=size, max_size=size),
-                st.lists(
-                    st.lists(st.integers(min_value=-2, max_value=2), min_size=size,
-                             max_size=size),
-                    min_size=size,
-                    max_size=size,
-                ),
-            )
-        ),
-        st.sets(st.integers(min_value=0, max_value=9), min_size=1, max_size=6),
-    )
+    @given(constant_forms, st.sets(st.integers(min_value=0, max_value=9), max_size=6))
     @settings(deadline=None)
-    def test_isotropy_of_arbitrary_blocks(self, block_and_rows, support):
-        # The sparse isotropy test reads only the columns two rows share;
-        # blocks that are not antisymmetric make some graphs non-isotropic,
-        # and entries outside the block or the support are never paired.
-        block, rows = block_and_rows
-        w = ConstantSymplectic(
-            "explicit", tuple(sorted(block)), [[Fraction(v) for v in row] for row in rows]
-        )
-        for structure in (w, STD):
-            report = orthogonal_complement(structure, tuple(sorted(support)))
-            expected = brute_force_complement(structure, support)
-            assert (report.isotropic, report.equals_complement) == expected
+    def test_arbitrary_constant_forms(self, form, extra):
+        # The generators are the nonzero rows of the form; indices of the
+        # ambient fiber that the form does not pair are never generators.
+        ambient = tuple(sorted(form.support() | extra))
+        report = orthogonal_complement(form, ambient)
+        expected = brute_force_complement(ambient, form_sections(form, ambient))
+        assert expected[0]
+        assert report.dim_subbundle == len(form_sections(form, ambient))
+        assert (report.isotropic, report.equals_complement) == expected
 
     def test_thirty_variables_take_a_few_ranks(self, monkeypatch):
         # An isotropic subbundle equals its complement exactly when it has
@@ -306,7 +320,7 @@ class TestComplementAgainstBruteForce:
                 return _fn(*args)
 
             monkeypatch.setattr(linalg, name, counting)
-        report = orthogonal_complement(STD, tuple(range(30)))
+        report = complement(STD, tuple(range(30)))
         assert report.dim_subbundle == report.dim_complement == 30
         assert report.isotropic and report.equals_complement
         assert calls["rank"] == 0
@@ -316,8 +330,7 @@ class TestComplementAgainstBruteForce:
 
 class TestNonClosedGraph:
     def test_involutivity_fails_with_predicted_defect(self):
-        structure = DiracStructure(NONCLOSED)
-        report = check_dirac(structure, *drawn_inputs(structure, 6, 3))
+        report = check_dirac(NONCLOSED, *drawn_inputs((0, 1, 2), 6, 3))
         assert not report.passed
         assert report.isotropy_failures == []
         assert len(report.involutivity_failures) == 6
@@ -329,9 +342,8 @@ class TestNonClosedGraph:
     def test_coordinate_pairs_decide_involutivity(self):
         # The defect i_Y i_X dw is C-infinity-bilinear in X and Y, so the
         # coordinate pairs decide involutivity exactly, with nothing drawn.
-        structure = DiracStructure(NONCLOSED)
-        curvature = structure.curvature()
-        report = check_dirac(structure, coordinate_pairs(range(4)), [], [])
+        curvature = de_rham(NONCLOSED)
+        report = check_dirac(NONCLOSED, coordinate_pairs(range(4)), [], [])
         assert not report.passed
         assert report.isotropy_failures == []
         assert [(x, y) for x, y, _ in report.involutivity_failures] == [
@@ -342,15 +354,13 @@ class TestNonClosedGraph:
         assert report.defect_matches_prediction
 
     def test_defect_identity_directly(self):
-        structure = DiracStructure(NONCLOSED)
-        curvature = structure.curvature()
+        curvature = de_rham(NONCLOSED)
         s = Sampler(605)
         for _ in range(15):
             x = s.vector_field((0, 1, 2), 2)
             y = s.vector_field((0, 1, 2), 2)
-            bracket = courant_bracket(structure.generate(x), structure.generate(y))
-            expected = structure.generate(lie_bracket(x, y))
-            defect = bracket - expected
+            bracket = courant_bracket(graph(NONCLOSED, x), graph(NONCLOSED, y))
+            defect = bracket - graph(NONCLOSED, lie_bracket(x, y))
             assert defect.vector.is_zero()
             assert defect.form == interior_product(
                 y, interior_product(x, curvature)
@@ -359,23 +369,30 @@ class TestNonClosedGraph:
     def test_closed_polynomial_graph_is_involutive(self):
         closed = de_rham(KForm.blade((1,), Poly.variable(0) * Poly.variable(2)))
         assert not closed.is_zero()
-        structure = DiracStructure(closed)
-        report = check_dirac(structure, *drawn_inputs(structure, 6, 5))
+        report = check_dirac(closed, *drawn_inputs((0, 1, 2), 6, 5))
         assert report.involutivity_failures == []
         assert report.defect_matches_prediction
 
 
+def dirac_support(document, *target):
+    """The sampling support ``check-dirac`` reports for a document."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.run(["check-dirac", "--input", str(document), "--format", "json", *target])
+    return json.loads(out.getvalue())["options"]["support"]
+
+
 class TestSamplingSupport:
-    def test_default_support(self):
+    def test_default_support(self, tmp_path):
         # A constant structure's default comes from its 2-form over no
         # cover: the standard one forces no index, a block forces itself.
-        assert DiracStructure(STD.materialize(())).default_support() == (0, 1, 2, 3)
-        assert BLOCK_GRAPH.default_support() == (0, 1)
-        assert DiracStructure(NONCLOSED).default_support() == (0, 1, 2)
-        empty = ConstantSymplectic.explicit((), [])
-        assert DiracStructure(empty.materialize(())).default_support() == (0, 1, 2, 3)
-        assert STD_GRAPH.default_support() == (0, 1, 2, 3)
+        assert dirac_support(fixture_path("dirac_std.adsl")) == [0, 1, 2, 3]
+        assert dirac_support(fixture_path("explicit_block.adsl")) == [0, 1]
+        assert dirac_support(fixture_path("nonclosed_form.adsl"), "--target", "B") == [0, 1, 2]
+        empty = tmp_path / "empty_block.adsl"
+        empty.write_text("var x0 x1 x2 x3 x4 x5\nsymplectic explicit support {} matrix []\n")
+        assert dirac_support(empty) == [0, 1, 2, 3]
 
     def test_block_structure_samples_its_own_block(self):
-        report = check_dirac(BLOCK_GRAPH, *drawn_inputs(BLOCK_GRAPH, 4, 9))
+        report = check_dirac(BLOCK_FORM, *drawn_inputs((0, 1), 4, 9))
         assert report.passed

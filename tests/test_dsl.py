@@ -14,7 +14,6 @@ from algebroid.dsl import parse_document, render_document, render_value
 from algebroid.errors import DslError, NotInvertible
 from algebroid.exterior import KForm, KVector, de_rham, wedge
 from algebroid.poly import MAX_EXPONENT, MAX_VARIABLES, Poly
-from algebroid.symplectic import ConstantSymplectic
 
 from conftest import fixture_path
 

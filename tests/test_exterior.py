@@ -38,7 +38,7 @@ from algebroid.poly import Poly
 from algebroid.sampling import Sampler
 from algebroid.symplectic import flat, sharp
 
-from conftest import alternating, constant_structures, polys, sgn
+from conftest import INDICES, alternating, constant_structures, polys, sgn
 
 SUPPORT = (0, 1, 2, 3)
 
@@ -425,11 +425,12 @@ class TestCanonicalTerms:
     )
     @settings(deadline=None)
     def test_musical_maps_and_contravariant_differential(self, w, x, a, p, f):
+        pi = w.bivector(INDICES)
         results = [
             flat(w, x), flat(w, x) + flat(w, -x),
             cotangent_algebroid(w.bivector(a.support())).anchor(a),
-            contravariant_differential(w, f), contravariant_differential(w, p),
-            contravariant_differential(w, contravariant_differential(w, p)),
+            contravariant_differential(pi, f), contravariant_differential(pi, p),
+            contravariant_differential(pi, contravariant_differential(pi, p)),
         ]
         try:
             xa = sharp(w, a)

@@ -1,0 +1,85 @@
+"""Import layering of the package, read from the syntax trees of its files.
+
+Below the CLI a constant symplectic structure reaches the other modules only
+as its two tensors, pi and omega: only ``cli``, ``dsl`` (which builds it)
+and ``symplectic`` (which defines it) name ``ConstantSymplectic``, and the
+cohomology and Courant modules import nothing from ``symplectic``.  No
+module imports the CLI, and no source or test file imports a name it never
+uses.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "algebroid").glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
+
+def tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def imported_modules(module):
+    """Every ``algebroid`` module a syntax tree imports from, by its last part."""
+    out = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module)
+            # ``from algebroid import cli`` imports the module ``cli``
+            out.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return {name.rpartition(".")[2] for name in out if name.startswith("algebroid.")}
+
+
+def identifiers(module):
+    """Every name a syntax tree binds, reads or imports, and every attribute."""
+    out = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+            if node.asname:
+                out.add(node.asname)
+    return out
+
+
+def unused_imports(module):
+    """Names bound by a module's imports that nothing in it reads."""
+    bound = {}
+    for node in ast.walk(module):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_only_the_cli_the_dsl_and_symplectic_name_the_structure():
+    naming = {path.name for path in SOURCES if "ConstantSymplectic" in identifiers(tree(path))}
+    assert "symplectic.py" in naming
+    assert naming <= {"cli.py", "dsl.py", "symplectic.py"}
+
+
+@pytest.mark.parametrize("name", ["cohomology.py", "courant.py"])
+def test_module_imports_nothing_from_symplectic(name):
+    assert "symplectic" not in imported_modules(tree(ROOT / "src" / "algebroid" / name))
+
+
+def test_no_module_imports_the_cli():
+    importing = [path.name for path in SOURCES if "cli" in imported_modules(tree(path))]
+    assert importing == []
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda path: path.parent.name + "/" + path.name)
+def test_no_unused_imports(path):
+    assert unused_imports(tree(path)) == []

@@ -30,7 +30,6 @@ from algebroid.exterior import (
     interior_product,
     lie_derivative,
     schouten_bracket,
-    wedge,
 )
 from algebroid.poly import Poly
 from algebroid.sampling import Sampler
