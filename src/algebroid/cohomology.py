@@ -34,6 +34,11 @@ support must be closed under the pairing, so that pi carries every partner
 of its indices; the CLI checks this.  A grade above the support's size has
 no blades: its window is (0, 0) and no strand of it is assembled.
 
+Each differential is a derivation of degree one (sigma: Lichnerowicz 1977;
+d_CE: Vaintrob 1997), so d(mono * e_blade) = d(mono) ^ e_blade +
+mono * d(e_blade).  A strand combines the images of generators, each taken
+once per call: the monomials at grade 0 and the unit blades.
+
 Both CE complexes read two tables built once per call through the
 structure: anchor(e_j) for each j in the support, and the nonzero e_l
 components of [e_a, e_b] for a < b (for the cotangent structure, the Koszul
@@ -47,6 +52,7 @@ T = blade - {l} + {a, b}, with pos(l) taken in blade and the others in T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -59,11 +65,11 @@ from algebroid.algebroids import (
     cotangent_algebroid,
     tangent_algebroid,
 )
-from algebroid.errors import TruncationTooLarge
+from algebroid.errors import ResultTooLarge, TruncationTooLarge
 from algebroid.exterior import KVector, _insert_into_blade, _wrap
 from algebroid.exterior import schouten_bracket, vector_apply
-from algebroid.poly import Poly, _add_scaled, _mac, monomial_degree
-from algebroid.sampling import monomials_of_degree
+from algebroid.poly import CONSTANT_MONOMIAL, GUARD, MAX_EXPONENT, Poly, _add_scaled, _mac
+from algebroid.poly import _normal, monomial_degree, monomials_of_degree
 
 DEFAULT_MAX_BASIS = 20000
 
@@ -147,37 +153,67 @@ def _ce_image(structure, support):
     return image
 
 
+def _leibniz(function_image, blade_image, mono, inserts):
+    """d(mono * e_I) = d(mono) ^ e_I + mono * d(e_I) as {(target blade,
+    monomial): nonzero scalar}, from ``function_image`` = d(mono),
+    ``blade_image`` = d(e_I) and ``inserts[j]`` = (sign, target) of e_j ^ e_I.
+    A guard bit in a shifted monomial raises ``ResultTooLarge``, as in ``_poly``."""
+    out = {}
+    for (j,), coeff in function_image.terms.items():
+        sign, target = inserts[j]
+        if sign:
+            for out_mono, scalar in coeff.terms.items():
+                out[target, out_mono] = sign * scalar
+    for target, coeff in blade_image.terms.items():
+        for out_mono, scalar in coeff.terms.items():
+            out_mono += mono
+            if out_mono & GUARD:
+                raise ResultTooLarge(f"a product has an exponent larger than {MAX_EXPONENT}")
+            key = target, out_mono
+            if key in out:
+                scalar = _normal(out[key] + scalar)
+                if not scalar:
+                    del out[key]
+                    continue
+            out[key] = scalar
+    return out
+
+
 def _assemble_strand(complex_name, image, spec, grade, degree, permute=None):
     """Sparse rows of the differential ``image`` on one strand, plus its domain.
 
     The domain is the grade-``grade`` basis with coefficient degree exactly
     ``degree`` (blade-major, monomials in canonical order; ``permute``
-    shuffles it); it indexes the columns.  Rows are indexed by the (target
-    blade, target monomial) pairs in the order the images first reach them,
-    and every target monomial must have degree ``degree - 1``.  Entries are
-    exact rationals.
+    shuffles it); it indexes the columns.  ``image`` is asked only for
+    generators, d(mono) and d(e_blade); column (blade, mono) combines them
+    by ``_leibniz``.  Rows are indexed by the (target blade, target monomial)
+    pairs in the order the columns first reach them, and every target
+    monomial must have degree ``degree - 1``.  Entries are exact rationals.
     """
     monos = monomials_of_degree(spec.support, degree)
-    domain = [(blade, mono) for blade in blade_basis(spec.support, grade) for mono in monos]
+    blades = blade_basis(spec.support, grade)
+    domain = [(blade, mono) for blade in blades for mono in monos]
     if permute is not None:
         permute.shuffle(domain)
+    function_images = {mono: image(0, (), mono) for mono in monos}
+    blade_images = {blade: image(grade, blade, CONSTANT_MONOMIAL) for blade in blades}
+    inserts = {blade: {j: _insert_into_blade(blade, j) for j in spec.support} for blade in blades}
     row_index = {}
     rows = []
     for col, (blade, mono) in enumerate(domain):
-        for target, coeff in image(grade, blade, mono).terms.items():
-            for out_mono, scalar in coeff.terms.items():
-                if monomial_degree(out_mono) != degree - 1:
-                    raise AssertionError(
-                        f"the {complex_name} image of {(blade, mono)} has a term of degree "
-                        f"{monomial_degree(out_mono)}, outside strand ({grade}, {degree})"
-                    )
-                key = (target, out_mono)
-                row = row_index.get(key)
-                if row is None:
-                    row_index[key] = len(rows)
-                    rows.append([(col, scalar)])
-                else:
-                    rows[row].append((col, scalar))
+        combined = _leibniz(function_images[mono], blade_images[blade], mono, inserts[blade])
+        for key, scalar in combined.items():
+            if monomial_degree(key[1]) != degree - 1:
+                raise AssertionError(
+                    f"the {complex_name} image of {(blade, mono)} has a term of degree "
+                    f"{monomial_degree(key[1])}, outside strand ({grade}, {degree})"
+                )
+            row = row_index.get(key)
+            if row is None:
+                row_index[key] = len(rows)
+                rows.append([(col, scalar)])
+            else:
+                rows[row].append((col, scalar))
     return rows, domain
 
 
@@ -214,7 +250,8 @@ def compute_cohomology(
 
     out = {}
     strand_ranks = {}
-    image = _differential(complex_name, pi, spec)
+    # the image of each generator, computed once in this call
+    image = cache(_differential(complex_name, pi, spec))
 
     def window_rank(grade, degree):
         """(rank, size) of the differential on grade-``grade`` cochains of

@@ -54,6 +54,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import combinations_with_replacement
 from math import lcm
 
 from algebroid.errors import ResultTooLarge
@@ -112,6 +113,21 @@ def decode(mono: int) -> tuple:
             mono >>= W * skip
             var += skip
     return tuple(pairs)
+
+
+def monomials_of_degree(support, degree):
+    """All monomials over ``support`` with total degree exactly ``degree``,
+    in canonical order."""
+    out = []
+    for combo in combinations_with_replacement(tuple(sorted(set(support))), degree):
+        mono = []
+        for var in combo:
+            if mono and mono[-1][0] == var:
+                mono[-1] = (var, mono[-1][1] + 1)
+            else:
+                mono.append((var, 1))
+        out.append(tuple(mono))
+    return [encode(mono) for mono in sorted(out)]
 
 
 def _partials(mono: int) -> list:

@@ -10,34 +10,18 @@ so a seed pins the entire stream and every report is reproducible.
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement
 from math import comb
 
 from algebroid.courant import GeneralizedSection
 from algebroid.errors import TruncationTooLarge
 from algebroid.exterior import KForm, KVector, _wrap
-from algebroid.poly import Poly, _poly, encode
+from algebroid.poly import Poly, _poly, monomials_of_degree
 
 _COEFFS = (-3, -2, -1, 1, 2, 3)
 # The most monomials a draw may choose from: the pool is enumerated before
 # the first draw, and 80,601 monomials (support 0..400, degree 2) take about
 # 0.24 s, 3,108,105 about 17 s (2 vCPU, CPython 3.11.7).
 MAX_POOL = 100_000
-
-
-def monomials_of_degree(support, degree):
-    """All monomials over ``support`` with total degree exactly ``degree``,
-    in canonical order."""
-    out = []
-    for combo in combinations_with_replacement(tuple(sorted(set(support))), degree):
-        mono = []
-        for var in combo:
-            if mono and mono[-1][0] == var:
-                mono[-1] = (var, mono[-1][1] + 1)
-            else:
-                mono.append((var, 1))
-        out.append(tuple(mono))
-    return [encode(mono) for mono in sorted(out)]
 
 
 def monomials_up_to(support, degree):

@@ -3,9 +3,10 @@
 Below the CLI a constant symplectic structure reaches the other modules only
 as its two tensors, pi and omega: only ``cli``, ``dsl`` (which builds it)
 and ``symplectic`` (which defines it) name ``ConstantSymplectic``, and the
-cohomology and Courant modules import nothing from ``symplectic``.  No
-module imports the CLI, and no source or test file imports a name it never
-uses.
+cohomology and Courant modules import nothing from ``symplectic``.  Only
+the CLI draws random inputs, so cohomology imports nothing from
+``sampling`` (nor, through it, ``courant``).  No module imports the CLI,
+and no source or test file imports a name it never uses.
 """
 
 import ast
@@ -73,6 +74,10 @@ def test_only_the_cli_the_dsl_and_symplectic_name_the_structure():
 @pytest.mark.parametrize("name", ["cohomology.py", "courant.py"])
 def test_module_imports_nothing_from_symplectic(name):
     assert "symplectic" not in imported_modules(tree(ROOT / "src" / "algebroid" / name))
+
+
+def test_cohomology_imports_nothing_from_sampling():
+    assert "sampling" not in imported_modules(tree(ROOT / "src" / "algebroid" / "cohomology.py"))
 
 
 def test_no_module_imports_the_cli():

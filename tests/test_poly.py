@@ -3,6 +3,7 @@ derivatives, exact division, orderings, and canonical rendering."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from algebroid.poly import (
     encode,
     monomial_degree,
     monomial_key,
+    monomials_of_degree,
     render_fraction,
     render_poly,
 )
@@ -109,6 +111,21 @@ class TestMonomials:
         low = encode(((7, 1),))
         high = encode(((0, 1), (1, 1)))
         assert monomial_key(low) < monomial_key(high)
+
+    @pytest.mark.parametrize("support", [(), (2,), (0, 1), (1, 3, 4), (0, 7, 100, 4095)])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 4])
+    def test_monomials_of_degree_are_every_pair_tuple_in_sorted_order(self, support, degree):
+        # Every exponent vector over the support with entries summing to the
+        # degree, as pair tuples in sorted order: the order the cohomology bases,
+        # and so their kernel vectors, are built in.
+        expected = sorted(
+            tuple((v, e) for v, e in zip(support, exps) if e)
+            for exps in product(range(degree + 1), repeat=len(support))
+            if sum(exps) == degree
+        )
+        monos = monomials_of_degree(support, degree)
+        assert [decode(m) for m in monos] == expected
+        assert monos == [encode(pairs) for pairs in expected]
 
 
 class TestEncoding:

@@ -14,8 +14,8 @@ from itertools import product
 import pytest
 
 from algebroid.exterior import KForm, KVector
-from algebroid.poly import Poly, decode, encode
-from algebroid.sampling import Sampler, monomials_of_degree
+from algebroid.poly import Poly
+from algebroid.sampling import Sampler
 
 from conftest import is_canonical
 
@@ -109,17 +109,3 @@ def _nonzero(sampler, support, degree):
             return value
 
 
-@pytest.mark.parametrize("support", [(), (2,), (0, 1), (1, 3, 4), (0, 7, 100, 4095)])
-@pytest.mark.parametrize("degree", [0, 1, 2, 4])
-def test_monomials_of_degree_are_every_pair_tuple_in_sorted_order(support, degree):
-    # Every exponent vector over the support with entries summing to the
-    # degree, as pair tuples in sorted order: the order the cohomology bases,
-    # and so their kernel vectors, are built in.
-    expected = sorted(
-        tuple((v, e) for v, e in zip(support, exps) if e)
-        for exps in product(range(degree + 1), repeat=len(support))
-        if sum(exps) == degree
-    )
-    monos = monomials_of_degree(support, degree)
-    assert [decode(m) for m in monos] == expected
-    assert monos == [encode(pairs) for pairs in expected]
