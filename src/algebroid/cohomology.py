@@ -29,30 +29,25 @@ Three complexes are supported:
   coordinate coframes).
 
 ``compute_cohomology`` takes pi itself, a grade-2 KVector over the
-support (``ce-tangent`` reads none), and builds one image map from it.  The
-support must be closed under the pairing, so that pi carries every partner
-of its indices; the CLI checks this.  A grade above the support's size has
-no blades: its window is (0, 0) and no strand of it is assembled.
+support (``ce-tangent`` reads none), and builds one generator table from
+it.  The support must be closed under the pairing, so that pi carries every
+partner of its indices; the CLI checks this.  A grade above the support's
+size has no blades: its window is (0, 0) and no strand of it is assembled.
 
 Each differential is a derivation of degree one (sigma: Lichnerowicz 1977;
-d_CE: Vaintrob 1997), so d(mono * e_blade) = d(mono) ^ e_blade +
-mono * d(e_blade).  A strand combines the images of generators, each taken
-once per call: the monomials at grade 0 and the unit blades.
-
-Both CE complexes read two tables built once per call through the
-structure: anchor(e_j) for each j in the support, and the nonzero e_l
-components of [e_a, e_b] for a < b (for the cotangent structure, the Koszul
-bracket, never sigma).  On coordinate sections mono * e_blade evaluates as
-a signed lookup, so the CE formula keeps two sparse sums: the anchor term
-(-1)^pos(j) anchor(e_j)(mono) on T = blade + {j}, and for each l in blade
-the bracket term (-1)^(pos(a) + pos(b) + pos(l)) [e_a, e_b]^l mono on
-T = blade - {l} + {a, b}, with pos(l) taken in blade and the others in T.
+d_CE: Vaintrob 1997), so ``_generators`` fixes it by one table of the images
+of the 2m generators over the support: d(x_j) of grade 1 and d(e_l) of grade
+2.  ``lp`` takes them from the Schouten bracket with -pi, both CE complexes
+from the structure's anchor and bracket (never sigma), so the ``lp`` and
+``ce-cotangent`` tables come from two codes.  One extension serves all three:
+d(mono) = sum_j (del_j mono) d(x_j), once per monomial; d(e_I) =
+sum_p (-1)^p d(e_{I_p}) ^ e_{I - I_p}, once per blade; and each column is
+d(mono * e_I) = d(mono) ^ e_I + mono * d(e_I).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -66,10 +61,9 @@ from algebroid.algebroids import (
     tangent_algebroid,
 )
 from algebroid.errors import ResultTooLarge, TruncationTooLarge
-from algebroid.exterior import KVector, _insert_into_blade, _wrap
-from algebroid.exterior import schouten_bracket, vector_apply
-from algebroid.poly import CONSTANT_MONOMIAL, GUARD, MAX_EXPONENT, Poly, _add_scaled, _mac
-from algebroid.poly import _normal, monomial_degree, monomials_of_degree
+from algebroid.exterior import KVector, _insert_into_blade, _merge_blades, _wrap, schouten_bracket
+from algebroid.poly import GUARD, MAX_EXPONENT, Poly, _add_scaled, _mac, _normal, _partials
+from algebroid.poly import monomial_degree, monomials_of_degree
 
 DEFAULT_MAX_BASIS = 20000
 
@@ -107,50 +101,49 @@ def _guard_basis(spec, grade, degree, max_basis):
     return size
 
 
-def _differential(complex_name, pi, spec):
-    """A map (grade, blade, monomial) -> image object of grade + 1; ``lp``
-    and ``ce-cotangent`` read pi, ``ce-tangent`` ignores it."""
-    if complex_name == "ce-tangent":
-        return _ce_image(tangent_algebroid(), spec.support)
-    if complex_name == "ce-cotangent":
-        return _ce_image(cotangent_algebroid(pi), spec.support)
-    minus_pi = -pi
-
-    def image(grade, blade, mono):
-        return schouten_bracket(minus_pi, KVector._raw(grade, {blade: Poly({mono: 1})}))
-
-    return image
-
-
-def _ce_image(structure, support):
-    """The Chevalley-Eilenberg image map of ``structure`` on the coordinate
-    basis over ``support``, built from its anchor and bracket tables."""
+def _generators(complex_name, pi, support):
+    """{j: d(x_j)} of grade 1 and {l: d(e_l)} of grade 2 over ``support``:
+    Schouten brackets with -pi for ``lp``; for both CE complexes
+    d(x_j)(e_a) = anchor(e_a)(x_j) and d(e^l)(e_a, e_b) = -[e_a, e_b]^l."""
+    if complex_name == "lp":
+        minus_pi = -pi
+        functions = {j: schouten_bracket(minus_pi, Poly.variable(j)) for j in support}
+        return functions, {l: schouten_bracket(minus_pi, KVector.coordinate(l)) for l in support}
+    structure = tangent_algebroid() if complex_name == "ce-tangent" else cotangent_algebroid(pi)
     section = _SECTION_KIND[structure.section_kind].coordinate
-    cochain_cls = _COCHAIN_KIND[structure.section_kind]
-    anchors = [(j, structure.anchor(section(j))) for j in support]
-    brackets = {}  # l -> [(a, b, e_l component of [e_a, e_b])]
+    cochain = _COCHAIN_KIND[structure.section_kind]._raw
+    functions, units = {j: {} for j in support}, {l: {} for l in support}
+    for a in support:
+        for (j,), coeff in structure.anchor(section(a)).terms.items():
+            if j in functions:
+                functions[j][a,] = coeff
     for a, b in combinations(support, 2):
         for (l,), coeff in structure.bracket(section(a), section(b)).terms.items():
-            brackets.setdefault(l, []).append((a, b, coeff))
+            if l in units:
+                units[l][a, b] = -coeff
+    functions = {j: cochain(1, terms) for j, terms in functions.items()}
+    return functions, {l: cochain(2, terms) for l, terms in units.items()}
 
-    def image(grade, blade, mono):
-        f = Poly._raw({mono: 1})
-        out = {}
-        for j, field in anchors:
-            sign, target = _insert_into_blade(blade, j)
+
+def _function_image(functions, mono):
+    """d(mono) = sum_j (del_j mono) d(x_j), as grade-1 terms."""
+    out = {}
+    for j, exp, rest in _partials(mono):
+        for blade, coeff in functions[j].terms.items():
+            _mac(out.setdefault(blade, {}), coeff.terms, {rest: exp})
+    return _wrap(out)
+
+
+def _blade_image(units, blade):
+    """d(e_I) = sum_p (-1)^p d(e_{I_p}) ^ e_{I - I_p}, as terms of grade |I| + 1."""
+    out = {}
+    for p, l in enumerate(blade):
+        rest = blade[:p] + blade[p + 1 :]
+        for pair, coeff in units[l].terms.items():
+            sign, target = _merge_blades(pair, rest)
             if sign:
-                _add_scaled(out.setdefault(target, {}), vector_apply(field, f).terms, sign)
-        for pos, l in enumerate(blade):
-            rest = blade[:pos] + blade[pos + 1 :]
-            for a, b, coeff in brackets.get(l, ()):
-                sign_a, with_a = _insert_into_blade(rest, a)
-                sign, target = _insert_into_blade(with_a, b) if sign_a else (0, None)
-                if sign:
-                    sign *= sign_a * (-1) ** pos
-                    _mac(out.setdefault(target, {}), coeff.terms, f.terms, sign)
-        return cochain_cls._raw(grade + 1, dict(sorted(_wrap(out).items())))
-
-    return image
+                _add_scaled(out.setdefault(target, {}), coeff.terms, -sign if p & 1 else sign)
+    return _wrap(out)
 
 
 def _leibniz(function_image, blade_image, mono, inserts):
@@ -159,12 +152,12 @@ def _leibniz(function_image, blade_image, mono, inserts):
     ``blade_image`` = d(e_I) and ``inserts[j]`` = (sign, target) of e_j ^ e_I.
     A guard bit in a shifted monomial raises ``ResultTooLarge``, as in ``_poly``."""
     out = {}
-    for (j,), coeff in function_image.terms.items():
+    for (j,), coeff in function_image.items():
         sign, target = inserts[j]
         if sign:
             for out_mono, scalar in coeff.terms.items():
                 out[target, out_mono] = sign * scalar
-    for target, coeff in blade_image.terms.items():
+    for target, coeff in blade_image.items():
         for out_mono, scalar in coeff.terms.items():
             out_mono += mono
             if out_mono & GUARD:
@@ -179,29 +172,25 @@ def _leibniz(function_image, blade_image, mono, inserts):
     return out
 
 
-def _assemble_strand(complex_name, image, spec, grade, degree, permute=None):
-    """Sparse rows of the differential ``image`` on one strand, plus its domain.
+def _assemble_strand(complex_name, spec, grade, degree, blades, monos, permute=None):
+    """Sparse rows of one strand of the differential, plus its domain.
 
-    The domain is the grade-``grade`` basis with coefficient degree exactly
-    ``degree`` (blade-major, monomials in canonical order; ``permute``
-    shuffles it); it indexes the columns.  ``image`` is asked only for
-    generators, d(mono) and d(e_blade); column (blade, mono) combines them
-    by ``_leibniz``.  Rows are indexed by the (target blade, target monomial)
+    ``blades`` maps each blade of grade ``grade`` to d(e_blade), and ``monos``
+    each monomial of degree exactly ``degree`` to d(mono), in canonical order.
+    The domain is their product, blade-major (``permute`` shuffles it); it
+    indexes the columns, and column (blade, mono) combines the two images by
+    ``_leibniz``.  Rows are indexed by the (target blade, target monomial)
     pairs in the order the columns first reach them, and every target
     monomial must have degree ``degree - 1``.  Entries are exact rationals.
     """
-    monos = monomials_of_degree(spec.support, degree)
-    blades = blade_basis(spec.support, grade)
     domain = [(blade, mono) for blade in blades for mono in monos]
     if permute is not None:
         permute.shuffle(domain)
-    function_images = {mono: image(0, (), mono) for mono in monos}
-    blade_images = {blade: image(grade, blade, CONSTANT_MONOMIAL) for blade in blades}
     inserts = {blade: {j: _insert_into_blade(blade, j) for j in spec.support} for blade in blades}
     row_index = {}
     rows = []
     for col, (blade, mono) in enumerate(domain):
-        combined = _leibniz(function_images[mono], blade_images[blade], mono, inserts[blade])
+        combined = _leibniz(monos[mono], blades[blade], mono, inserts[blade])
         for key, scalar in combined.items():
             if monomial_degree(key[1]) != degree - 1:
                 raise AssertionError(
@@ -250,8 +239,11 @@ def compute_cohomology(
 
     out = {}
     strand_ranks = {}
-    # the image of each generator, computed once in this call
-    image = cache(_differential(complex_name, pi, spec))
+    functions, units = _generators(complex_name, pi, spec.support)
+    # d(mono) for the monomials of each degree and d(e_blade) for the blades
+    # of each grade, each computed once in this call
+    at_degree = {}
+    at_grade = {}
 
     def window_rank(grade, degree):
         """(rank, size) of the differential on grade-``grade`` cochains of
@@ -260,9 +252,16 @@ def compute_cohomology(
         size = _guard_basis(spec, grade, degree, max_basis)
         if not size:
             return 0, 0
+        if grade not in at_grade:
+            at_grade[grade] = {b: _blade_image(units, b) for b in blade_basis(spec.support, grade)}
         for d in range(degree + 1):
             if (grade, d) not in strand_ranks:
-                rows, domain = _assemble_strand(complex_name, image, spec, grade, d, _permute)
+                if d not in at_degree:
+                    monos = monomials_of_degree(spec.support, d)
+                    at_degree[d] = {m: _function_image(functions, m) for m in monos}
+                rows, domain = _assemble_strand(
+                    complex_name, spec, grade, d, at_grade[grade], at_degree[d], _permute
+                )
                 strand_ranks[grade, d] = linalg.rank(rows, len(domain))
         return sum(strand_ranks[grade, d] for d in range(degree + 1)), size
 

@@ -77,14 +77,6 @@ class GeneralizedSection:
     def zero(cls) -> "GeneralizedSection":
         return cls(KVector.zero(1), KForm.zero(1))
 
-    @classmethod
-    def of_vector(cls, vector: KVector) -> "GeneralizedSection":
-        return cls(vector, KForm.zero(1))
-
-    @classmethod
-    def of_form(cls, form: KForm) -> "GeneralizedSection":
-        return cls(KVector.zero(1), form)
-
     def is_zero(self) -> bool:
         return self.vector.is_zero() and self.form.is_zero()
 

@@ -130,7 +130,7 @@ def _integer_rows(rows):
     """Sparse rational rows, each scaled by the lcm of its denominators."""
     out = []
     for row in rows:
-        denominators = [value.denominator for _, value in row if isinstance(value, Fraction)]
+        denominators = [value.denominator for _, value in row if type(value) is Fraction]
         if denominators:
             scale = lcm(*denominators)
             row = [(j, int(value * scale)) for j, value in row]

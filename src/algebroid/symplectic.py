@@ -135,13 +135,6 @@ class ConstantSymplectic:
             self._columns[key] = cached
         return cached
 
-    def entry(self, i: int, j: int) -> Fraction:
-        """The coefficient w(e_i, e_j)."""
-        for index, value in self.flat_components(i):
-            if index == j:
-                return value
-        return Fraction(0)
-
     def closure(self, indices) -> tuple:
         """Smallest index set containing ``indices`` and closed under pairing."""
         out = set(indices)

@@ -15,9 +15,10 @@ Oracles:
   cocycle and coboundary dimension of the standard structure's complexes;
 * a closed-form count by Künneth for a paired block beside unpaired
   coordinates, whose cohomology does not vanish above grade 0;
-* the Chevalley-Eilenberg formula evaluated entry by entry
-  (``reference_ce_image``) must reproduce every CE image the library builds
-  from its anchor and bracket tables.
+* each differential is fixed by its generator table, d(x_j) and d(e_l):
+  the images the library combines from that table must equal the Schouten
+  bracket with -pi (``lp``) and the Chevalley-Eilenberg formula evaluated
+  entry by entry (``reference_ce_image``) on every basis element.
 """
 
 import random
@@ -46,6 +47,7 @@ from algebroid.cohomology import (
 )
 from algebroid.errors import ResultTooLarge, TruncationTooLarge
 from algebroid.exterior import KForm, KVector, _insert_into_blade, de_rham, interior_product, wedge
+from algebroid.exterior import schouten_bracket
 from algebroid.linalg import nullspace, rank
 from algebroid.poly import MAX_EXPONENT, Poly, decode, encode
 from algebroid.sampling import Sampler, monomials_up_to
@@ -400,43 +402,6 @@ def so3_structure(scale):
     return AlgebroidStructure("so3", "vector", lambda section: KVector.zero(1), bracket)
 
 
-class TestCeImages:
-    """The table-driven CE images equal the entry-by-entry CE formula."""
-
-    SUPPORT = tuple(range(4))
-
-    def assert_images_match(self, image, structure):
-        for grade in range(len(self.SUPPORT) + 1):
-            for blade, mono in kvector_basis(self.SUPPORT, grade, 3):
-                got = image(grade, blade, mono)
-                assert list(got.terms) == sorted(got.terms)
-                assert got == reference_ce_image(structure, self.SUPPORT, grade, blade, mono)
-
-    @pytest.mark.parametrize(
-        "w",
-        [STD, ConstantSymplectic.explicit((1, 3), PAIRED_BLOCKS[1]),
-         ConstantSymplectic.explicit(range(4), PAIRED_BLOCKS[2])],
-        ids=["standard", "block-with-spectators", "non-unit-block"],
-    )
-    @pytest.mark.parametrize("complex_name", ["ce-tangent", "ce-cotangent"])
-    def test_every_basis_element_matches_the_reference(self, complex_name, w):
-        spec = TruncationSpec(self.SUPPORT, 3)
-        pi = w.bivector(self.SUPPORT)
-        if complex_name == "ce-tangent":
-            structure = tangent_algebroid()
-        else:
-            structure = cotangent_algebroid(pi)
-        self.assert_images_match(cohomology._differential(complex_name, pi, spec), structure)
-
-    @pytest.mark.parametrize("scale", [Poly.one(), Poly.variable(3) - 2], ids=["so3", "scaled"])
-    def test_bracket_terms_match_the_reference(self, scale):
-        structure = so3_structure(scale)
-        # d(dx[2]) (e0, e1) = -dx[2]([e0, e1]) = -scale
-        image = cohomology._ce_image(structure, self.SUPPORT)
-        assert image(1, (2,), encode(())) == KForm(2, {(0, 1): -scale})
-        self.assert_images_match(image, structure)
-
-
 def so3_bivector():
     """The linear Lie-Poisson bivector of so(3) on x0, x1, x2:
     x0 e1^e2 + x1 e2^e0 + x2 e0^e1."""
@@ -444,15 +409,21 @@ def so3_bivector():
     return KVector(2, {(1, 2): x0, (0, 2): -x1, (0, 1): x2})
 
 
-# Bivectors over 0..3 whose differentials are checked against the Leibniz
-# rule.  Only the constant one keeps each strand: the others shift degree,
-# and the random one is not Poisson, so sigma^2 != 0; the rule holds for all.
+# Bivectors over 0..3 whose differentials are checked on every basis element.
+# Only the constant ones keep each strand: the others shift degree, and the
+# random one is not Poisson, so sigma^2 != 0; the derivation rule holds for all.
 BIVECTORS = {
     "standard": STD_PI,
+    "block-with-spectators": (
+        ConstantSymplectic.explicit((1, 3), PAIRED_BLOCKS[1]).bivector(range(4))
+    ),
+    "non-unit-block": ConstantSymplectic.explicit(range(4), PAIRED_BLOCKS[2]).bivector(range(4)),
     "so3": so3_bivector(),
     "quadratic": KVector(2, {(0, 1): Poly.variable(0) * Poly.variable(1)}),
     "random": Sampler(1729).kvector(2, range(4), 2, terms=4),
 }
+
+SUPPORT4 = tuple(range(4))
 
 
 def image_terms(value):
@@ -460,14 +431,63 @@ def image_terms(value):
     return {(blade, mono): c for blade, coeff in value.terms.items() for mono, c in coeff.terms.items()}
 
 
+def combined_images(complex_name, pi, degree=3):
+    """(grade, blade, mono, image of mono * e_blade) for every basis element
+    over 0..3 with coefficient degree <= ``degree``, each image combined by
+    ``_leibniz`` from the library's generator table."""
+    functions, units = cohomology._generators(complex_name, pi, SUPPORT4)
+    monos = monomials_up_to(SUPPORT4, degree)
+    for grade in range(len(SUPPORT4) + 1):
+        for blade in blade_basis(SUPPORT4, grade):
+            inserts = {j: _insert_into_blade(blade, j) for j in SUPPORT4}
+            unit = cohomology._blade_image(units, blade)
+            for mono in monos:
+                function = cohomology._function_image(functions, mono)
+                yield grade, blade, mono, cohomology._leibniz(function, unit, mono, inserts)
+
+
+def ce_structure(complex_name, pi):
+    return tangent_algebroid() if complex_name == "ce-tangent" else cotangent_algebroid(pi)
+
+
+class TestCeImages:
+    """The CE generator tables equal the entry-by-entry CE formula."""
+
+    @pytest.mark.parametrize(
+        "complex_name, pi",
+        [("ce-cotangent", pi) for pi in BIVECTORS] + [("ce-tangent", None)],
+    )
+    def test_generators_match_the_reference(self, complex_name, pi):
+        pi = BIVECTORS.get(pi)
+        structure = ce_structure(complex_name, pi)
+        functions, units = cohomology._generators(complex_name, pi, SUPPORT4)
+        assert sorted(functions) == sorted(units) == list(SUPPORT4)
+        for j in SUPPORT4:
+            x_j = encode(((j, 1),))
+            assert functions[j] == reference_ce_image(structure, SUPPORT4, 0, (), x_j)
+            assert units[j] == reference_ce_image(structure, SUPPORT4, 1, (j,), encode(()))
+
+    @pytest.mark.parametrize("scale", [Poly.one(), Poly.variable(3) - 2], ids=["so3", "scaled"])
+    def test_bracket_terms_match_the_reference(self, monkeypatch, scale):
+        # A structure with vector sections enters the table as ce-tangent.
+        structure = so3_structure(scale)
+        monkeypatch.setattr(cohomology, "tangent_algebroid", lambda: structure)
+        functions, units = cohomology._generators("ce-tangent", None, SUPPORT4)
+        # zero anchor: d(x_j) = 0; d(dx[2]) (e0, e1) = -dx[2]([e0, e1]) = -scale
+        assert all(value.is_zero() for value in functions.values())
+        assert units[2] == KForm(2, {(0, 1): -scale})
+        for grade, blade, mono, combined in combined_images("ce-tangent", None):
+            reference = reference_ce_image(structure, SUPPORT4, grade, blade, mono)
+            assert combined == image_terms(reference)
+
+
 class TestLeibniz:
     """Each differential is a derivation of degree one, so the image of
-    mono * e_blade that a strand combines from the images of generators,
-    d(mono) ^ e_blade + mono * d(e_blade), is the image of the basis element.
-    The combining step is checked on its own, without the strand's degree
-    check, which a non-constant pi fails."""
-
-    SUPPORT = tuple(range(4))
+    mono * e_blade that a strand combines from the generator table,
+    d(mono) ^ e_blade + mono * d(e_blade), is the image of the basis element:
+    the Schouten bracket with -pi for ``lp``, the CE formula entry by entry
+    for both CE complexes.  The combining step is checked on its own, without
+    the strand's degree check, which a non-constant pi fails."""
 
     @pytest.mark.parametrize(
         "complex_name, pi",
@@ -475,34 +495,32 @@ class TestLeibniz:
     )
     def test_combined_images_equal_the_images_of_basis_elements(self, complex_name, pi):
         pi = BIVECTORS.get(pi)
-        image = cohomology._differential(complex_name, pi, TruncationSpec(self.SUPPORT, 3))
-        monos = monomials_up_to(self.SUPPORT, 3)
-        for grade in range(len(self.SUPPORT) + 1):
-            for blade in blade_basis(self.SUPPORT, grade):
-                inserts = {j: _insert_into_blade(blade, j) for j in self.SUPPORT}
-                unit = image(grade, blade, encode(()))
-                for mono in monos:
-                    combined = cohomology._leibniz(image(0, (), mono), unit, mono, inserts)
-                    assert combined == image_terms(image(grade, blade, mono))
-                    assert all(type(c) is int or c.denominator > 1 for c in combined.values())
+        structure = None if complex_name == "lp" else ce_structure(complex_name, pi)
+        for grade, blade, mono, combined in combined_images(complex_name, pi):
+            if structure is None:
+                reference = schouten_bracket(-pi, KVector._raw(grade, {blade: Poly({mono: 1})}))
+            else:
+                reference = reference_ce_image(structure, SUPPORT4, grade, blade, mono)
+            assert combined == image_terms(reference)
+            assert all(type(c) is int or c.denominator > 1 for c in combined.values())
 
     def test_colliding_terms_are_summed_and_cancelled(self):
         # d(x0) = 1/2 x0 e1 and d(e0) = b e0^e1, so d(x0 e0) = (b - 1/2) x0
         # e0^e1, since e1 ^ e0 = -e0 ^ e1: zero at b = 1/2, the int 1 at 3/2.
         x0, blade = encode(((0, 1),)), (0,)
         inserts = {j: _insert_into_blade(blade, j) for j in range(2)}
-        function_image = KVector(1, {(1,): Poly({x0: Fraction(1, 2)})})
+        function_image = {(1,): Poly({x0: Fraction(1, 2)})}
         for b, expected in [(Fraction(1, 2), {}), (Fraction(3, 2), {((0, 1), x0): 1})]:
-            unit = KVector(2, {(0, 1): Poly({encode(()): b})})
+            unit = {(0, 1): Poly({encode(()): b})}
             combined = cohomology._leibniz(function_image, unit, x0, inserts)
             assert combined == expected
             assert all(type(c) is int for c in combined.values())
 
     def test_a_shifted_exponent_past_the_bound_raises(self):
         x0 = encode(((0, 1),))
-        unit = KVector(2, {(0, 1): Poly.variable(0) ** MAX_EXPONENT})
+        unit = {(0, 1): Poly.variable(0) ** MAX_EXPONENT}
         with pytest.raises(ResultTooLarge):
-            cohomology._leibniz(KVector.zero(1), unit, x0, {})
+            cohomology._leibniz({}, unit, x0, {})
 
 
 class TestIndependentAssembly:
@@ -615,16 +633,11 @@ class TestGuards:
         assert base.table() == shuffled.table()
 
 
-def wrap_differential(monkeypatch, around):
-    """Replace each image map built by ``cohomology._differential`` with
-    ``around(image, grade, blade, mono)``."""
-    build = cohomology._differential
-
-    def wrapped(*args):
-        image = build(*args)
-        return lambda grade, blade, mono: around(image, grade, blade, mono)
-
-    monkeypatch.setattr(cohomology, "_differential", wrapped)
+def wrap_generators(monkeypatch, around):
+    """Replace each generator table built by ``cohomology._generators`` with
+    ``around(functions, units)``."""
+    build = cohomology._generators
+    monkeypatch.setattr(cohomology, "_generators", lambda *args: around(*build(*args)))
 
 
 class TestStrands:
@@ -637,51 +650,50 @@ class TestStrands:
         assembled = set()
         assemble = cohomology._assemble_strand
 
-        def recording(complex_name, image, spec, grade, degree, permute=None):
+        def recording(complex_name, spec, grade, *args):
             assembled.add(grade)
-            return assemble(complex_name, image, spec, grade, degree, permute)
+            return assemble(complex_name, spec, grade, *args)
 
         monkeypatch.setattr(cohomology, "_assemble_strand", recording)
         report = cohomology_of(complex_name, STD, TruncationSpec((0, 1), 2), range(200))
         assert assembled == {0, 1, 2}
         assert all(report.table()[k] == (0, 0, 0) for k in range(3, 200))
 
-    def test_each_generator_is_imaged_once(self, monkeypatch):
-        seen = []
+    def test_lp_brackets_only_the_generators(self, monkeypatch):
+        brackets = []
+        bracket = cohomology.schouten_bracket
 
-        def counting(image, grade, blade, mono):
-            seen.append((grade, blade, mono))
-            return image(grade, blade, mono)
+        def counting(left, right):
+            brackets.append(right)
+            return bracket(left, right)
 
-        wrap_differential(monkeypatch, counting)
-        # The lp job of the benchmark gate.  Grades 0 and 1 are needed up to
-        # degree 5 (coboundaries of grades 1 and 2) and grade 2 up to degree
-        # 4.  Only generators are imaged: the 126 monomials of degree <= 5 at
-        # grade 0, then the 4 unit blades of grade 1 and the 6 of grade 2.
-        # Imaging every basis element would make 126 + 4 * 126 + 6 * 70 =
-        # 1,050 calls.
+        monkeypatch.setattr(cohomology, "schouten_bracket", counting)
+        # The lp job of the benchmark gate.  Only the 2m = 8 generators are
+        # bracketed with -pi: x_j and e_l for each j and l in 0..3.  Imaging
+        # each monomial at grade 0 and each unit blade made 126 + 4 + 6 = 136
+        # calls, and each basis element 126 + 4 * 126 + 6 * 70 = 1,050.
         report = cohomology_of("lp", STD, TruncationSpec(range(4), 4), [0, 1, 2])
         assert report.table() == {k: poincare_counts(4, 4, k) for k in range(3)}
-        assert len(seen) == len(set(seen)) == 126 + 4 + 6 == 136
-        assert {(grade, blade) for grade, blade, mono in seen if grade} == {
-            (grade, blade) for grade in (1, 2) for blade in blade_basis(range(4), grade)
-        }
-        assert all(mono == 0 for grade, _, mono in seen if grade)
+        assert len(brackets) == 8
+        assert [str(value) for value in brackets] == (
+            [f"x{j}" for j in range(4)] + [f"e[{l}]" for l in range(4)]
+        )
 
     @staticmethod
-    def leaking(image, grade, blade, mono):
-        # a term of the domain's own degree, one above the strand's target
-        value = image(grade, blade, mono)
-        return value + type(value).blade(tuple(range(grade + 1)), Poly({mono: 1}))
+    def leaking(functions, units):
+        # d(x_j) gains x_j e_j: a term of the domain's own degree in strand
+        # (0, 1), one above the strand's target
+        leaked = {j: f + type(f).blade((j,), Poly.variable(j)) for j, f in functions.items()}
+        return leaked, units
 
     @pytest.mark.parametrize("complex_name", ["lp", "ce-tangent", "ce-cotangent"])
     def test_an_off_strand_term_raises(self, monkeypatch, complex_name):
-        wrap_differential(monkeypatch, self.leaking)
-        with pytest.raises(AssertionError, match=r"term of degree 0, outside strand \(0, 0\)"):
+        wrap_generators(monkeypatch, self.leaking)
+        with pytest.raises(AssertionError, match=r"term of degree 1, outside strand \(0, 1\)"):
             cohomology_of(complex_name, STD, TruncationSpec(range(2), 1), [0])
 
     def test_an_internal_error_exits_three(self, monkeypatch, capsys, tmp_path):
-        wrap_differential(monkeypatch, self.leaking)
+        wrap_generators(monkeypatch, self.leaking)
         document = tmp_path / "std2.adsl"
         document.write_text("var x0 x1\nsymplectic std\n")
         code = cli.run(["cohomology", "--complex", "ce-cotangent", "--support", "0..1",

@@ -52,8 +52,10 @@ class TestGeneralizedSection:
         a = KForm.coordinate(1)
         s = GeneralizedSection(x, a)
         assert s.vector == x and s.form == a
-        assert GeneralizedSection.of_vector(x) == GeneralizedSection(x, KForm.zero(1))
-        assert GeneralizedSection.of_form(a) == GeneralizedSection(KVector.zero(1), a)
+        only_vector = GeneralizedSection(x, KForm.zero(1))
+        assert only_vector.vector == x and only_vector.form.is_zero()
+        only_form = GeneralizedSection(KVector.zero(1), a)
+        assert only_form.vector.is_zero() and only_form.form == a
         assert GeneralizedSection.zero().is_zero()
 
     def test_arithmetic(self):
@@ -351,21 +353,21 @@ class TestWitnessOrder:
         [
             (
                 "bracket-jacobi",
-                corrupt_dorfman(GeneralizedSection.of_vector(KVector.coordinate(2))),
+                corrupt_dorfman(GeneralizedSection(KVector.coordinate(2), KForm.zero(1))),
                 tm_pairing,
                 "leibniz-jacobi defect on (s2, s1, s2): (0, -dx[1])",
             ),
             (
                 "pairing-invariance",
                 corrupt_dorfman(
-                    GeneralizedSection.of_form(KForm.blade((2,), Poly.variable(0)))
+                    GeneralizedSection(KVector.zero(1), KForm.blade((2,), Poly.variable(0)))
                 ),
                 tm_pairing,
                 "pairing invariance fails on (s2, s1, s2): -x0*x1",
             ),
             (
                 "symmetric-part",
-                corrupt_dorfman(GeneralizedSection.of_vector(KVector.coordinate(3))),
+                corrupt_dorfman(GeneralizedSection(KVector.coordinate(3), KForm.zero(1))),
                 tm_pairing,
                 "symmetric part defect on (s1, s2): (e[3], 0)",
             ),

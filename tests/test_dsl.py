@@ -59,9 +59,7 @@ class TestExpressions:
 
     def test_section_with_zero_component(self):
         doc = parse("var x0\nsection s = (e[0], 0)\n")
-        assert doc.lookup("s").value == GeneralizedSection.of_vector(
-            KVector.coordinate(0)
-        )
+        assert doc.lookup("s").value == GeneralizedSection(KVector.coordinate(0), KForm.zero(1))
 
     def test_d_operator_inside_expression(self):
         doc = parse("var x0 x1\nform a = d[x0*x1]\n")
@@ -89,7 +87,8 @@ class TestExpressions:
         )
         w = doc.symplectic
         assert w.kind == "explicit"
-        assert w.entry(0, 1) == Fraction(1, 2)
+        assert w.flat_components(0) == [(1, Fraction(1, 2))]
+        assert w.matrix == [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]
 
     def test_unsorted_explicit_support_is_permuted(self):
         doc = parse(
@@ -97,9 +96,9 @@ class TestExpressions:
             "symplectic explicit support {2, 0} matrix [[0, 1], [-1, 0]]\n"
         )
         w = doc.symplectic
-        # entry(0, 2) sits at the permuted position of the original (2, 0) slot
-        assert w.entry(0, 2) == Fraction(-1)
-        assert w.entry(2, 0) == Fraction(1)
+        # w(e_0, e_2) sits at the permuted position of the original (2, 0) slot
+        assert w.flat_components(0) == [(2, Fraction(-1))]
+        assert w.flat_components(2) == [(0, Fraction(1))]
 
     def test_singular_explicit_matrix(self):
         with pytest.raises(NotInvertible):

@@ -583,23 +583,25 @@ class TestMusicalMapsAgainstReference:
 
     @given(constant_structures())
     @settings(deadline=None)
-    def test_entry_reads_the_matrix(self, w):
+    def test_flat_components_read_the_matrix(self, w):
         for i in range(10):
+            row = dict(w.flat_components(i))
+            assert all(type(value) is Fraction for value in row.values())
             for j in range(10):
-                value = w.entry(i, j)
-                assert type(value) is Fraction
+                value = row.get(j, 0)
                 assert value == reference_entry(w, i, j)
                 if w.kind == "explicit" and i in w.block and j in w.block:
                     assert value == w.matrix[w.block.index(i)][w.block.index(j)]
 
-    def test_standard_entry_closed_form(self):
+    def test_standard_flat_components_closed_form(self):
         # w = sum_p dx_{2p} ^ dx_{2p+1}: w(e_i, e_j) is +1 for (2p, 2p+1),
         # -1 for (2p+1, 2p) and 0 elsewhere.
         pairs = {(2 * p, 2 * p + 1): 1 for p in range(6)}
         pairs.update({(2 * p + 1, 2 * p): -1 for p in range(6)})
         for i in range(12):
+            row = dict(STD.flat_components(i))
             for j in range(12):
-                assert STD.entry(i, j) == pairs.get((i, j), 0)
+                assert row.get(j, 0) == pairs.get((i, j), 0)
 
     @given(constant_structures(), st.sets(st.sampled_from(INDICES)))
     @settings(deadline=None)
