@@ -17,7 +17,8 @@ order.
 
 ``cotangent_algebroid(pi)`` is the cotangent structure of a Poisson
 bivector pi, a grade-2 KVector: 1-forms with the anchor a -> i_a pi and
-the Koszul bracket.  ``ce_differential`` is the Chevalley-Eilenberg
+the Koszul bracket of that anchor, whose three Cartan terms are summed into
+one accumulation.  ``ce_differential`` is the Chevalley-Eilenberg
 differential of such a structure on alternating polynomial cochains; for
 the cotangent structure it is ``contravariant_differential(pi, .)``,
 sigma = -[pi, .], the Schouten bracket with pi negated.
@@ -40,13 +41,16 @@ from algebroid.exterior import (
     KVector,
     _apply,
     _coerce_poly,
+    _contract,
+    _differentiate,
+    _wrap,
+    de_rham,
     interior_product,
     lie_bracket,
     schouten_bracket,
     vector_apply,
 )
 from algebroid.poly import Poly, _add_scaled, _poly
-from algebroid.symplectic import _koszul_bracket
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,24 @@ def tangent_algebroid() -> AlgebroidStructure:
         anchor=lambda section: section,
         bracket=lie_bracket,
     )
+
+
+def _koszul_bracket(anchor, a: KForm, b: KForm) -> KForm:
+    """{a, b} = L_{anchor a} b - L_{anchor b} a - d(b(anchor a)), in Cartan
+    form (L_X b = i_X db + d(b(X))): i_{xa} db - i_{xb} da - d(a(xb)).  No
+    antisymmetry of the anchor is used; da and db are memoized on the forms."""
+    for which, form in (("first", a), ("second", b)):
+        if type(form) is not KForm or form.grade != 1:
+            raise GradeError(f"the Koszul bracket's {which} argument must be a grade-1 KForm")
+    xa = anchor(a)
+    xb = anchor(b)
+    out = {}
+    _contract(out, xa, de_rham(b))
+    _contract(out, xb, de_rham(a), -1)
+    value = {}
+    _contract(value, xb, a)
+    _differentiate(out, value.get((), {}), -1)
+    return KForm._raw(1, _wrap(out))
 
 
 def cotangent_algebroid(pi: KVector) -> AlgebroidStructure:

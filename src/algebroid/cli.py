@@ -55,11 +55,7 @@ from algebroid.exterior import (
 )
 from algebroid.poly import MAX_VARIABLES, Poly, render_fraction
 from algebroid.sampling import Sampler
-from algebroid.symplectic import (
-    check_weak_symplectic,
-    oneform_bracket,
-    poisson_bracket,
-)
+from algebroid.symplectic import check_weak_symplectic, poisson_bracket
 
 DEFAULT_SEED = 1729
 
@@ -400,12 +396,16 @@ def _cmd_bracket(args, document, report):
     elif "section" in kinds:
         raise UsageError("sections only bracket with sections")
     elif kinds == ("fn", "fn"):
-        value = poisson_bracket(_require_symplectic(document), lval, rval)
+        indices = [*lval.variables(), *rval.variables()]  # as df, then dg, hold them
+        pi = _require_symplectic(document).strict_bivector(indices)
+        value = poisson_bracket(pi, lval, rval)
         result_kind = "fn"
     elif kinds == ("form", "form"):
         if lval.grade != 1 or rval.grade != 1:
             raise UsageError("the form bracket needs two 1-forms")
-        value = oneform_bracket(_require_symplectic(document), lval, rval)
+        indices = [i for form in (lval, rval) for (i,) in form.terms]
+        pi = _require_symplectic(document).strict_bivector(indices)
+        value = cotangent_algebroid(pi).bracket(lval, rval)
         result_kind = "form"
     elif "form" in kinds:
         raise UsageError("forms only bracket with forms")

@@ -29,20 +29,23 @@ Three complexes are supported:
   coordinate coframes).
 
 ``compute_cohomology`` takes pi itself, a grade-2 KVector over the
-support (``ce-tangent`` reads none), and builds one generator table from
+support (``ce-tangent`` reads none), and builds the generator tables from
 it.  The support must be closed under the pairing, so that pi carries every
-partner of its indices; the CLI checks this.  A grade above the support's
-size has no blades: its window is (0, 0) and no strand of it is assembled.
+partner of its indices; the CLI checks this.  Every window the grades need
+is checked against ``max_basis`` before any table is built.  A grade above
+the support's size has no blades: its window is (0, 0) and no strand of it
+is assembled.
 
 Each differential is a derivation of degree one (sigma: Lichnerowicz 1977;
-d_CE: Vaintrob 1997), so ``_generators`` fixes it by one table of the images
-of the 2m generators over the support: d(x_j) of grade 1 and d(e_l) of grade
-2.  ``lp`` takes them from the Schouten bracket with -pi, both CE complexes
-from the structure's anchor and bracket (never sigma), so the ``lp`` and
-``ce-cotangent`` tables come from two codes.  One extension serves all three:
-d(mono) = sum_j (del_j mono) d(x_j), once per monomial; d(e_I) =
-sum_p (-1)^p d(e_{I_p}) ^ e_{I - I_p}, once per blade; and each column is
-d(mono * e_I) = d(mono) ^ e_I + mono * d(e_I).
+d_CE: Vaintrob 1997), so ``_generators`` fixes it by the images of the 2m
+generators over the support: a table of d(x_j), of grade 1, built once a
+monomial of degree >= 1 is imaged, and one of d(e_l), of grade 2, built once
+a blade of grade >= 1 is.  ``lp`` takes them from the Schouten bracket with
+-pi, both CE complexes from the structure's anchor and bracket (never
+sigma), so the ``lp`` and ``ce-cotangent`` tables come from two codes.  One
+extension serves all three: d(mono) = sum_j (del_j mono) d(x_j), once per
+monomial; d(e_I) = sum_p (-1)^p d(e_{I_p}) ^ e_{I - I_p}, once per blade;
+and each column is d(mono * e_I) = d(mono) ^ e_I + mono * d(e_I).
 """
 
 from __future__ import annotations
@@ -101,28 +104,31 @@ def _guard_basis(spec, grade, degree, max_basis):
     return size
 
 
-def _generators(complex_name, pi, support):
-    """{j: d(x_j)} of grade 1 and {l: d(e_l)} of grade 2 over ``support``:
-    Schouten brackets with -pi for ``lp``; for both CE complexes
-    d(x_j)(e_a) = anchor(e_a)(x_j) and d(e^l)(e_a, e_b) = -[e_a, e_b]^l."""
+def _generators(complex_name, pi, support, grade):
+    """The generator images over ``support`` that are cochains of ``grade``:
+    {j: d(x_j)} for grade 1, {l: d(e_l)} for grade 2.  Schouten brackets with
+    -pi for ``lp``; for both CE complexes d(x_j)(e_a) = anchor(e_a)(x_j) and
+    d(e^l)(e_a, e_b) = -[e_a, e_b]^l."""
     if complex_name == "lp":
+        generator = Poly.variable if grade == 1 else KVector.coordinate
         minus_pi = -pi
-        functions = {j: schouten_bracket(minus_pi, Poly.variable(j)) for j in support}
-        return functions, {l: schouten_bracket(minus_pi, KVector.coordinate(l)) for l in support}
+        return {j: schouten_bracket(minus_pi, generator(j)) for j in support}
     structure = tangent_algebroid() if complex_name == "ce-tangent" else cotangent_algebroid(pi)
-    section = _SECTION_KIND[structure.section_kind].coordinate
+    # one section per coordinate: the cotangent structure anchors each once
+    section = {a: _SECTION_KIND[structure.section_kind].coordinate(a) for a in support}
+    table = {j: {} for j in support}
+    if grade == 1:
+        for a in support:
+            for (j,), coeff in structure.anchor(section[a]).terms.items():
+                if j in table:
+                    table[j][a,] = coeff
+    else:
+        for a, b in combinations(support, 2):
+            for (l,), coeff in structure.bracket(section[a], section[b]).terms.items():
+                if l in table:
+                    table[l][a, b] = -coeff
     cochain = _COCHAIN_KIND[structure.section_kind]._raw
-    functions, units = {j: {} for j in support}, {l: {} for l in support}
-    for a in support:
-        for (j,), coeff in structure.anchor(section(a)).terms.items():
-            if j in functions:
-                functions[j][a,] = coeff
-    for a, b in combinations(support, 2):
-        for (l,), coeff in structure.bracket(section(a), section(b)).terms.items():
-            if l in units:
-                units[l][a, b] = -coeff
-    functions = {j: cochain(1, terms) for j, terms in functions.items()}
-    return functions, {l: cochain(2, terms) for l, terms in units.items()}
+    return {j: cochain(grade, terms) for j, terms in table.items()}
 
 
 def _function_image(functions, mono):
@@ -172,37 +178,36 @@ def _leibniz(function_image, blade_image, mono, inserts):
     return out
 
 
-def _assemble_strand(complex_name, spec, grade, degree, blades, monos, permute=None):
+def _assemble_strand(complex_name, spec, grade, degree, blades, monos):
     """Sparse rows of one strand of the differential, plus its domain.
 
     ``blades`` maps each blade of grade ``grade`` to d(e_blade), and ``monos``
     each monomial of degree exactly ``degree`` to d(mono), in canonical order.
-    The domain is their product, blade-major (``permute`` shuffles it); it
-    indexes the columns, and column (blade, mono) combines the two images by
-    ``_leibniz``.  Rows are indexed by the (target blade, target monomial)
-    pairs in the order the columns first reach them, and every target
-    monomial must have degree ``degree - 1``.  Entries are exact rationals.
+    The domain is their product, blade-major; it indexes the columns, and
+    column (blade, mono) combines the two images by ``_leibniz``.  Rows are
+    indexed by the (target blade, target monomial) pairs in the order the
+    columns first reach them, and every target monomial must have degree
+    ``degree - 1``, checked when its row is created.  Entries are exact
+    rationals.
     """
     domain = [(blade, mono) for blade in blades for mono in monos]
-    if permute is not None:
-        permute.shuffle(domain)
     inserts = {blade: {j: _insert_into_blade(blade, j) for j in spec.support} for blade in blades}
     row_index = {}
     rows = []
     for col, (blade, mono) in enumerate(domain):
         combined = _leibniz(monos[mono], blades[blade], mono, inserts[blade])
         for key, scalar in combined.items():
+            row = row_index.get(key)
+            if row is not None:
+                rows[row].append((col, scalar))
+                continue
             if monomial_degree(key[1]) != degree - 1:
                 raise AssertionError(
                     f"the {complex_name} image of {(blade, mono)} has a term of degree "
                     f"{monomial_degree(key[1])}, outside strand ({grade}, {degree})"
                 )
-            row = row_index.get(key)
-            if row is None:
-                row_index[key] = len(rows)
-                rows.append([(col, scalar)])
-            else:
-                rows[row].append((col, scalar))
+            row_index[key] = len(rows)
+            rows.append([(col, scalar)])
     return rows, domain
 
 
@@ -230,37 +235,54 @@ def compute_cohomology(
     spec: TruncationSpec,
     grades,
     max_basis: int = DEFAULT_MAX_BASIS,
-    _permute=None,
 ) -> CohomologyReport:
     """Cocycle, coboundary, and quotient dimensions per requested grade."""
     grades = sorted(set(grades))
     if any(g < 0 for g in grades):
         raise ValueError("grades are nonnegative")
 
+    # Every window the grades need, checked against max_basis in the order
+    # they are ranked, before any generator image is built.
+    sizes = {}
+    for grade in grades:
+        sizes[grade, spec.degree] = _guard_basis(spec, grade, spec.degree, max_basis)
+        if grade:
+            sizes[grade - 1, spec.degree + 1] = _guard_basis(
+                spec, grade - 1, spec.degree + 1, max_basis
+            )
+
     out = {}
     strand_ranks = {}
-    functions, units = _generators(complex_name, pi, spec.support)
-    # d(mono) for the monomials of each degree and d(e_blade) for the blades
-    # of each grade, each computed once in this call
+    # The generator tables by grade, d(mono) by degree and d(e_blade) by
+    # grade, each built at most once in this call, when an image first reads
+    # it: a constant reads no d(x_j), and the blade () no d(e_l).
+    tables = {}
     at_degree = {}
     at_grade = {}
+
+    def generators(grade):
+        if grade not in tables:
+            tables[grade] = _generators(complex_name, pi, spec.support, grade)
+        return tables[grade]
 
     def window_rank(grade, degree):
         """(rank, size) of the differential on grade-``grade`` cochains of
         coefficient degree <= ``degree``; (0, 0) above the support's size,
         where there are no blades and no strand is assembled."""
-        size = _guard_basis(spec, grade, degree, max_basis)
+        size = sizes[grade, degree]
         if not size:
             return 0, 0
         if grade not in at_grade:
+            units = generators(2) if grade else {}
             at_grade[grade] = {b: _blade_image(units, b) for b in blade_basis(spec.support, grade)}
         for d in range(degree + 1):
             if (grade, d) not in strand_ranks:
                 if d not in at_degree:
+                    functions = generators(1) if d else {}
                     monos = monomials_of_degree(spec.support, d)
                     at_degree[d] = {m: _function_image(functions, m) for m in monos}
                 rows, domain = _assemble_strand(
-                    complex_name, spec, grade, d, at_grade[grade], at_degree[d], _permute
+                    complex_name, spec, grade, d, at_grade[grade], at_degree[d]
                 )
                 strand_ranks[grade, d] = linalg.rank(rows, len(domain))
         return sum(strand_ranks[grade, d] for d in range(degree + 1)), size

@@ -524,6 +524,27 @@ def _parse_rational(parser: _LineParser) -> Fraction:
     return -value if negative else value
 
 
+def _comma_list(parser: _LineParser, opening, closing, item) -> list:
+    """``opening [item (, item)*] closing``, each element read by ``item()``."""
+    parser.expect_sym(opening)
+    items = []
+    if not parser.at_sym(closing):
+        items.append(item())
+        while parser.at_sym(","):
+            parser.advance()
+            items.append(item())
+    parser.expect_sym(closing)
+    return items
+
+
+def _parse_index(parser: _LineParser) -> int:
+    """A declared coordinate index."""
+    token = parser.current
+    index = parser.expect_int()
+    parser.check_declared(index, token)
+    return index
+
+
 def _parse_symplectic(parser: _LineParser, document: ModelDocument):
     if document.symplectic is not None:
         raise parser.error("a document declares at most one symplectic structure")
@@ -539,43 +560,14 @@ def _parse_symplectic(parser: _LineParser, document: ModelDocument):
     if word.kind != "name" or word.text != "support":
         raise parser.error("expected 'support'")
     parser.advance()
-    parser.expect_sym("{")
-    indices = []
-    if not parser.at_sym("}"):
-        while True:
-            index_token = parser.current
-            index = parser.expect_int()
-            parser.check_declared(index, index_token)
-            indices.append(index)
-            if parser.at_sym(","):
-                parser.advance()
-                continue
-            break
-    parser.expect_sym("}")
+    indices = _comma_list(parser, "{", "}", lambda: _parse_index(parser))
     word = parser.current
     if word.kind != "name" or word.text != "matrix":
         raise parser.error("expected 'matrix'")
     parser.advance()
-    parser.expect_sym("[")
-    rows = []
-    if not parser.at_sym("]"):
-        while True:
-            parser.expect_sym("[")
-            row = []
-            if not parser.at_sym("]"):
-                while True:
-                    row.append(_parse_rational(parser))
-                    if parser.at_sym(","):
-                        parser.advance()
-                        continue
-                    break
-            parser.expect_sym("]")
-            rows.append(row)
-            if parser.at_sym(","):
-                parser.advance()
-                continue
-            break
-    parser.expect_sym("]")
+    rows = _comma_list(
+        parser, "[", "]", lambda: _comma_list(parser, "[", "]", lambda: _parse_rational(parser))
+    )
     parser.expect_end()
     order = sorted(range(len(indices)), key=lambda k: indices[k])
     if len(rows) != len(indices) or any(len(row) != len(indices) for row in rows):

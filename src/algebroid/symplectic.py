@@ -10,36 +10,36 @@ coefficients, in one of two kinds:
   finite index block.  The matrix must be invertible on its block (checked
   eagerly); coordinates outside the block are simply unpaired.
 
-Both musical maps read one index table.  flat(e_i) is row i of W (column
-i of -W), and sharp(dx_j) is column j of W^{-1}; for the standard pairing
-both are ``[(j ^ 1, +1 if j is even else -1)]``.  ``flat_components`` and
-``sharp_components`` give these lists, and ``flat`` and ``sharp`` share one
-loop over them.  ``closure`` (the smallest index set closed under the
-pairing) and ``paired_indices`` (the part of it that the pairing pairs)
-answer the other modules; only the DSL serializer reads the kind, to write
-the declaration back.
+One index table serves both tensors: row i of W (column i of -W) and
+column j of W^{-1}; for the standard pairing both are
+``[(j ^ 1, +1 if j is even else -1)]``.  ``flat_components`` and
+``sharp_components`` give these lists.  ``closure`` (the smallest index set
+closed under the pairing) and ``paired_indices`` (the part of it that the
+pairing pairs) answer the other modules; only the DSL serializer reads the
+kind, to write the declaration back.
 
 ``materialize(cover)`` is the 2-form omega, a grade-2 KForm, and
 ``bivector(cover)`` the Poisson bivector pi, a grade-2 KVector read off
-sharp's table and zero on unpaired coordinates.  Below the CLI a structure
+W^{-1} and zero on unpaired coordinates.  Below the CLI a structure
 reaches the other modules only as these two tensors: the Dirac graph, its
 orthogonal complement and the weak check read omega; the cotangent
-algebroid (anchor a -> i_a pi), sigma = -[pi, .] and cohomology read pi,
-so degenerate blocks still carry their Poisson calculus.
+algebroid (anchor a -> i_a pi), sigma = -[pi, .], cohomology and
+``poisson_bracket`` read pi, so degenerate blocks still carry their
+Poisson calculus.
 
-Musical conventions, fixed once:
+Sign conventions, fixed once, on a cover holding every index involved:
 
-- ``flat(w, X) = interior(X, w)``;
-- ``sharp(w, a)`` is the unique X with ``interior(X, w) = -a`` (equivalently
-  X = W^{-1} a in matrix form), so ``flat(sharp(a)) = -a``;
-- ``hamiltonian_vf(w, f) = sharp(w, d f)``;
-- ``poisson_bracket(w, f, g) = w(X_f, X_g)``.
+- X -> i_X omega is row i of W on e_i;
+- a -> i_a pi is column j of W^{-1} on dx_j, so i_{i_a pi} omega = -a
+  when every index of a is paired;
+- X_f = i_{df} pi and {f, g} = X_f(g), which is omega(X_f, X_g) on paired
+  indices; sigma f = -[pi, f] = -X_f.
 
-``sharp`` is strict: it raises NotInvertible when the 1-form touches an
-unpaired coordinate.  On paired coordinates it equals i_a pi.  The Koszul
-bracket ``_koszul_bracket`` takes its anchor as an argument, so the strict
-``oneform_bracket`` and the cotangent algebroid share it; it sums its three
-Cartan terms into one accumulation and wraps once.
+``strict_bivector(indices)`` is the strict refusal: it builds pi only when
+the pairing pairs every index, and otherwise raises NotInvertible at the
+first unpaired one.  The ``bracket`` subcommand passes it the indices of df
+then dg, or of a then b, so a bracket that would need an unpaired
+coordinate fails instead of reading zero there.
 """
 
 from __future__ import annotations
@@ -49,10 +49,8 @@ from fractions import Fraction
 
 from algebroid import linalg
 from algebroid.errors import GradeError, NotInvertible
-from algebroid.exterior import (
-    KForm, KVector, _contract, _differentiate, _wrap, de_rham, interior_product,
-)
-from algebroid.poly import Poly, _add_scaled, _normal
+from algebroid.exterior import KForm, KVector, de_rham, interior_product, vector_apply
+from algebroid.poly import Poly
 
 
 class ConstantSymplectic:
@@ -112,15 +110,15 @@ class ConstantSymplectic:
     # -- entries and pairing ------------------------------------------------
 
     def flat_components(self, i: int):
-        """flat(e_i), row i of W, as [(index, Fraction)]; empty if unpaired."""
+        """i_{e_i} omega, row i of W, as [(index, Fraction)]; empty if unpaired."""
         return self._column(False, i) or []
 
     def sharp_components(self, j: int):
-        """sharp(dx_j), column j of W^-1, as [(index, Fraction)]; None if unpaired."""
+        """i_{dx_j} pi, column j of W^-1, as [(index, Fraction)]; None if unpaired."""
         return self._column(True, j)
 
     def _column(self, inverse: bool, j: int):
-        """The table behind both musical maps: column j of W^-1 if ``inverse``,
+        """The table behind both tensors: column j of W^-1 if ``inverse``,
         else row j of W (column j of -W); None when j is unpaired."""
         if self.kind == "standard":
             return [(j ^ 1, Fraction(1 if j % 2 == 0 else -1))]
@@ -155,8 +153,8 @@ class ConstantSymplectic:
         return set(self.closure(indices)) == indices
 
     def bivector(self, indices) -> KVector:
-        """pi over ``closure(indices)``: sharp(dx_i)_j on e_i ^ e_j for paired
-        i < j, so i_a pi = sharp(a) for a 1-form a on paired indices of
+        """pi over ``closure(indices)``: (W^-1)_ji on e_i ^ e_j for paired
+        i < j, so i_a pi is W^-1 a for a 1-form a on paired indices of
         ``closure(indices)``, and zero on unpaired ones."""
         terms = {}
         for i in self.paired_indices(indices):
@@ -164,6 +162,19 @@ class ConstantSymplectic:
                 if i < j:
                     terms[i, j] = Poly.constant(value)
         return KVector._raw(2, terms)
+
+    def strict_bivector(self, indices) -> KVector:
+        """``bivector(indices)`` once the pairing pairs every index; the first
+        unpaired one, in ``indices`` order, raises NotInvertible with it as
+        the witness."""
+        for i in indices:
+            if self.sharp_components(i) is None:
+                error = NotInvertible(
+                    f"the 2-form is singular on the needed support: dx[{i}] is unpaired"
+                )
+                error.witness = i
+                raise error
+        return self.bivector(indices)
 
     def materialize(self, cover) -> KForm:
         """The 2-form as a KForm, restricted to blades meeting ``cover``."""
@@ -176,74 +187,9 @@ class ConstantSymplectic:
         return f"ConstantSymplectic(explicit, block={self.block})"
 
 
-def _check_grade1(value, cls, what):
-    if type(value) is not cls or value.grade != 1:
-        raise GradeError(f"{what} must be a grade-1 {cls.__name__}")
-
-
-def _musical(components, value, cls):
-    """sum_i value_i * components(i) as a grade-1 ``cls``; an unpaired index
-    (components None) raises NotInvertible."""
-    terms = {}
-    for (i,), coeff in value.terms.items():
-        images = components(i)
-        if images is None:
-            error = NotInvertible(
-                f"the 2-form is singular on the needed support: dx[{i}] is unpaired"
-            )
-            error.witness = i
-            raise error
-        for target, scale in images:
-            _add_scaled(terms.setdefault((target,), {}), coeff.terms, _normal(scale))
-    return cls._raw(1, _wrap(terms))
-
-
-def flat(w: ConstantSymplectic, field: KVector) -> KForm:
-    """flat(X) = interior(X, w)."""
-    _check_grade1(field, KVector, "flat's argument")
-    return _musical(w.flat_components, field, KForm)
-
-
-def sharp(w: ConstantSymplectic, oneform: KForm) -> KVector:
-    """The unique X with interior(X, w) = -a; raises NotInvertible off the block."""
-    _check_grade1(oneform, KForm, "sharp's argument")
-    return _musical(w.sharp_components, oneform, KVector)
-
-
-def hamiltonian_vf(w: ConstantSymplectic, function: Poly) -> KVector:
-    """X_f = sharp(d f)."""
-    return sharp(w, de_rham(function))
-
-
-def poisson_bracket(w: ConstantSymplectic, f: Poly, g: Poly) -> Poly:
-    """{f, g} = w(X_f, X_g), evaluated on the materialized 2-form."""
-    xf = hamiltonian_vf(w, f)
-    xg = hamiltonian_vf(w, g)
-    cover = sorted(xf.support() | xg.support())
-    return w.materialize(cover).evaluate(xf, xg)
-
-
-def _koszul_bracket(anchor, a: KForm, b: KForm) -> KForm:
-    """{a, b} = L_{anchor a} b - L_{anchor b} a - d(b(anchor a)), in Cartan
-    form (L_X b = i_X db + d(b(X))): i_{xa} db - i_{xb} da - d(a(xb)).  No
-    antisymmetry of the anchor is used; da and db are memoized on the forms."""
-    _check_grade1(a, KForm, "the Koszul bracket's first argument")
-    _check_grade1(b, KForm, "the Koszul bracket's second argument")
-    xa = anchor(a)
-    xb = anchor(b)
-    out = {}
-    _contract(out, xa, de_rham(b))
-    _contract(out, xb, de_rham(a), -1)
-    value = {}
-    _contract(value, xb, a)
-    _differentiate(out, value.get((), {}), -1)
-    return KForm._raw(1, _wrap(out))
-
-
-def oneform_bracket(w: ConstantSymplectic, a: KForm, b: KForm) -> KForm:
-    """The Koszul bracket through the strict sharp; raises NotInvertible
-    when a or b touches an unpaired coordinate."""
-    return _koszul_bracket(lambda form: sharp(w, form), a, b)
+def poisson_bracket(pi: KVector, f: Poly, g: Poly) -> Poly:
+    """{f, g} = X_f(g) with X_f = i_{df} pi."""
+    return vector_apply(interior_product(de_rham(f), pi), g)
 
 
 @dataclass
@@ -262,7 +208,7 @@ class WeakSymplecticReport:
 
 
 def check_weak_symplectic(form: KForm, support) -> WeakSymplecticReport:
-    """Check closedness and injectivity of flat over a finite support.
+    """Check closedness and injectivity of X -> i_X form over a finite support.
 
     ``form`` is a grade-2 KForm.  Injectivity is of the map
     X -> interior(X, form) restricted to fields spanned by the support

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import algebroid
 from algebroid.errors import NotInvertible
+from algebroid.exterior import interior_product
 from algebroid.poly import Poly
 from algebroid.symplectic import ConstantSymplectic
 
@@ -175,6 +176,17 @@ def reference_sharp_components(w, j):
         for a in range(len(w.block))
         if w.inverse[a][col]
     ]
+
+
+def flat_by_omega(w, field):
+    """i_X omega for a grade-1 field X, with omega over X's indices."""
+    return interior_product(field, w.materialize(field.support()))
+
+
+def sharp_by_pi(w, oneform):
+    """i_a pi for a 1-form a, after the strict check of a's indices in terms
+    order: NotInvertible at the first unpaired one."""
+    return interior_product(oneform, w.strict_bivector([i for (i,) in oneform.terms]))
 
 
 @pytest.fixture

@@ -40,9 +40,16 @@ from algebroid.exterior import (
 )
 from algebroid.poly import Poly
 from algebroid.sampling import Sampler
-from algebroid.symplectic import ConstantSymplectic, flat, hamiltonian_vf, sharp
+from algebroid.symplectic import ConstantSymplectic
 
-from conftest import fixture_path, graded_zero_sum, sgn, sparse_rows
+from conftest import (
+    fixture_path,
+    flat_by_omega,
+    graded_zero_sum,
+    sgn,
+    sharp_by_pi,
+    sparse_rows,
+)
 from test_cohomology import (
     basis_field,
     cohomology_of,
@@ -104,10 +111,9 @@ def test_criterion_2_musical_coherence(capsys):
         s = Sampler(1002)
         for _ in range(100):
             f = s.poly(support, 3)
-            xf = hamiltonian_vf(STD, f)
             df = de_rham(f)
-            assert df == -flat(STD, xf)
-            assert xf == sharp(STD, df)
+            xf = sharp_by_pi(STD, df)
+            assert df == -flat_by_omega(STD, xf)
             assert contravariant_differential(STD_PI, f) == -xf
 
 

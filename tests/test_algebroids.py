@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algebroid import algebroids, symplectic
+from algebroid import algebroids
 from algebroid.algebroids import (
     AlgebroidStructure,
     ce_differential,
@@ -43,12 +43,7 @@ from algebroid.exterior import (
 )
 from algebroid.poly import Poly
 from algebroid.sampling import Sampler
-from algebroid.symplectic import (
-    ConstantSymplectic,
-    hamiltonian_vf,
-    poisson_bracket,
-    sharp,
-)
+from algebroid.symplectic import ConstantSymplectic, poisson_bracket
 
 from conftest import (
     INDICES,
@@ -58,6 +53,7 @@ from conftest import (
     is_canonical,
     reference_sharp_components,
     sgn,
+    sharp_by_pi,
 )
 
 STD = ConstantSymplectic.standard()
@@ -235,7 +231,7 @@ class TestBracketTable:
             computed.setdefault(id(value), value)
             return value
 
-        monkeypatch.setattr(symplectic, "de_rham", counting)
+        monkeypatch.setattr(algebroids, "de_rham", counting)
         s = Sampler(413)
         sections = [s.oneform(SUPPORT, 1) for _ in range(n)]
         functions = [s.nonzero_poly(SUPPORT, 1) for _ in range(m)]
@@ -269,7 +265,7 @@ class TestBracketTable:
         plain_anchor = functools.partial(counting("plain"), bivector=pi)
         plain = AlgebroidStructure(
             "cotangent", "form", plain_anchor,
-            lambda a, b: symplectic._koszul_bracket(plain_anchor, a, b),
+            lambda a, b: algebroids._koszul_bracket(plain_anchor, a, b),
         )
         assert report == check_algebroid_axioms(plain, sections, functions)
         assert report.passed == (pi == STD.bivector(SUPPORT))
@@ -431,7 +427,7 @@ class TestContravariantDifferential:
         s = Sampler(411)
         for _ in range(30):
             f = s.poly(SUPPORT, 3)
-            assert contravariant_differential(STD_PI, f) == -hamiltonian_vf(STD, f)
+            assert contravariant_differential(STD_PI, f) == -sharp_by_pi(STD, de_rham(f))
 
     def test_square_zero(self):
         s = Sampler(412)
@@ -475,7 +471,7 @@ class TestContravariantDifferential:
             f = s.poly(SUPPORT, 2)
             g = s.poly(SUPPORT, 2)
             value = contravariant_differential(STD_PI, f).evaluate(de_rham(g))
-            assert value == -poisson_bracket(STD, f, g)
+            assert value == -poisson_bracket(STD_PI, f, g)
 
     def test_degenerate_block_vanishes_off_the_block(self):
         w = ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]])
@@ -483,7 +479,7 @@ class TestContravariantDifferential:
         f = Poly.variable(2)  # off-block: sigma f = 0
         assert contravariant_differential(pi, f).is_zero()
         g = Poly.variable(0)
-        assert contravariant_differential(pi, g) == -sharp(w, de_rham(g))
+        assert contravariant_differential(pi, g) == -sharp_by_pi(w, de_rham(g))
         anchor = cotangent_algebroid(pi).anchor
         assert contravariant_differential(pi, g) == -anchor(de_rham(g))
 

@@ -21,6 +21,7 @@ Oracles:
   entry by entry (``reference_ce_image``) on every basis element.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroid import cli, cohomology, linalg
+from algebroid import algebroids, cli, cohomology, linalg
 from algebroid.algebroids import (
     AlgebroidStructure,
     ce_differential,
@@ -51,9 +52,9 @@ from algebroid.exterior import schouten_bracket
 from algebroid.linalg import nullspace, rank
 from algebroid.poly import MAX_EXPONENT, Poly, decode, encode
 from algebroid.sampling import Sampler, monomials_up_to
-from algebroid.symplectic import ConstantSymplectic, flat, sharp
+from algebroid.symplectic import ConstantSymplectic
 
-from conftest import sgn, sparse_rows
+from conftest import flat_by_omega, sgn, sharp_by_pi, sparse_rows
 
 STD = ConstantSymplectic.standard()
 # pi of the standard structure over every coordinate a field here carries
@@ -87,7 +88,7 @@ def lower(field):
     for blade, coeff in field.terms.items():
         piece = KForm.from_poly(coeff)
         for index in blade:
-            piece = wedge(piece, flat(STD, KVector.coordinate(index)))
+            piece = wedge(piece, flat_by_omega(STD, KVector.coordinate(index)))
         out = out + piece
     return out
 
@@ -100,7 +101,7 @@ def raise_(form):
     for blade, coeff in form.terms.items():
         piece = KVector.from_poly(coeff)
         for index in blade:
-            piece = wedge(piece, sharp(STD, KForm.coordinate(index)))
+            piece = wedge(piece, sharp_by_pi(STD, KForm.coordinate(index)))
         out = out + piece
     return out
 
@@ -431,11 +432,16 @@ def image_terms(value):
     return {(blade, mono): c for blade, coeff in value.terms.items() for mono, c in coeff.terms.items()}
 
 
+def generator_tables(complex_name, pi):
+    """The library's tables of d(x_j) and of d(e_l) over 0..3."""
+    return tuple(cohomology._generators(complex_name, pi, SUPPORT4, grade) for grade in (1, 2))
+
+
 def combined_images(complex_name, pi, degree=3):
     """(grade, blade, mono, image of mono * e_blade) for every basis element
     over 0..3 with coefficient degree <= ``degree``, each image combined by
     ``_leibniz`` from the library's generator table."""
-    functions, units = cohomology._generators(complex_name, pi, SUPPORT4)
+    functions, units = generator_tables(complex_name, pi)
     monos = monomials_up_to(SUPPORT4, degree)
     for grade in range(len(SUPPORT4) + 1):
         for blade in blade_basis(SUPPORT4, grade):
@@ -460,7 +466,7 @@ class TestCeImages:
     def test_generators_match_the_reference(self, complex_name, pi):
         pi = BIVECTORS.get(pi)
         structure = ce_structure(complex_name, pi)
-        functions, units = cohomology._generators(complex_name, pi, SUPPORT4)
+        functions, units = generator_tables(complex_name, pi)
         assert sorted(functions) == sorted(units) == list(SUPPORT4)
         for j in SUPPORT4:
             x_j = encode(((j, 1),))
@@ -472,7 +478,7 @@ class TestCeImages:
         # A structure with vector sections enters the table as ce-tangent.
         structure = so3_structure(scale)
         monkeypatch.setattr(cohomology, "tangent_algebroid", lambda: structure)
-        functions, units = cohomology._generators("ce-tangent", None, SUPPORT4)
+        functions, units = generator_tables("ce-tangent", None)
         # zero anchor: d(x_j) = 0; d(dx[2]) (e0, e1) = -dx[2]([e0, e1]) = -scale
         assert all(value.is_zero() for value in functions.values())
         assert units[2] == KForm(2, {(0, 1): -scale})
@@ -624,20 +630,134 @@ class TestGuards:
         with pytest.raises(ValueError):
             TruncationSpec((0, 1), -1)
 
-    def test_basis_permutation_invariance(self):
+    def test_basis_permutation_invariance(self, monkeypatch):
+        # Each strand's columns relabelled by a seeded permutation and its
+        # rows shuffled: the ranks, so the table, must not move.
         spec = TruncationSpec((0, 1), 3)
         base = cohomology_of("lp", STD, spec, [0, 1, 2])
-        shuffled = cohomology_of(
-            "lp", STD, spec, [0, 1, 2], _permute=random.Random(7)
+        rng = random.Random(7)
+        assemble = cohomology._assemble_strand
+
+        def shuffled(*args):
+            rows, domain = assemble(*args)
+            labels = list(range(len(domain)))
+            rng.shuffle(labels)
+            rows = [sorted((labels[col], value) for col, value in row) for row in rows]
+            rng.shuffle(rows)
+            return rows, domain
+
+        monkeypatch.setattr(cohomology, "_assemble_strand", shuffled)
+        assert cohomology_of("lp", STD, spec, [0, 1, 2]).table() == base.table()
+
+
+def count_generator_calls(monkeypatch):
+    """The list every generator call of ``compute_cohomology`` is appended
+    to: each Schouten bracket of ``lp`` (its right argument), and each
+    anchor and bracket of the CE structures (a tagged pair)."""
+    calls = []
+    schouten = cohomology.schouten_bracket
+
+    def schouten_counting(left, right):
+        calls.append(right)
+        return schouten(left, right)
+
+    def counting(make):
+        def build(*args):
+            structure = make(*args)
+
+            def anchor(section):
+                calls.append(("anchor", section))
+                return structure.anchor(section)
+
+            def bracket(a, b):
+                calls.append(("bracket", a, b))
+                return structure.bracket(a, b)
+
+            return dataclasses.replace(structure, anchor=anchor, bracket=bracket)
+
+        return build
+
+    monkeypatch.setattr(cohomology, "schouten_bracket", schouten_counting)
+    for name in ("tangent_algebroid", "cotangent_algebroid"):
+        monkeypatch.setattr(cohomology, name, counting(getattr(cohomology, name)))
+    return calls
+
+
+class TestGeneratorsOnDemand:
+    """Each generator table is built only when an image reads it, and only
+    after every window has passed the basis guard."""
+
+    @pytest.mark.parametrize("complex_name", ["lp", "ce-tangent", "ce-cotangent"])
+    def test_grade_zero_brackets_no_pair(self, monkeypatch, complex_name):
+        calls = count_generator_calls(monkeypatch)
+        # A constant has no d(x_j) to read and the blade () no d(e_l): no
+        # generator at all.  On 60 coordinates the d(e_l) table of a CE
+        # structure is 1,770 brackets.
+        report = cohomology_of(complex_name, STD, TruncationSpec(range(60), 0), [0])
+        assert report.table() == {0: (1, 0, 1)}
+        assert calls == []
+        # Degree 2 reads d(x_j): an anchor or a Schouten bracket per
+        # coordinate, and still no bracket of two sections.
+        report = cohomology_of(complex_name, STD, TruncationSpec(range(6), 2), [0])
+        assert report.table() == {0: (1, 0, 1)}
+        assert len(calls) == 6
+        assert not any(call[0] == "bracket" for call in calls if type(call) is tuple)
+
+    @pytest.mark.parametrize("complex_name", ["lp", "ce-tangent", "ce-cotangent"])
+    @pytest.mark.parametrize(
+        "grades, max_basis, message",
+        [
+            # windows in the order they are ranked: (0, 2) 28, (1, 2) 168,
+            # (0, 3) 84, (2, 2) 420; (1, 3) 504, (3, 2) 560
+            ([0, 1, 2], 419, "grade 2 at degree 2 needs 420 basis elements (limit 419)"),
+            ([0, 1, 2], 100, "grade 1 at degree 2 needs 168 basis elements (limit 100)"),
+            # a coboundary window fails before the next grade's cocycles
+            ([2, 3], 500, "grade 1 at degree 3 needs 504 basis elements (limit 500)"),
+        ],
+    )
+    def test_no_generator_before_the_guard(self, monkeypatch, complex_name, grades,
+                                           max_basis, message):
+        calls = count_generator_calls(monkeypatch)
+        spec = TruncationSpec(range(6), 2)
+        with pytest.raises(TruncationTooLarge) as info:
+            cohomology_of(complex_name, STD, spec, grades, max_basis=max_basis)
+        assert str(info.value) == message
+        assert calls == []
+
+    def test_each_coordinate_form_is_anchored_once(self, monkeypatch):
+        # The 28 brackets of the d(e_l) table on 8 coordinates ask for 56
+        # anchors; the structure's memo contracts each section with pi once.
+        contracted = []
+        contract = algebroids.interior_product
+
+        def counting(form, pi):
+            contracted.append(form)
+            return contract(form, pi)
+
+        monkeypatch.setattr(algebroids, "interior_product", counting)
+        cohomology._generators("ce-cotangent", STD.bivector(range(8)), range(8), 2)
+        assert len(contracted) == 8
+
+    def test_the_cli_guard_exits_two_with_no_bracket(self, monkeypatch, capsys, tmp_path):
+        # 1,000 coordinates: the grade-2 window has 499,500 blades, and the
+        # CE d(e_l) table would be as many brackets.
+        calls = count_generator_calls(monkeypatch)
+        document = tmp_path / "x0.adsl"
+        document.write_text("var x0\nsymplectic std\n")
+        code = cli.run(["cohomology", "--complex", "ce-cotangent", "--support", "0..999",
+                        "--degree", "0", "--grades", "2", "--input", str(document)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, calls) == (2, "", [])
+        assert captured.err == (
+            "error: grade 2 at degree 0 needs 499500 basis elements (limit 20000)\n"
         )
-        assert base.table() == shuffled.table()
 
 
 def wrap_generators(monkeypatch, around):
-    """Replace each generator table built by ``cohomology._generators`` with
-    ``around(functions, units)``."""
+    """Replace each generator table built by ``cohomology._generators``, of
+    grade 1 or 2, with ``around(grade, table)``."""
     build = cohomology._generators
-    monkeypatch.setattr(cohomology, "_generators", lambda *args: around(*build(*args)))
+    monkeypatch.setattr(cohomology, "_generators", lambda *args: around(args[-1], build(*args)))
 
 
 class TestStrands:
@@ -680,11 +800,12 @@ class TestStrands:
         )
 
     @staticmethod
-    def leaking(functions, units):
+    def leaking(grade, table):
         # d(x_j) gains x_j e_j: a term of the domain's own degree in strand
         # (0, 1), one above the strand's target
-        leaked = {j: f + type(f).blade((j,), Poly.variable(j)) for j, f in functions.items()}
-        return leaked, units
+        if grade == 2:
+            return table
+        return {j: f + type(f).blade((j,), Poly.variable(j)) for j, f in table.items()}
 
     @pytest.mark.parametrize("complex_name", ["lp", "ce-tangent", "ce-cotangent"])
     def test_an_off_strand_term_raises(self, monkeypatch, complex_name):

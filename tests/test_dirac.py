@@ -35,9 +35,9 @@ from algebroid.exterior import (
 )
 from algebroid.poly import Poly
 from algebroid.sampling import Sampler
-from algebroid.symplectic import ConstantSymplectic, flat
+from algebroid.symplectic import ConstantSymplectic
 
-from conftest import fixture_path
+from conftest import fixture_path, flat_by_omega
 
 STD = ConstantSymplectic.standard()
 BLOCK = ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]])
@@ -86,7 +86,7 @@ class TestGraphConstruction:
         s = Sampler(601)
         for _ in range(10):
             x = s.vector_field((0, 1, 2, 3), 2)
-            assert graph(STD_FORM, x).form == flat(STD, x)
+            assert graph(STD_FORM, x).form == flat_by_omega(STD, x)
 
     def test_check_compares_contraction_graphs(self):
         # Each involutivity defect is courant(graph X, graph Y) - graph([X, Y])
@@ -221,7 +221,7 @@ def brute_force_complement(ambient, sections):
 
 
 def structure_sections(w, support):
-    """The ambient indices and the graph sections (e_i, flat(e_i)) of ``w``
+    """The ambient indices and the graph sections (e_i, i_{e_i} omega) of ``w``
     over ``support``, read off the pairing's own storage: the standard
     pairing closes ``support`` under i <-> i ^ 1 and pairs all of it, an
     explicit one adds its block and pairs only that."""
@@ -232,7 +232,7 @@ def structure_sections(w, support):
         ambient = sorted(set(support) | set(w.block))
         generators = w.block
     fields = [KVector.coordinate(i) for i in generators]
-    return ambient, [GeneralizedSection(x, flat(w, x)) for x in fields]
+    return ambient, [GeneralizedSection(x, flat_by_omega(w, x)) for x in fields]
 
 
 def form_sections(form, ambient):

@@ -36,9 +36,16 @@ from algebroid.exterior import (
 )
 from algebroid.poly import Poly
 from algebroid.sampling import Sampler
-from algebroid.symplectic import flat, sharp
 
-from conftest import INDICES, alternating, constant_structures, polys, sgn
+from conftest import (
+    INDICES,
+    alternating,
+    constant_structures,
+    flat_by_omega,
+    polys,
+    sgn,
+    sharp_by_pi,
+)
 
 SUPPORT = (0, 1, 2, 3)
 
@@ -427,16 +434,16 @@ class TestCanonicalTerms:
     def test_musical_maps_and_contravariant_differential(self, w, x, a, p, f):
         pi = w.bivector(INDICES)
         results = [
-            flat(w, x), flat(w, x) + flat(w, -x),
+            flat_by_omega(w, x), flat_by_omega(w, x) + flat_by_omega(w, -x),
             cotangent_algebroid(w.bivector(a.support())).anchor(a),
             contravariant_differential(pi, f), contravariant_differential(pi, p),
             contravariant_differential(pi, contravariant_differential(pi, p)),
         ]
         try:
-            xa = sharp(w, a)
+            xa = sharp_by_pi(w, a)
         except NotInvertible:
             pass
         else:
-            results += [xa, flat(w, xa) + a]
+            results += [xa, flat_by_omega(w, xa) + a]
         for value in results:
             assert_canonical_terms(value)

@@ -1,17 +1,22 @@
-"""Constant weak-symplectic structures: musical maps, Hamiltonian fields,
-Poisson and 1-form brackets, nondegeneracy reports.
+"""Constant weak-symplectic structures: the 2-form omega and the Poisson
+bivector pi, Hamiltonian fields, Poisson and 1-form brackets, the strict
+refusal, nondegeneracy reports.
 
-Sign conventions under test (fixed across the whole package):
+Sign conventions under test (fixed across the whole package), with omega
+and pi over a cover holding every index involved:
 
-* flat(X) = i_X w;
-* sharp(a) is the unique X with i_X w = -a, so flat(sharp(a)) = -a
-  and sharp(flat(X)) = -X;
-* X_f = sharp(df), equivalently df = -flat(X_f);
-* {f, g} = w(X_f, X_g).
+* X -> i_X omega reads row i of W on e_i;
+* a -> i_a pi reads column j of W^-1 on dx_j, so i_{i_a pi} omega = -a
+  and i_{i_X omega} pi = -X on paired indices;
+* X_f = i_{df} pi, equivalently df = -i_{X_f} omega on paired indices;
+* {f, g} = X_f(g) = omega(X_f, X_g).
 
 For the standard structure (pairs (x_{2i}, x_{2i+1}) with
-w = sum dx_{2i} ^ dx_{2i+1}): sharp(dx_{2i}) = e_{2i+1} and
-sharp(dx_{2i+1}) = -e_{2i}.
+w = sum dx_{2i} ^ dx_{2i+1}): i_{dx_{2i}} pi = e_{2i+1} and
+i_{dx_{2i+1}} pi = -e_{2i}.
+
+``flat_by_omega`` and ``sharp_by_pi`` are the two contractions; the second
+runs the strict check first, as the ``bracket`` subcommand does.
 """
 
 import random
@@ -21,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroid.algebroids import cotangent_algebroid
+from algebroid.algebroids import _koszul_bracket, cotangent_algebroid
 from algebroid.errors import GradeError, NotInvertible
 from algebroid.exterior import (
     KForm,
@@ -33,33 +38,34 @@ from algebroid.exterior import (
 )
 from algebroid.poly import Poly
 from algebroid.sampling import Sampler
-from algebroid.symplectic import (
-    ConstantSymplectic,
-    _koszul_bracket,
-    check_weak_symplectic,
-    flat,
-    hamiltonian_vf,
-    oneform_bracket,
-    poisson_bracket,
-    sharp,
-)
+from algebroid.symplectic import ConstantSymplectic, check_weak_symplectic, poisson_bracket
 
 from conftest import (
     INDICES,
     alternating,
     constant_structures,
+    flat_by_omega,
     is_canonical,
     polys,
     reference_sharp_components,
+    sharp_by_pi,
 )
 
 STD = ConstantSymplectic.standard()
 SUPPORT = (0, 1, 2, 3)
+STD_PI = STD.bivector(SUPPORT)
 
 
 def cotangent(w, cover):
     """The cotangent algebroid of w's Poisson bivector over ``cover``."""
     return cotangent_algebroid(w.bivector(cover))
+
+
+def strict_bracket(w, a, b):
+    """The 1-form bracket of the ``bracket`` subcommand: the cotangent
+    bracket of pi over the indices of a then b, after the strict check."""
+    indices = [i for form in (a, b) for (i,) in form.terms]
+    return cotangent_algebroid(w.strict_bivector(indices)).bracket(a, b)
 
 
 def explicit_rotation():
@@ -76,17 +82,18 @@ def explicit_rotation():
 
 class TestMusicalMaps:
     def test_standard_basis_images(self):
-        assert flat(STD, KVector.coordinate(0)) == KForm.coordinate(1)
-        assert flat(STD, KVector.coordinate(1)) == -KForm.coordinate(0)
-        assert sharp(STD, KForm.coordinate(0)) == KVector.coordinate(1)
-        assert sharp(STD, KForm.coordinate(1)) == -KVector.coordinate(0)
+        assert flat_by_omega(STD, KVector.coordinate(0)) == KForm.coordinate(1)
+        assert flat_by_omega(STD, KVector.coordinate(1)) == -KForm.coordinate(0)
+        assert sharp_by_pi(STD, KForm.coordinate(0)) == KVector.coordinate(1)
+        assert sharp_by_pi(STD, KForm.coordinate(1)) == -KVector.coordinate(0)
 
     def test_flat_is_interior_product(self):
+        # omega over the field's own indices contracts as omega over SUPPORT
         s = Sampler(301)
         w_form = STD.materialize(SUPPORT)
         for _ in range(30):
             x = s.vector_field(SUPPORT, 2)
-            assert flat(STD, x) == interior_product(x, w_form)
+            assert flat_by_omega(STD, x) == interior_product(x, w_form)
 
     def test_round_trips_are_minus_identity(self):
         s = Sampler(302)
@@ -94,8 +101,8 @@ class TestMusicalMaps:
             for _ in range(30):
                 x = s.vector_field(SUPPORT, 2)
                 a = s.oneform(SUPPORT, 2)
-                assert sharp(w, flat(w, x)) == -x
-                assert flat(w, sharp(w, a)) == -a
+                assert sharp_by_pi(w, flat_by_omega(w, x)) == -x
+                assert flat_by_omega(w, sharp_by_pi(w, a)) == -a
 
     def test_sharp_defining_equation(self):
         s = Sampler(303)
@@ -103,55 +110,65 @@ class TestMusicalMaps:
         w_form = w.materialize(SUPPORT)
         for _ in range(30):
             a = s.oneform(SUPPORT, 2)
-            x = sharp(w, a)
+            x = sharp_by_pi(w, a)
             assert interior_product(x, w_form) == -a
 
     def test_sharp_off_block_raises_with_witness(self):
         w = ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]])
         with pytest.raises(NotInvertible) as info:
-            sharp(w, KForm.coordinate(5))
+            sharp_by_pi(w, KForm.coordinate(5))
         assert info.value.witness == 5
+
+    def test_strict_check_stops_at_the_first_unpaired_index(self):
+        w = ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]])
+        with pytest.raises(NotInvertible) as info:
+            w.strict_bivector([1, 7, 0, 3])
+        assert info.value.witness == 7
+        assert str(info.value) == "the 2-form is singular on the needed support: dx[7] is unpaired"
+        assert w.strict_bivector([1, 0]) == w.bivector([1, 0])
 
     def test_bivector_anchor_zeroes_off_block(self):
         w = ConstantSymplectic.explicit((0, 1), [[0, 1], [-1, 0]])
         anchor = cotangent(w, (0, 1, 5)).anchor
         assert anchor(KForm.coordinate(5)).is_zero()
-        assert anchor(KForm.coordinate(0)) == sharp(w, KForm.coordinate(0))
+        assert anchor(KForm.coordinate(0)) == sharp_by_pi(w, KForm.coordinate(0))
 
     def test_bivector_anchor_needs_a_cover_of_the_section(self):
         # pi over (0, 1) has no blade on index 2, so the section must be
-        # inside the cover for the anchor to be sharp
+        # inside the cover for the anchor to be i_a pi of the whole pairing
         dx2 = KForm.coordinate(2)
         assert cotangent(STD, (0, 1)).anchor(dx2).is_zero()
-        assert cotangent(STD, (0, 1, 2)).anchor(dx2) == sharp(STD, dx2)
+        assert cotangent(STD, (0, 1, 2)).anchor(dx2) == sharp_by_pi(STD, dx2)
 
 
 class TestHamiltonian:
     def test_standard_examples(self):
         x0 = Poly.variable(0)
-        assert hamiltonian_vf(STD, x0) == KVector.coordinate(1)
-        assert poisson_bracket(STD, x0, Poly.variable(1)) == Poly.one()
-        assert poisson_bracket(STD, x0, Poly.variable(2)).is_zero()
+        assert sharp_by_pi(STD, de_rham(x0)) == KVector.coordinate(1)
+        assert poisson_bracket(STD.bivector((0, 1)), x0, Poly.variable(1)) == Poly.one()
+        assert poisson_bracket(STD_PI, x0, Poly.variable(2)).is_zero()
 
     def test_sign_coherence(self):
-        # df = -flat(X_f) and X_f = sharp(df) simultaneously
+        # df = -i_{X_f} omega with X_f = i_{df} pi, and X_f is the reference's
         s = Sampler(304)
         for w in (STD, explicit_rotation()):
+            pi = w.bivector(SUPPORT)
             for _ in range(40):
                 f = s.poly(SUPPORT, 3)
-                xf = hamiltonian_vf(w, f)
-                assert xf == sharp(w, de_rham(f))
-                assert de_rham(f) == -flat(w, xf)
+                xf = interior_product(de_rham(f), pi)
+                assert xf == reference_sharp(w, de_rham(f), False)
+                assert de_rham(f) == -flat_by_omega(w, xf)
 
     def test_poisson_is_evaluation_on_hamiltonians(self):
         s = Sampler(305)
         w = explicit_rotation()
         w_form = w.materialize(SUPPORT)
+        pi = w.bivector(SUPPORT)
         for _ in range(30):
             f = s.poly(SUPPORT, 2)
             g = s.poly(SUPPORT, 2)
-            assert poisson_bracket(w, f, g) == w_form.evaluate(
-                hamiltonian_vf(w, f), hamiltonian_vf(w, g)
+            assert poisson_bracket(pi, f, g) == w_form.evaluate(
+                sharp_by_pi(w, de_rham(f)), sharp_by_pi(w, de_rham(g))
             )
 
     def test_poisson_laws(self):
@@ -160,26 +177,30 @@ class TestHamiltonian:
             f = s.poly(SUPPORT, 2)
             g = s.poly(SUPPORT, 2)
             h = s.poly(SUPPORT, 2)
-            assert poisson_bracket(STD, f, g) == -poisson_bracket(STD, g, f)
-            assert poisson_bracket(STD, f, g * h) == poisson_bracket(
-                STD, f, g
-            ) * h + g * poisson_bracket(STD, f, h)
+            assert poisson_bracket(STD_PI, f, g) == -poisson_bracket(STD_PI, g, f)
+            assert poisson_bracket(STD_PI, f, g * h) == poisson_bracket(
+                STD_PI, f, g
+            ) * h + g * poisson_bracket(STD_PI, f, h)
             jac = (
-                poisson_bracket(STD, f, poisson_bracket(STD, g, h))
-                + poisson_bracket(STD, g, poisson_bracket(STD, h, f))
-                + poisson_bracket(STD, h, poisson_bracket(STD, f, g))
+                poisson_bracket(STD_PI, f, poisson_bracket(STD_PI, g, h))
+                + poisson_bracket(STD_PI, g, poisson_bracket(STD_PI, h, f))
+                + poisson_bracket(STD_PI, h, poisson_bracket(STD_PI, f, g))
             )
             assert jac.is_zero()
 
     def test_hamiltonian_flow_preserves_w(self):
         # L_{X_f} w = 0: Cartan + closedness makes this d(i_{X_f} w) = -ddf
-        from algebroid.exterior import lie_derivative
-
         s = Sampler(307)
         w_form = STD.materialize(SUPPORT)
         for _ in range(20):
             f = s.poly(SUPPORT, 3)
-            assert lie_derivative(hamiltonian_vf(STD, f), w_form).is_zero()
+            assert lie_derivative(sharp_by_pi(STD, de_rham(f)), w_form).is_zero()
+
+    @given(polys)
+    @settings(deadline=None)
+    def test_variables_come_in_the_order_of_df(self, f):
+        # the bracket subcommand checks the variables of f, for df's indices
+        assert list(f.variables()) == [i for (i,) in de_rham(f).terms]
 
 
 class TestOneFormBracket:
@@ -187,27 +208,28 @@ class TestOneFormBracket:
         # {df, dg} = d{f, g}
         s = Sampler(308)
         for w in (STD, explicit_rotation()):
+            pi = w.bivector(SUPPORT)
             for _ in range(40):
                 f = s.poly(SUPPORT, 3)
                 g = s.poly(SUPPORT, 3)
-                lhs = oneform_bracket(w, de_rham(f), de_rham(g))
-                assert lhs == de_rham(poisson_bracket(w, f, g))
+                lhs = strict_bracket(w, de_rham(f), de_rham(g))
+                assert lhs == de_rham(poisson_bracket(pi, f, g))
 
     def test_antisymmetry(self):
         s = Sampler(309)
         for _ in range(30):
             a = s.oneform(SUPPORT, 2)
             b = s.oneform(SUPPORT, 2)
-            assert oneform_bracket(STD, a, b) == -oneform_bracket(STD, b, a)
+            assert strict_bracket(STD, a, b) == -strict_bracket(STD, b, a)
 
     def test_jacobi(self):
         s = Sampler(310)
         for _ in range(20):
             a, b, c = (s.oneform(SUPPORT, 2) for _ in range(3))
             jac = (
-                oneform_bracket(STD, a, oneform_bracket(STD, b, c))
-                + oneform_bracket(STD, b, oneform_bracket(STD, c, a))
-                + oneform_bracket(STD, c, oneform_bracket(STD, a, b))
+                strict_bracket(STD, a, strict_bracket(STD, b, c))
+                + strict_bracket(STD, b, strict_bracket(STD, c, a))
+                + strict_bracket(STD, c, strict_bracket(STD, a, b))
             )
             assert jac.is_zero()
 
@@ -218,7 +240,7 @@ class TestOneFormBracket:
         for _ in range(20):
             a = s.oneform((0, 1), 2)
             b = s.oneform((0, 1), 2)
-            assert bracket(a, b) == oneform_bracket(w, a, b)
+            assert bracket(a, b) == strict_bracket(w, a, b)
 
     @pytest.mark.parametrize(
         "w, strict",
@@ -240,7 +262,7 @@ class TestOneFormBracket:
             b = s.oneform(SUPPORT, 2)
             got = [cotangent(w, SUPPORT).bracket(a, b)]
             if strict:
-                got.append(oneform_bracket(w, a, b))
+                got.append(strict_bracket(w, a, b))
             a, b = KForm(1, a.terms), KForm(1, b.terms)
             xa, xb = reference_sharp(w, a, True), reference_sharp(w, b, True)
             expected = (
@@ -281,18 +303,20 @@ class TestKoszulAgainstComposition:
     def test_cotangent_and_strict_brackets(self, w, a, b):
         algebroid = cotangent(w, a.support() | b.support())
         assert algebroid.bracket(a, b) == cartan_koszul(algebroid.anchor, a, b)
-        strict = outcome(oneform_bracket, w, a, b)
-        assert strict == outcome(cartan_koszul, lambda form: sharp(w, form), a, b)
+        strict = outcome(strict_bracket, w, a, b)
+        assert strict == outcome(
+            cartan_koszul, lambda form: reference_sharp(w, form, False), a, b
+        )
 
 
 class TestInducedPairing:
-    """The pairing b(sharp(a)) of 1-forms induced by the 2-form."""
+    """The pairing b(i_a pi) of 1-forms induced by the 2-form."""
 
     def test_standard_partners(self):
         dx0, dx1, dx2 = (KForm.coordinate(i) for i in range(3))
-        assert dx1.evaluate(sharp(STD, dx0)) == 1
-        assert dx0.evaluate(sharp(STD, dx1)) == -1
-        assert dx2.evaluate(sharp(STD, dx0)).is_zero()
+        assert dx1.evaluate(sharp_by_pi(STD, dx0)) == 1
+        assert dx0.evaluate(sharp_by_pi(STD, dx1)) == -1
+        assert dx2.evaluate(sharp_by_pi(STD, dx0)).is_zero()
 
     def test_antisymmetry(self):
         s = Sampler(312)
@@ -300,7 +324,7 @@ class TestInducedPairing:
         for _ in range(30):
             a = s.oneform(SUPPORT, 2)
             b = s.oneform(SUPPORT, 2)
-            assert b.evaluate(sharp(w, a)) == -a.evaluate(sharp(w, b))
+            assert b.evaluate(sharp_by_pi(w, a)) == -a.evaluate(sharp_by_pi(w, b))
 
 
 class TestWeakSymplecticCheck:
@@ -535,12 +559,14 @@ class TestMusicalMapsAgainstReference:
     @given(constant_structures(), alternating(KVector, 1))
     @settings(deadline=None)
     def test_flat(self, w, field):
-        assert flat(w, field) == reference_flat(w, field)
+        cover = field.support()
+        assert interior_product(field, w.materialize(cover)) == reference_flat(w, field)
 
     @given(constant_structures(), alternating(KForm, 1))
     @settings(deadline=None)
     def test_sharp_and_bivector_anchor(self, w, oneform):
-        assert outcome(sharp, w, oneform) == outcome(reference_sharp, w, oneform, False)
+        # the strict check of the indices, then i_a pi
+        assert outcome(sharp_by_pi, w, oneform) == outcome(reference_sharp, w, oneform, False)
         anchor = cotangent(w, oneform.support()).anchor
         assert anchor(oneform) == reference_sharp(w, oneform, True)
 
