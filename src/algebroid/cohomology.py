@@ -15,8 +15,8 @@ ranks.  A term of any other degree is an internal error.
 
 The quotient dimension is nullity(d restricted to degree <= D) minus
 rank(d from degree <= D + 1).  Each strand is assembled and ranked once,
-however many windows need it.  All ranks and kernels are exact (fraction-
-free elimination over the integers after row scaling).
+however many windows need it, whole, by ``linalg``'s sparse integer
+eliminator, so every rank is exact.
 
 Three complexes are supported:
 

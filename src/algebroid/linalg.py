@@ -5,22 +5,17 @@ a list of ``(column, nonzero value)`` pairs, the values ints, ``Fraction``s
 or ``Poly``s; kernel vectors come back in the same form.  Callers pass the
 column count explicitly so empty matrices keep their shape.
 
-``_blocks`` splits a matrix once into connected blocks: columns that share
-a row are joined by union-find over the row supports.  Each block is
-eliminated on its own columns; ranks add up over blocks and kernel vectors
-vanish outside their block, so the results equal those of eliminating the
-whole matrix.  The cochain differentials and constant flat maps split into
-blocks of a few columns, so elimination cost follows the largest block,
-not the size of the matrix.
+Int and ``Fraction`` matrices go through one sparse eliminator,
+``_echelon`` (row-by-row elimination on dict rows, as for exact homology
+ranks: Dumas, Saunders & Villard 2001), which touches nonzeros only.  A rank
+does not depend on the elimination order, and the leading columns of an
+echelon basis depend only on the row space, so the free columns and the
+canonical kernel vectors of ``nullspace`` are those of any exact elimination.
 
-One kernel, ``_row_echelon``, eliminates every block: one-step
-fraction-free Bareiss (Bareiss 1968) in pure Python, on arbitrary-precision
-integers or on packed integer polynomials (``_pack_rows``), so every result
-is exact.  Each row is scaled by the lcm of its coefficients' denominators
-first, which preserves both the row space and the kernel, so
-``_row_echelon`` multiplies and divides no ``Fraction``.  One back-substitution,
-``_back_substitute``, turns echelon rows of either entry type into kernel
-vectors with one exact ``//`` per coordinate.
+``Poly`` matrices are split into connected blocks by ``_blocks``, and each
+block is eliminated by ``_row_echelon``, one-step fraction-free Bareiss
+(Bareiss 1968) on packed integer polynomials (``_pack_rows``), and
+back-substituted by ``_back_substitute`` with one exact ``//`` per entry.
 """
 
 from __future__ import annotations
@@ -30,18 +25,102 @@ from math import gcd, lcm
 
 from algebroid.poly import Poly, _Packing
 
-# The only elimination path; benchmark results record it to compare like with like.
+# One pure-Python path per entry type; benchmark results record it to compare like with like.
 BACKEND = "pure-python"
 
 
+def _echelon(rows, ncols, pivots):
+    """``pivots`` (leading column -> pivot row, a dict column -> int)
+    extended by the sparse rational ``rows``, in order, and returned.
+
+    Each row becomes a dict of ints, scaled by the lcm of its denominators,
+    then b row - a p while a pivot row p sits at its leading column c, with
+    a/b = row[c]/p[c] in lowest terms.  A row left with a new leading column
+    is stored there divided by the gcd of its entries; a zero row is dropped.
+    """
+    for row in rows:
+        v, scale = {}, 0  # scale stays 0 while every entry is an int
+        for j, value in row:
+            if not 0 <= j < ncols:
+                raise ValueError(f"column {j} is out of range for {ncols} columns")
+            v[j] = value
+            if type(value) is not int:
+                scale = lcm(scale or 1, value.denominator)
+        if scale:
+            v = {j: value.numerator * (scale // value.denominator) for j, value in v.items()}
+        while v:
+            c = min(v)
+            p = pivots.get(c)
+            if p is None:
+                content = gcd(*v.values())
+                pivots[c] = {j: a // content for j, a in v.items()} if content > 1 else v
+                break
+            g = gcd(v[c], p[c])
+            a, b = v[c] // g, p[c] // g
+            if b != 1:
+                for j in v:
+                    v[j] *= b
+            for j, x in p.items():
+                y = v.get(j, 0) - a * x
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
+    return pivots
+
+
+def rank(rows, ncols) -> int:
+    """Rank of a sparse rational matrix: the number of its pivot rows."""
+    return len(_echelon(rows, ncols, {}))
+
+
+def nullspace(rows, ncols):
+    """Integer kernel basis, one sparse vector per free column, in column order.
+
+    The vector of free column f is 1 at f and 0 at the other free columns,
+    back-substituted on the pivot rows left of f, scaled up where a division
+    is inexact, then divided by the gcd of its entries and signed so that
+    its entry at f is positive: the primitive integer vector on that line of
+    kernel vectors, so the basis is canonical.
+    """
+    pivots = _echelon(rows, ncols, {})
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        x = {free: 1}
+        for c in sorted((c for c in pivots if c < free), reverse=True):
+            p = pivots[c]
+            s = sum(a * x[j] for j, a in p.items() if j in x)
+            if s:
+                g = gcd(s, p[c])
+                for j in x:
+                    x[j] *= p[c] // g
+                x[c] = -s // g
+        content = gcd(*x.values()) if x[free] > 0 else -gcd(*x.values())
+        basis.append([(j, x[j] // content) for j in sorted(x)])
+    return basis
+
+
+def row_space_contains(rows, vector, ncols) -> bool:
+    """Whether the sparse ``vector`` lies in the span of the sparse ``rows``:
+    whether it adds no pivot row to theirs."""
+    pivots = _echelon(rows, ncols, {})
+    rank_ = len(pivots)
+    return len(_echelon([vector], ncols, pivots)) == rank_
+
+
+# -- elimination over polynomial entries -----------------------------------
+
+
 def _row_echelon(rows, ncols):
-    """Reduce ``rows`` (lists of ints or of ``Poly``, mutated in place) to
-    row echelon form.
+    """Reduce ``rows`` (lists of packed ``Poly`` entries, mutated in place)
+    to row echelon form.
 
     One-step Bareiss: after processing pivot column c with pivot p, every
     entry right of c in a lower row is updated to (p*a - head*b) // prev,
     where prev is the previous pivot; the first step divides by nothing.
-    All divisions are exact, over the integers and over polynomials alike.
+    All divisions are exact polynomial divisions.
     Pivots are chosen as the first nonzero entry scanning down each column,
     so the result is deterministic.  Entries below a pivot are left as they
     were: nothing reads them again.
@@ -78,7 +157,7 @@ def _row_echelon(rows, ncols):
     return r, pivots
 
 
-def _blocks(rows, ncols, zero=0):
+def _blocks(rows, ncols, zero):
     """Split a sparse matrix into its connected blocks: a list of (columns,
     rows), the block's columns in ascending order and its rows, in input
     order, as dense lists over those columns filled with ``zero``.  Blocks
@@ -126,27 +205,9 @@ def _blocks(rows, ncols, zero=0):
     return out
 
 
-def _integer_rows(rows):
-    """Sparse rational rows, each scaled by the lcm of its denominators."""
-    out = []
-    for row in rows:
-        denominators = [value.denominator for _, value in row if type(value) is Fraction]
-        if denominators:
-            scale = lcm(*denominators)
-            row = [(j, int(value * scale)) for j, value in row]
-        out.append(row)
-    return out
-
-
-def rank(rows, ncols) -> int:
-    """Rank of a sparse rational matrix: the sum of its blocks' ranks."""
-    return sum(_row_echelon(block, len(columns))[0]
-               for columns, block in _blocks(_integer_rows(rows), ncols))
-
-
 def _back_substitute(rows, rank_, pivots, free, ncols, one):
-    """The kernel vector of ``_row_echelon``'s ``rows`` (ints or ``_Packed``)
-    that is zero at every free column but ``free``.
+    """The kernel vector of ``_row_echelon``'s packed ``rows`` that is zero
+    at every free column but ``free``.
 
     Its entry at ``free`` is the last pivot (``one`` at rank 0); pivot t, at
     column c, is ``-(sum over j > c of U[t][j] x[j]) // U[t][c]``.  By
@@ -166,42 +227,6 @@ def _back_substitute(rows, rank_, pivots, free, ncols, one):
                 acc = acc - row[j] * x[j]
         x[col] = acc // row[col]
     return x
-
-
-def nullspace(rows, ncols):
-    """Integer kernel basis, one sparse vector per free column, in column order.
-
-    Each vector is back-substituted, then divided by the gcd of its entries
-    and signed so that its free coordinate is positive: the primitive
-    integer vector on the line of kernel vectors that vanish at the other
-    free columns, so the basis is canonical.  It is solved inside the block
-    of its free column and is zero outside it; a column no row touches gets
-    its unit vector.
-    """
-    basis = {}
-    untouched = set(range(ncols))
-    for columns, block in _blocks(_integer_rows(rows), ncols):
-        untouched.difference_update(columns)
-        width = len(columns)
-        rank_, pivots = _row_echelon(block, width)
-        for free in range(width):
-            if free in pivots:
-                continue
-            x = _back_substitute(block, rank_, pivots, free, width, 1)
-            content = gcd(*x) if x[free] > 0 else -gcd(*x)
-            basis[columns[free]] = [(j, value // content) for j, value in zip(columns, x) if value]
-    for j in untouched:
-        basis[j] = [(j, 1)]
-    return [basis[j] for j in sorted(basis)]
-
-
-def row_space_contains(rows, vector, ncols) -> bool:
-    """Whether the sparse ``vector`` lies in the span of the sparse ``rows``."""
-    base = rank(rows, ncols)
-    return rank(list(rows) + [vector], ncols) == base
-
-
-# -- elimination over polynomial entries -----------------------------------
 
 
 def _pack_rows(rows):

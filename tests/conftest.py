@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -75,6 +77,33 @@ def sparse_rows(rows):
     """Dense reference rows as the sparse rows ``linalg`` takes: lists of
     (column, nonzero value) pairs."""
     return [[(j, value) for j, value in enumerate(row) if value] for row in rows]
+
+
+def poincare_counts(m, degree, grade):
+    """(cocycles, coboundaries, dim) at ``grade``: m variables, degree <= ``degree``.
+
+    Each strand (grade and coefficient degree fixed) is exact away from
+    (0, 0).  With C(j, e) = C(m, j) * C(m + e - 1, e) cochains of grade j
+    and coefficient degree exactly e, the cocycles at (k, d) are
+    Z(0, d) = [d = 0] and Z(k, d) = C(k - 1, d + 1) - Z(k - 1, d + 1).
+    """
+
+    def cochains(j, e):
+        return comb(m, j) * comb(m + e - 1, e)
+
+    @lru_cache(maxsize=None)
+    def cocycles_at(k, d):
+        if k == 0:
+            return int(d == 0)
+        return cochains(k - 1, d + 1) - cocycles_at(k - 1, d + 1)
+
+    cocycles = sum(cocycles_at(grade, d) for d in range(degree + 1))
+    coboundaries = 0
+    if grade:
+        coboundaries = sum(
+            cochains(grade - 1, e) - cocycles_at(grade - 1, e) for e in range(degree + 2)
+        )
+    return cocycles, coboundaries, cocycles - coboundaries
 
 
 def graded_zero_sum(values) -> bool:

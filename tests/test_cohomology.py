@@ -24,7 +24,6 @@ Oracles:
 import dataclasses
 import random
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -54,7 +53,7 @@ from algebroid.poly import MAX_EXPONENT, Poly, decode, encode
 from algebroid.sampling import Sampler, monomials_up_to
 from algebroid.symplectic import ConstantSymplectic
 
-from conftest import flat_by_omega, sgn, sharp_by_pi, sparse_rows
+from conftest import flat_by_omega, poincare_counts, sgn, sharp_by_pi, sparse_rows
 
 STD = ConstantSymplectic.standard()
 # pi of the standard structure over every coordinate a field here carries
@@ -229,33 +228,6 @@ class TestFrozenTables:
             1: (19, 19, 0),
             2: (26, 26, 0),
         }
-
-
-def poincare_counts(m, degree, grade):
-    """(cocycles, coboundaries, dim) at ``grade``: m variables, degree <= ``degree``.
-
-    Each strand (grade and coefficient degree fixed) is exact away from
-    (0, 0).  With C(j, e) = C(m, j) * C(m + e - 1, e) cochains of grade j
-    and coefficient degree exactly e, the cocycles at (k, d) are
-    Z(0, d) = [d = 0] and Z(k, d) = C(k - 1, d + 1) - Z(k - 1, d + 1).
-    """
-
-    def cochains(j, e):
-        return comb(m, j) * comb(m + e - 1, e)
-
-    @lru_cache(maxsize=None)
-    def cocycles_at(k, d):
-        if k == 0:
-            return int(d == 0)
-        return cochains(k - 1, d + 1) - cocycles_at(k - 1, d + 1)
-
-    cocycles = sum(cocycles_at(grade, d) for d in range(degree + 1))
-    coboundaries = 0
-    if grade:
-        coboundaries = sum(
-            cochains(grade - 1, e) - cocycles_at(grade - 1, e) for e in range(degree + 2)
-        )
-    return cocycles, coboundaries, cocycles - coboundaries
 
 
 POINCARE_GRID = (

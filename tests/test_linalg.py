@@ -1,10 +1,11 @@
-"""Exact linear algebra: fraction-free elimination, rank, nullspace, and a
-cross-check against a dense reference Bareiss kept here."""
+"""Exact linear algebra: sparse integer elimination for rank, nullspace and
+row spaces, fraction-free Bareiss for ``Poly`` entries, and cross-checks
+against dense reference Bareiss kept here."""
 
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -14,7 +15,7 @@ from algebroid.exterior import KForm, KVector, de_rham, interior_product
 from algebroid.poly import Poly
 from algebroid.symplectic import ConstantSymplectic, check_weak_symplectic
 
-from conftest import sparse_rows
+from conftest import poincare_counts, sparse_rows
 
 
 def frac_matvec(rows, vec):
@@ -647,22 +648,164 @@ class TestReferenceBareiss:
         assert basis == [[(0, big), (1, 1)]]
 
 
-class TestBlockSplit:
-    def test_cohomology_never_eliminates_a_dense_matrix(self, monkeypatch):
-        # The lp differentials at support 0..3, degree <= 5 split into blocks
-        # of at most 6 columns; a wider call means the split was bypassed.
-        widths = []
-        kernel = linalg._row_echelon
+def random_rational_matrices(seed, count):
+    """Seeded small rational matrices: ``Fraction`` entries, integral ones
+    such as ``Fraction(6, 3)`` among them, mixed with plain ints and zeros;
+    in every third one a row is a rational combination of two others, and
+    in every fifth one a row is repeated."""
+    rng = random.Random(seed)
 
-        def recording(rows, ncols):
-            widths.append(ncols)
-            return kernel(rows, ncols)
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-9, 9)
+        if kind == 2:
+            d = rng.randint(1, 4)
+            return Fraction(rng.randint(-5, 5) * d, d)  # integral, denominator 1
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
 
-        monkeypatch.setattr(linalg, "_row_echelon", recording)
-        pi = ConstantSymplectic.standard().bivector(range(4))
-        report = compute_cohomology("lp", pi, TruncationSpec(range(4), 4), [0, 1, 2])
-        assert report.table() == {0: (1, 0, 1), 1: (125, 125, 0), 2: (295, 295, 0)}
-        assert widths and max(widths) <= 6
+    for n in range(count):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if n % 3 == 2 and nrows >= 3:
+            i, j, k = rng.sample(range(nrows), 3)
+            p, q = Fraction(rng.randint(-5, 5), rng.randint(1, 5)), rng.randint(-3, 3)
+            rows[i] = [p * a + q * b for a, b in zip(rows[j], rows[k])]
+        if n % 5 == 4:
+            rows.append(list(rng.choice(rows)))
+        yield rows, ncols
+
+
+def common_multiple(rows):
+    """The matrix ``rows`` times the lcm of all its denominators: integer
+    entries, the same rank and kernel, scaled as a whole, not row by row."""
+    scale = lcm(*(Fraction(value).denominator for row in rows for value in row))
+    return [[int(value * scale) for value in row] for row in rows]
+
+
+def std_window(complex_name, m, degree, grades):
+    """The cohomology table of ``complex_name`` for ``symplectic std`` on
+    coordinates 0..m-1, coefficient degree <= ``degree``."""
+    pi = ConstantSymplectic.standard().bivector(range(m))
+    return compute_cohomology(complex_name, pi, TruncationSpec(range(m), degree), grades,
+                              100000).table()
+
+
+class TestSparseEliminator:
+    def test_cohomology_row_reductions_are_pinned(self, monkeypatch):
+        # The lp strands at support 0..3, degree <= 5 hold 840 rows, and the
+        # eliminator reduces a row by a pivot row 465 times: a count of the
+        # pivot rows it finds at leading columns.  A dense or block-split
+        # elimination makes no such reduction.
+        counts = {"rows": 0, "reductions": 0}
+        echelon = linalg._echelon
+
+        class Counted(dict):
+            def get(self, column):
+                pivot = super().get(column)
+                counts["reductions"] += pivot is not None
+                return pivot
+
+        def counting(rows, ncols, pivots):
+            counts["rows"] += len(rows)
+            return echelon(rows, ncols, Counted(pivots))
+
+        monkeypatch.setattr(linalg, "_echelon", counting)
+        table = std_window("lp", 4, 4, [0, 1, 2])
+        assert table == {0: (1, 0, 1), 1: (125, 125, 0), 2: (295, 295, 0)}
+        assert counts == {"rows": 840, "reductions": 465}
+
+    @pytest.mark.parametrize("complex_name, support, degree", [
+        ("lp", 4, 4), ("ce-tangent", 6, 6),
+    ])
+    def test_pivot_entries_stay_small(self, monkeypatch, complex_name, support, degree):
+        # Primitive-row elimination has no Bareiss bound on entry growth.
+        # The largest pivot entry is 3 bits on the first window and 4 on the
+        # second (5 on lp 0..5 at degree 7); 8 bits leaves room.
+        bits = []
+        echelon = linalg._echelon
+
+        def recording(rows, ncols, pivots):
+            pivots = echelon(rows, ncols, pivots)
+            bits.extend(abs(a).bit_length() for row in pivots.values() for a in row.values())
+            return pivots
+
+        monkeypatch.setattr(linalg, "_echelon", recording)
+        table = std_window(complex_name, support, degree, range(support + 1))
+        assert all(dims == poincare_counts(support, degree, k) for k, dims in table.items())
+        assert bits and max(bits) <= 8
+
+    def test_pivot_rows_are_primitive(self):
+        rows = [[(0, 2), (1, 4), (3, 6)], [(0, 3), (1, 1)],
+                [(2, Fraction(1, 2)), (3, Fraction(1, 3))]]
+        assert linalg._echelon(rows, 4, {}) == {
+            0: {0: 1, 1: 2, 3: 3}, 1: {1: -5, 3: -9}, 2: {2: 3, 3: 2},
+        }
+        for rows, ncols in random_rational_matrices(73, 100):
+            for pivot in linalg._echelon(sparse_rows(rows), ncols, {}).values():
+                assert gcd(*pivot.values()) == 1
+
+    def test_integral_fractions_are_ints(self):
+        # Fraction(6, 3) has denominator 1; its row is not scaled but still
+        # becomes ints, which gcd needs.
+        rows = [[Fraction(6, 3), Fraction(4, 2), 0], [Fraction(3), Fraction(3), Fraction(-9, 3)]]
+        ints = [[2, 2, 0], [3, 3, -3]]
+        assert linalg.rank(sparse_rows(rows), 3) == linalg.rank(sparse_rows(ints), 3) == 2
+        assert linalg.nullspace(sparse_rows(rows), 3) == linalg.nullspace(sparse_rows(ints), 3)
+        assert linalg.nullspace(sparse_rows(rows), 3) == [[(0, -1), (1, 1)]]
+        assert linalg.row_space_contains(sparse_rows(rows), [(0, Fraction(10, 2)), (1, 5)], 3)
+        assert not linalg.row_space_contains(sparse_rows(rows), [(0, Fraction(2, 2))], 3)
+
+    def test_rows_mixing_ints_and_fractions(self):
+        rows = [[1, Fraction(1, 2), 3], [2, 1, Fraction(13, 2)]]
+        assert linalg.rank(sparse_rows(rows), 3) == 2
+        assert linalg.nullspace(sparse_rows(rows), 3) == [[(0, -1), (1, 2)]]
+        assert linalg.row_space_contains(sparse_rows(rows), [(2, Fraction(1, 2))], 3)
+        assert not linalg.row_space_contains(sparse_rows(rows), [(1, 1)], 3)
+
+    def test_empty_and_duplicate_rows(self):
+        rows = [[], [(1, 2), (2, Fraction(1, 3))], [], [(1, 2), (2, Fraction(1, 3))], []]
+        assert linalg.rank(rows, 3) == 1
+        assert linalg.nullspace(rows, 3) == [[(0, 1)], [(1, -1), (2, 6)]]
+        assert linalg.row_space_contains(rows, [(1, 6), (2, 1)], 3)
+        assert linalg.row_space_contains(rows, [], 3)
+        assert not linalg.row_space_contains(rows, [(0, 1)], 3)
+        assert linalg.rank([[(0, 1)]] * 4, 1) == 1
+
+    def test_rational_matrices_match_reference(self):
+        # The reference eliminates the matrix scaled by one common multiple.
+        for rows, ncols in random_rational_matrices(79, 300):
+            scaled = common_multiple(rows)
+            assert linalg.rank(sparse_rows(rows), ncols) == reference_rank(scaled, ncols)
+            assert_canonical_kernel(rows, ncols, reference_pivots(scaled, ncols))
+            basis = linalg.nullspace(sparse_rows(rows), ncols)
+            assert basis == linalg.nullspace(sparse_rows(scaled), ncols)
+
+    def test_row_space_contains_eliminates_once(self, monkeypatch):
+        # The rows are eliminated once, then the vector alone is reduced by
+        # their pivot rows.
+        calls = []
+        echelon = linalg._echelon
+
+        def counting(rows, ncols, pivots):
+            calls.append(len(rows))
+            return echelon(rows, ncols, pivots)
+
+        monkeypatch.setattr(linalg, "_echelon", counting)
+        for rows, ncols in random_rational_matrices(83, 100):
+            sparse = sparse_rows(rows)
+            combination = [sum(Fraction(k + 1, 3) * row[j] for k, row in enumerate(rows))
+                           for j in range(ncols)]
+            calls.clear()
+            assert linalg.row_space_contains(sparse, sparse_rows([combination])[0], ncols)
+            assert calls == [len(rows), 1]
+            for j in range(ncols):  # each unit vector, against the reference rank
+                unit = [(j, 1)]
+                want = reference_rank(common_multiple(rows + [[int(i == j) for i in range(ncols)]]),
+                                      ncols) == reference_rank(common_multiple(rows), ncols)
+                assert linalg.row_space_contains(sparse, unit, ncols) == want
 
     @pytest.mark.parametrize("function", [linalg.rank, linalg.nullspace])
     def test_out_of_range_column_raises(self, function):
@@ -673,9 +816,15 @@ class TestBlockSplit:
         with pytest.raises(ValueError, match="column 0 is out of range for 0 columns"):
             function([[(0, 1)]], 0)
 
+    def test_out_of_range_vector_raises(self):
+        with pytest.raises(ValueError, match="column 2 is out of range for 2 columns"):
+            linalg.row_space_contains([[(0, 1)]], [(2, 1)], 2)
+
 
 class TestOneKernel:
-    """Every elimination in the package runs through ``linalg._row_echelon``."""
+    """One kernel per entry type: integer and rational matrices go through
+    the sparse ``linalg._echelon``, ``Poly`` matrices through
+    ``linalg._row_echelon``."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -689,18 +838,33 @@ class TestOneKernel:
         monkeypatch.setattr(linalg, "_row_echelon", recording)
         return seen
 
-    def test_polynomial_weak_symplectic_check(self, calls):
+    @pytest.fixture
+    def sparse_calls(self, monkeypatch):
+        seen = []
+        kernel = linalg._echelon
+
+        def recording(rows, ncols, pivots):
+            seen.append(ncols)
+            return kernel(rows, ncols, pivots)
+
+        monkeypatch.setattr(linalg, "_echelon", recording)
+        return seen
+
+    def test_polynomial_weak_symplectic_check(self, calls, sparse_calls):
         x = Poly.variable(0)
         form = KForm(2, {(0, 1): x + 1, (2, 3): x * x + 1, (1, 2): Poly.variable(3)})
         report = check_weak_symplectic(form, (0, 1, 2, 3))
         assert report.injective and report.caveats
         assert calls == [2, 2]  # the blocks on columns {0, 2} and {1, 3}
+        assert sparse_calls == []
 
-    def test_explicit_inverse(self, calls):
+    def test_explicit_inverse(self, calls, sparse_calls):
+        # A rational matrix: the singularity test and the kernel of [W | -I]
+        # each eliminate once in the sparse kernel, and Bareiss never runs.
         matrix = [[0, 2, 1, 0], [-2, 0, 0, 3], [-1, 0, 0, 1], [0, -3, -1, 0]]
         w = ConstantSymplectic.explicit((0, 1, 2, 3), matrix)
         product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*w.inverse)]
                    for row in matrix]
         assert product == [[int(i == j) for j in range(4)] for i in range(4)]
-        assert calls
+        assert (sparse_calls, calls) == ([4, 8], [])
 
