@@ -31,7 +31,6 @@ term of pi reaches [pi, field] only through those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -53,14 +52,16 @@ from algebroid.exterior import (
 from algebroid.poly import Poly, _add_scaled, _poly
 
 
-@dataclass(frozen=True)
 class AlgebroidStructure:
     """A section space with an anchor and a bracket."""
 
-    name: str
-    section_kind: str  # "vector" | "form" | "generalized"
-    anchor: object  # section -> grade-1 KVector
-    bracket: object  # (section, section) -> section
+    __slots__ = ("name", "section_kind", "anchor", "bracket")
+
+    def __init__(self, name, section_kind, anchor, bracket):
+        self.name = name
+        self.section_kind = section_kind  # "vector" | "form" | "generalized"
+        self.anchor = anchor  # section -> grade-1 KVector
+        self.bracket = bracket  # (section, section) -> section
 
 
 def tangent_algebroid() -> AlgebroidStructure:
@@ -117,18 +118,30 @@ def cotangent_algebroid(pi: KVector) -> AlgebroidStructure:
     )
 
 
-@dataclass
 class AxiomCheck:
-    axiom: str
-    passed: bool
-    witness: str = None
+    __slots__ = ("axiom", "passed", "witness")
+
+    def __init__(self, axiom: str, passed: bool, witness: str = None):
+        self.axiom = axiom
+        self.passed = passed
+        self.witness = witness
+
+    def __eq__(self, other):
+        return type(other) is AxiomCheck and (self.axiom, self.passed, self.witness) == (
+            other.axiom, other.passed, other.witness)
 
 
-@dataclass
 class AxiomReport:
-    passed: bool
-    checks: list
-    first_failure: AxiomCheck = None
+    __slots__ = ("passed", "checks", "first_failure")
+
+    def __init__(self, passed: bool, checks: list, first_failure: AxiomCheck = None):
+        self.passed = passed
+        self.checks = checks
+        self.first_failure = first_failure
+
+    def __eq__(self, other):
+        return type(other) is AxiomReport and (self.passed, self.checks, self.first_failure) == (
+            other.passed, other.checks, other.first_failure)
 
     @classmethod
     def of(cls, checks) -> "AxiomReport":

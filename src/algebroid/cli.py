@@ -9,6 +9,12 @@ under a fixed seed.  Timing is recorded only when ``--timing`` is given.
 Exit codes: 0 when every verdict passes, 1 on a mathematical failure (the
 report carries a witness), 2 on usage, parse, or validation errors, 3 on an
 internal error (a broken invariant of this program).
+
+An argv that starts with a known command is parsed by that command's own
+parser, built as ``add_parser`` builds its subparser, so it prints the same
+errors and help.  Only a top-level ``-h``, a missing or unknown command, or
+arguments that parser leaves over reach the full parser, which re-parses the
+whole argv.
 """
 
 from __future__ import annotations
@@ -553,29 +559,78 @@ def _cmd_theorem_check(args, document, report):
     return result.passed
 
 
-_HANDLERS = {
-    "check-axioms": _cmd_check_axioms,
-    "check-courant": _cmd_check_courant,
-    "check-dirac": _cmd_check_dirac,
-    "check-weak-symplectic": _cmd_check_weak_symplectic,
-    "bracket": _cmd_bracket,
-    "d": _cmd_d,
-    "lie": _cmd_lie,
-    "sigma": _cmd_sigma,
-    "cohomology": _cmd_cohomology,
-    "theorem-check": _cmd_theorem_check,
+# command -> (handler, help line)
+_COMMANDS = {
+    "check-axioms": (_cmd_check_axioms, "algebroid axioms on sections"),
+    "check-courant": (_cmd_check_courant, "Courant axioms on sections"),
+    "check-dirac": (_cmd_check_dirac, "graph Dirac structure checks"),
+    "check-weak-symplectic": (
+        _cmd_check_weak_symplectic, "closedness and injectivity of a 2-form"
+    ),
+    "bracket": (_cmd_bracket, "bracket of two bound entities"),
+    "d": (_cmd_d, "exterior derivative of a bound entity"),
+    "lie": (_cmd_lie, "Lie derivative along a bound vector"),
+    "sigma": (_cmd_sigma, "contravariant differential"),
+    "cohomology": (_cmd_cohomology, "truncated cohomology table"),
+    "theorem-check": (_cmd_theorem_check, "contravariant vs Chevalley-Eilenberg agreement"),
 }
 
 
 # -- argument parsing --------------------------------------------------------
 
 
-def _add_common(sub):
+def _add_arguments(sub, command) -> None:
+    """Add the arguments of ``command`` to ``sub``, its subparser or its own parser."""
     sub.add_argument("--input", required=True, help="model document (.adsl)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--output", help="write the report here instead of stdout")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--timing", action="store_true", help="record wall time")
+    if command == "check-axioms":
+        sub.add_argument("--structure", choices=("tangent", "cotangent"), required=True)
+        sub.add_argument("--sections", type=int, default=3, help="minimum section count")
+        sub.add_argument("--functions", type=int, default=2)
+        sub.add_argument("--support", help="sampling support, e.g. 0..3 or 0,2")
+        sub.add_argument("--degree", type=int, default=2, help="sampling degree")
+    elif command == "check-courant":
+        sub.add_argument("--sections", type=int, default=3)
+        sub.add_argument("--functions", type=int, default=2)
+        sub.add_argument("--support")
+        sub.add_argument("--degree", type=int, default=2)
+    elif command == "check-dirac":
+        sub.add_argument("--target", help="a bound 2-form (default: the symplectic)")
+        sub.add_argument("--trials", type=int, default=8)
+        sub.add_argument("--support")
+        sub.add_argument("--degree", type=int, default=2)
+    elif command == "check-weak-symplectic":
+        sub.add_argument("--target", help="a bound 2-form (default: the symplectic)")
+        sub.add_argument("--support")
+    elif command == "bracket":
+        sub.add_argument("--left", required=True)
+        sub.add_argument("--right", required=True)
+        sub.add_argument(
+            "--kind",
+            choices=("courant", "dorfman"),
+            default="courant",
+            help="which bracket for section operands",
+        )
+    elif command == "lie":
+        sub.add_argument("--vector", required=True)
+        sub.add_argument("--target", required=True)
+    elif command in ("d", "sigma"):
+        sub.add_argument("--target", required=True)
+    elif command == "cohomology":
+        sub.add_argument("--complex", choices=COMPLEXES, required=True)
+        sub.add_argument("--support", required=True)
+        sub.add_argument("--degree", type=int, required=True)
+        sub.add_argument("--grades", default="0..2")
+        sub.add_argument("--max-basis", type=int, default=DEFAULT_MAX_BASIS)
+    elif command == "theorem-check":
+        sub.add_argument("--support", required=True)
+        sub.add_argument("--degree", type=int, required=True)
+        sub.add_argument("--grades", default="0..2")
+        sub.add_argument("--trials", type=int, default=25)
+        sub.add_argument("--max-basis", type=int, default=DEFAULT_MAX_BASIS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -584,78 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact checks and cohomology for polynomial models",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("check-axioms", help="algebroid axioms on sections")
-    _add_common(sub)
-    sub.add_argument("--structure", choices=("tangent", "cotangent"), required=True)
-    sub.add_argument("--sections", type=int, default=3, help="minimum section count")
-    sub.add_argument("--functions", type=int, default=2)
-    sub.add_argument("--support", help="sampling support, e.g. 0..3 or 0,2")
-    sub.add_argument("--degree", type=int, default=2, help="sampling degree")
-
-    sub = commands.add_parser("check-courant", help="Courant axioms on sections")
-    _add_common(sub)
-    sub.add_argument("--sections", type=int, default=3)
-    sub.add_argument("--functions", type=int, default=2)
-    sub.add_argument("--support")
-    sub.add_argument("--degree", type=int, default=2)
-
-    sub = commands.add_parser("check-dirac", help="graph Dirac structure checks")
-    _add_common(sub)
-    sub.add_argument("--target", help="a bound 2-form (default: the symplectic)")
-    sub.add_argument("--trials", type=int, default=8)
-    sub.add_argument("--support")
-    sub.add_argument("--degree", type=int, default=2)
-
-    sub = commands.add_parser(
-        "check-weak-symplectic", help="closedness and injectivity of a 2-form"
-    )
-    _add_common(sub)
-    sub.add_argument("--target", help="a bound 2-form (default: the symplectic)")
-    sub.add_argument("--support")
-
-    sub = commands.add_parser("bracket", help="bracket of two bound entities")
-    _add_common(sub)
-    sub.add_argument("--left", required=True)
-    sub.add_argument("--right", required=True)
-    sub.add_argument(
-        "--kind",
-        choices=("courant", "dorfman"),
-        default="courant",
-        help="which bracket for section operands",
-    )
-
-    sub = commands.add_parser("d", help="exterior derivative of a bound entity")
-    _add_common(sub)
-    sub.add_argument("--target", required=True)
-
-    sub = commands.add_parser("lie", help="Lie derivative along a bound vector")
-    _add_common(sub)
-    sub.add_argument("--vector", required=True)
-    sub.add_argument("--target", required=True)
-
-    sub = commands.add_parser("sigma", help="contravariant differential")
-    _add_common(sub)
-    sub.add_argument("--target", required=True)
-
-    sub = commands.add_parser("cohomology", help="truncated cohomology table")
-    _add_common(sub)
-    sub.add_argument("--complex", choices=COMPLEXES, required=True)
-    sub.add_argument("--support", required=True)
-    sub.add_argument("--degree", type=int, required=True)
-    sub.add_argument("--grades", default="0..2")
-    sub.add_argument("--max-basis", type=int, default=DEFAULT_MAX_BASIS)
-
-    sub = commands.add_parser(
-        "theorem-check", help="contravariant vs Chevalley-Eilenberg agreement"
-    )
-    _add_common(sub)
-    sub.add_argument("--support", required=True)
-    sub.add_argument("--degree", type=int, required=True)
-    sub.add_argument("--grades", default="0..2")
-    sub.add_argument("--trials", type=int, default=25)
-    sub.add_argument("--max-basis", type=int, default=DEFAULT_MAX_BASIS)
-
+    for command, (_, text) in _COMMANDS.items():
+        _add_arguments(commands.add_parser(command, help=text), command)
     return parser
 
 
@@ -671,12 +656,30 @@ def _check_counts(args) -> None:
             raise UsageError(f"{flag} must be nonnegative, got {value}")
 
 
-# Parsing leaves no state on the parser, so one serves every ``run`` call.
+# Parsing leaves no state on a parser, so one serves every ``run`` call.
 _parser = functools.cache(build_parser)
 
 
+@functools.cache
+def _command_parser(command) -> argparse.ArgumentParser:
+    """``command``'s parser alone, configured as its subparser is."""
+    parser = argparse.ArgumentParser(prog=f"algebroid {command}")
+    _add_arguments(parser, command)
+    return parser
+
+
+def _parse(argv):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
+
+
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return _run(args)
     except (UsageError, AlgebroidError) as exc:
@@ -709,7 +712,7 @@ def _run(args) -> int:
 
     report = _base_report(args, digest)
     try:
-        passed = _HANDLERS[args.command](args, document, report)
+        passed = _COMMANDS[args.command][0](args, document, report)
     except NotInvertible as exc:
         report["error"] = str(exc)
         witness = getattr(exc, "witness", None)

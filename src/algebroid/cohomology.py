@@ -50,7 +50,6 @@ and each column is d(mono * e_I) = d(mono) ^ e_I + mono * d(e_I).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -73,20 +72,18 @@ DEFAULT_MAX_BASIS = 20000
 COMPLEXES = ("lp", "ce-tangent", "ce-cotangent")
 
 
-@dataclass(frozen=True)
 class TruncationSpec:
     """A finite support and a coefficient degree bound."""
 
-    support: tuple
-    degree: int
+    __slots__ = ("support", "degree")
 
-    def __post_init__(self):
-        support = tuple(sorted(set(self.support)))
-        if any(i < 0 for i in support):
+    def __init__(self, support, degree: int):
+        self.support = tuple(sorted(set(support)))
+        if any(i < 0 for i in self.support):
             raise ValueError("support indices are natural numbers")
-        if self.degree < 0:
+        if degree < 0:
             raise ValueError("the degree bound must be nonnegative")
-        object.__setattr__(self, "support", support)
+        self.degree = degree
 
 
 def blade_basis(support, grade):
@@ -211,19 +208,23 @@ def _assemble_strand(complex_name, spec, grade, degree, blades, monos):
     return rows, domain
 
 
-@dataclass
 class GradeDims:
-    cocycles: int
-    coboundaries: int
-    dim: int
+    __slots__ = ("cocycles", "coboundaries", "dim")
+
+    def __init__(self, cocycles: int, coboundaries: int, dim: int):
+        self.cocycles = cocycles
+        self.coboundaries = coboundaries
+        self.dim = dim
 
 
-@dataclass
 class CohomologyReport:
-    complex_name: str
-    support: tuple
-    degree: int
-    grades: dict  # grade -> GradeDims
+    __slots__ = ("complex_name", "support", "degree", "grades")
+
+    def __init__(self, complex_name: str, support: tuple, degree: int, grades: dict):
+        self.complex_name = complex_name
+        self.support = support
+        self.degree = degree
+        self.grades = grades  # grade -> GradeDims
 
     def table(self):
         return {k: (v.cocycles, v.coboundaries, v.dim) for k, v in sorted(self.grades.items())}
@@ -306,13 +307,15 @@ def compute_cohomology(
     )
 
 
-@dataclass
 class AgreementReport:
-    mismatches: list
-    lp_table: dict
-    ce_table: dict
-    tables_equal: bool
-    passed: bool
+    __slots__ = ("mismatches", "lp_table", "ce_table", "tables_equal", "passed")
+
+    def __init__(self, mismatches, lp_table, ce_table, tables_equal, passed):
+        self.mismatches = mismatches
+        self.lp_table = lp_table
+        self.ce_table = ce_table
+        self.tables_equal = tables_equal
+        self.passed = passed
 
 
 def check_lp_ce_agreement(

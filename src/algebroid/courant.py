@@ -34,7 +34,6 @@ tuple in lexicographic index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -260,15 +259,19 @@ def _graph(form: KForm, field: KVector) -> GeneralizedSection:
 _DIRAC = AlgebroidStructure("dirac", "generalized", anchor, courant_bracket)
 
 
-@dataclass
 class ComplementReport:
-    ambient_indices: tuple
-    fiber_dimension: int
-    dim_subbundle: int
-    dim_complement: int
-    isotropic: bool
-    equals_complement: bool
-    witness: GeneralizedSection = None
+    __slots__ = ("ambient_indices", "fiber_dimension", "dim_subbundle", "dim_complement",
+                 "isotropic", "equals_complement", "witness")
+
+    def __init__(self, ambient_indices, fiber_dimension, dim_subbundle, dim_complement,
+                 isotropic, equals_complement, witness: GeneralizedSection = None):
+        self.ambient_indices = ambient_indices
+        self.fiber_dimension = fiber_dimension
+        self.dim_subbundle = dim_subbundle
+        self.dim_complement = dim_complement
+        self.isotropic = isotropic
+        self.equals_complement = equals_complement
+        self.witness = witness
 
 
 def orthogonal_complement(form: KForm, ambient) -> ComplementReport:
@@ -326,13 +329,17 @@ def orthogonal_complement(form: KForm, ambient) -> ComplementReport:
     )
 
 
-@dataclass
 class DiracReport:
-    isotropy_failures: list
-    involutivity_failures: list
-    defect_matches_prediction: bool
-    axioms: object
-    passed: bool
+    __slots__ = ("isotropy_failures", "involutivity_failures", "defect_matches_prediction",
+                 "axioms", "passed")
+
+    def __init__(self, isotropy_failures, involutivity_failures, defect_matches_prediction,
+                 axioms, passed):
+        self.isotropy_failures = isotropy_failures
+        self.involutivity_failures = involutivity_failures
+        self.defect_matches_prediction = defect_matches_prediction
+        self.axioms = axioms
+        self.passed = passed
 
 
 def check_dirac(form: KForm, pairs, fields, functions) -> DiracReport:

@@ -45,7 +45,6 @@ documents.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -109,12 +108,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
 class _Token:
-    kind: str  # "int" | "name" | "sym" | "end"
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind = kind  # "int" | "name" | "sym" | "end"
+        self.text = text
+        self.line = line
+        self.column = column
 
 
 def _lex_line(text, line_no):
@@ -142,11 +143,13 @@ def _lex_line(text, line_no):
     return tokens
 
 
-@dataclass
 class Binding:
-    kind: str  # "fn" | "form" | "vector" | "multivector" | "section"
-    name: str
-    value: object
+    __slots__ = ("kind", "name", "value")
+
+    def __init__(self, kind: str, name: str, value):
+        self.kind = kind  # "fn" | "form" | "vector" | "multivector" | "section"
+        self.name = name
+        self.value = value
 
 
 class ModelDocument:

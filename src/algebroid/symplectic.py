@@ -44,7 +44,6 @@ coordinate fails instead of reading zero there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from algebroid import linalg
@@ -192,19 +191,23 @@ def poisson_bracket(pi: KVector, f: Poly, g: Poly) -> Poly:
     return vector_apply(interior_product(de_rham(f), pi), g)
 
 
-@dataclass
 class WeakSymplecticReport:
     """Outcome of check_weak_symplectic."""
 
-    passed: bool
-    closed: bool
-    closed_witness: object  # KForm of grade 3, or None
-    injective: bool
-    injective_witness: object  # KVector of grade 1, or None
-    rank: int
-    dimension: int
-    generic: bool
-    caveats: list
+    __slots__ = ("passed", "closed", "closed_witness", "injective", "injective_witness",
+                 "rank", "dimension", "generic", "caveats")
+
+    def __init__(self, passed, closed, closed_witness, injective, injective_witness,
+                 rank, dimension, generic, caveats):
+        self.passed = passed
+        self.closed = closed
+        self.closed_witness = closed_witness  # KForm of grade 3, or None
+        self.injective = injective
+        self.injective_witness = injective_witness  # KVector of grade 1, or None
+        self.rank = rank
+        self.dimension = dimension
+        self.generic = generic
+        self.caveats = caveats
 
 
 def check_weak_symplectic(form: KForm, support) -> WeakSymplecticReport:

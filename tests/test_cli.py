@@ -774,6 +774,74 @@ class TestArgvFuzz:
         assert "Traceback" not in err.getvalue(), argv
 
 
+def parse_outcome(parse, argv):
+    """Exit code, stdout, stderr and, on success, the namespace of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace, code = vars(parse(list(argv))), 0
+        except SystemExit as exc:  # argparse rejects a usage error this way
+            namespace, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+_STD = str(fixture_path("std_basic.adsl"))
+
+
+def parse_id(argv):
+    return " ".join(arg.replace(_STD, "std_basic.adsl") for arg in argv) or "(empty)"
+_COHOMOLOGY = ["cohomology", "--input", _STD, "--complex", "lp", "--support", "0..1"]
+_PARSE_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate"],
+    ["coh", "--input", _STD],  # a prefix of a command is no command
+    *([command, "-h"] for command in sorted(_COMMAND_OPTIONS)),
+    ["cohomology", "--input", _STD],  # missing required options
+    ["bracket"],
+    ["check-axioms", "--input", _STD, "--structure", "other"],  # not a choice
+    [*_COHOMOLOGY, "--degree", "two"],  # not an int
+    ["d", "--input", _STD, "--target", "f", "extra"],  # a leftover positional
+    ["d", "--input", _STD, "--target", "f", "--bogus"],  # an unknown option
+    ["d", "--input", _STD, "--target", "f"],
+    [*_COHOMOLOGY, "--degree", "1", "--max-b", "9"],
+    [*_COHOMOLOGY, "--degree", "1", "--max=9"],
+    ["cohomology", f"--input={_STD}", "--complex=ce-tangent", "--support=0..2", "--degree=2"],
+    ["d", "--input", _STD, "--target", "f", "--"],
+    ["d", "--input", _STD, "--", "--target", "f"],
+    ["d", "--", "--input", _STD, "--target", "f"],
+]
+
+
+class TestParsePaths:
+    """A known command is parsed on its own parser, everything else on the
+    full one; ``run``'s parse must match the full parser's on any argv."""
+
+    @pytest.mark.parametrize("columns", ["80", "40"])
+    @pytest.mark.parametrize("argv", _PARSE_ARGVS, ids=parse_id)
+    def test_run_parses_as_the_full_parser(self, monkeypatch, columns, argv):
+        # Help and usage text wrap at the terminal width.
+        monkeypatch.setenv("COLUMNS", columns)
+        assert parse_outcome(cli._parse, argv) == parse_outcome(cli._parser().parse_args, argv)
+
+    def test_a_valid_run_never_builds_the_full_parser(self, capsys):
+        cli._parser.cache_clear()
+        for command, fixture, extra in TestDeterminism.CASES:
+            code, _, err = run_cli(capsys, command, "--input", str(fixture_path(fixture)), *extra)
+            assert (code, err) == (0, ""), command
+        assert cli._parser.cache_info().misses == 0
+        # A subcommand's usage error is its own parser's; a top-level one
+        # builds the full parser, once.
+        for argv in (
+            ["cohomology", "--input", _STD],
+            ["frobnicate"],
+            ["d", "--input", _STD, "--target", "f", "extra"],
+        ):
+            assert parse_outcome(cli.run, argv)[0] == 2
+        assert cli._parser.cache_info().misses == 1
+
+
 class TestParserReuse:
     def test_calls_after_a_usage_error_match_fresh_processes(self, monkeypatch):
         # One parser serves every cli.run call in a process.  Whatever a
@@ -793,6 +861,7 @@ class TestParserReuse:
             ["cohomology", "--input", std, "--complex", "lp", "--support", "0..1",
              "--degree", "1"],
         ]
+        parsers = {cmd: cli._command_parser(cmd) for cmd, *_ in argvs if cmd in cli._COMMANDS}
         # Usage lines wrap at the terminal width; pin it for both sides.
         monkeypatch.setenv("COLUMNS", "80")
         env = child_env()
@@ -813,6 +882,8 @@ class TestParserReuse:
             got = (code, out.getvalue(), err.getvalue())
             assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert cli._parser() is cli._parser()
+        # Each command's own parser served its runs after their usage errors.
+        assert all(cli._command_parser(command) is parser for command, parser in parsers.items())
 
 
 class TestConsoleScript:

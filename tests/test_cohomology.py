@@ -21,7 +21,6 @@ Oracles:
   entry by entry (``reference_ce_image``) on every basis element.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -645,7 +644,7 @@ def count_generator_calls(monkeypatch):
                 calls.append(("bracket", a, b))
                 return structure.bracket(a, b)
 
-            return dataclasses.replace(structure, anchor=anchor, bracket=bracket)
+            return AlgebroidStructure(structure.name, structure.section_kind, anchor, bracket)
 
         return build
 

@@ -7,12 +7,19 @@ algebroid, cohomology and Courant modules import nothing from
 ``symplectic``.  Only the CLI draws random inputs, so cohomology imports
 nothing from ``sampling`` (nor, through it, ``courant``).  No module
 imports the CLI, and no source or test file imports a name it never uses.
+No module imports ``dataclasses``: with what it pulls in (``inspect``,
+``ast``, ``dis``, ``tokenize``) and the code it generates per class, it was
+a fixed cost of every CLI run.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "algebroid").glob("*.py"))
@@ -90,3 +97,31 @@ def test_no_module_imports_the_cli():
 @pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda path: path.parent.name + "/" + path.name)
 def test_no_unused_imports(path):
     assert unused_imports(tree(path)) == []
+
+
+def top_level_imports(module):
+    """The first part of every module name a syntax tree imports."""
+    out = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            out.add(node.module.partition(".")[0])
+    return out
+
+
+def test_no_module_imports_dataclasses():
+    importing = [path.name for path in SOURCES if "dataclasses" in top_level_imports(tree(path))]
+    assert importing == []
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    # A child interpreter: pytest itself has these modules loaded.
+    code = (
+        "import sys; import algebroid.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True
+    )
+    assert completed.stdout.split() == []
