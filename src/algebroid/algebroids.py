@@ -15,6 +15,13 @@ i < j < k, the anchor on i < j, and Leibniz on every (i, j, function f);
 a failing check's witness is its first failing tuple in lexicographic index
 order.
 
+A structure's bracket is given in accumulating form, ``add_bracket(out, a,
+b, sign=1)``, which adds sign * [a, b] into the blade sums ``out`` (a
+(vector, form) pair of them for generalized sections); the method
+``bracket(a, b)`` wraps it.  The checker keeps the rule of ``exterior``,
+accumulate, then wrap once: each defect is one raw sum, tested for zero as
+it stands and wrapped only to render a witness.
+
 ``cotangent_algebroid(pi)`` is the cotangent structure of a Poisson
 bivector pi, a grade-2 KVector: 1-forms with the anchor a -> i_a pi and
 the Koszul bracket of that anchor, whose three Cartan terms are summed into
@@ -38,30 +45,37 @@ from algebroid.errors import ArityError, GradeError
 from algebroid.exterior import (
     KForm,
     KVector,
+    _all_vanish,
     _apply,
     _coerce_poly,
     _contract,
     _differentiate,
-    _wrap,
+    _lie,
+    _wrapped,
     de_rham,
     interior_product,
-    lie_bracket,
     schouten_bracket,
     vector_apply,
 )
 from algebroid.poly import Poly, _add_scaled, _poly
 
+_ONE = Poly.one().terms
+
 
 class AlgebroidStructure:
-    """A section space with an anchor and a bracket."""
+    """A section space with an anchor and a bracket in accumulating form."""
 
-    __slots__ = ("name", "section_kind", "anchor", "bracket")
+    __slots__ = ("name", "section_kind", "anchor", "add_bracket")
 
-    def __init__(self, name, section_kind, anchor, bracket):
+    def __init__(self, name, section_kind, anchor, add_bracket):
         self.name = name
         self.section_kind = section_kind  # "vector" | "form" | "generalized"
         self.anchor = anchor  # section -> grade-1 KVector
-        self.bracket = bracket  # (section, section) -> section
+        self.add_bracket = add_bracket  # (sums, section, section, sign=1) -> None
+
+    def bracket(self, a, b):
+        """[a, b]: ``add_bracket`` into fresh sums, wrapped once."""
+        return _wrapped(self.add_bracket, a, b)
 
 
 def tangent_algebroid() -> AlgebroidStructure:
@@ -70,7 +84,7 @@ def tangent_algebroid() -> AlgebroidStructure:
         name="tangent",
         section_kind="vector",
         anchor=lambda section: section,
-        bracket=lie_bracket,
+        add_bracket=_lie,
     )
 
 
@@ -81,15 +95,20 @@ def _koszul_bracket(anchor, a: KForm, b: KForm) -> KForm:
     for which, form in (("first", a), ("second", b)):
         if type(form) is not KForm or form.grade != 1:
             raise GradeError(f"the Koszul bracket's {which} argument must be a grade-1 KForm")
+    out = {}
+    _koszul(anchor, out, a, b)
+    return KForm._of_sums(out)
+
+
+def _koszul(anchor, out, a, b, sign=1):
+    """Add ``sign`` times {a, b} into the blade sums ``out``."""
     xa = anchor(a)
     xb = anchor(b)
-    out = {}
-    _contract(out, xa, de_rham(b))
-    _contract(out, xb, de_rham(a), -1)
+    _contract(out, xa, de_rham(b), sign)
+    _contract(out, xb, de_rham(a), -sign)
     value = {}
     _contract(value, xb, a)
-    _differentiate(out, value.get((), {}), -1)
-    return KForm._raw(1, _wrap(out))
+    _differentiate(out, value.get((), {}), -sign)
 
 
 def cotangent_algebroid(pi: KVector) -> AlgebroidStructure:
@@ -114,7 +133,7 @@ def cotangent_algebroid(pi: KVector) -> AlgebroidStructure:
         name="cotangent",
         section_kind="form",
         anchor=anchor,
-        bracket=lambda a, b: _koszul_bracket(anchor, a, b),
+        add_bracket=lambda out, a, b, sign=1: _koszul(anchor, out, a, b, sign),
     )
 
 
@@ -150,16 +169,18 @@ class AxiomReport:
         return cls(first_failure is None, checks, first_failure)
 
 
-def first_witness(axiom, cases) -> AxiomCheck:
-    """Check ``axiom`` on ``cases``, an iterable of ``(label, defect)`` pairs.
+def first_witness(axiom, cases, wrap) -> AxiomCheck:
+    """Check ``axiom`` on ``cases``, an iterable of ``(label, sums)`` pairs
+    whose sums are a defect's raw blade sums (see ``_all_vanish``).
 
     The check fails at the first defect that is not zero, with the witness
-    ``label`` followed by the defect, and visits no case after it; it passes
-    when every defect is zero (in particular when there are no cases).
+    ``label`` followed by ``wrap(sums)``, and visits no case after it; it
+    passes when every defect is zero (in particular when there are no
+    cases).
     """
-    for label, defect in cases:
-        if not defect.is_zero():
-            return AxiomCheck(axiom, False, f"{label}{defect}")
+    for label, sums in cases:
+        if not _all_vanish(sums):
+            return AxiomCheck(axiom, False, f"{label}{wrap(sums)}")
     return AxiomCheck(axiom, True)
 
 
@@ -170,53 +191,62 @@ def check_algebroid_axioms(structure, sections, functions) -> AxiomReport:
     function indices, for Leibniz); the report records one entry per axiom.
     Its witness is the first failing tuple in lexicographic index order.
     Every bracket [s_i, s_j], anchor(s_i), anchor(s_i)(f) and product f s_j
-    is computed once.
+    is computed once, and every defect is one accumulation.
     """
     s = list(sections)
     functions = [f if isinstance(f, Poly) else Poly.constant(f) for f in functions]
-    bracket = structure.bracket
+    add_bracket = structure.add_bracket
     anchor = structure.anchor
     n = len(s)
-    B = [[bracket(a, b) for b in s] for a in s]
+    B = [[structure.bracket(a, b) for b in s] for a in s]
     A = [anchor(a) for a in s]
     F = [[vector_apply(field, f) for f in functions] for field in A]
     # f s_j, shared by every i: the bracket's memoized derivatives then hit.
     FS = [[f * section for section in s] for f in functions]
+    kind = type(s[0]) if s else KVector
 
-    antisymmetry = (
-        (f"[s{i}, s{j}] + [s{j}, s{i}] = ", B[i][j] + B[j][i])
-        for i in range(n)
-        for j in range(i, n)
-    )
-    jacobi = (
-        (
-            f"jacobiator(s{i}, s{j}, s{k}) = ",
-            bracket(s[i], B[j][k]) + bracket(s[j], B[k][i]) + bracket(s[k], B[i][j]),
-        )
-        for i, j, k in combinations(range(n), 3)
-    )
-    homomorphism = (
-        (
-            f"anchor([s{i}, s{j}]) - [anchor(s{i}), anchor(s{j})] = ",
-            anchor(B[i][j]) - lie_bracket(A[i], A[j]),
-        )
-        for i, j in combinations(range(n), 2)
-    )
-    leibniz = (
-        (
-            f"[s{i}, f{fi} s{j}] - f{fi} [s{i}, s{j}] - anchor(s{i})(f{fi}) s{j} = ",
-            bracket(s[i], FS[fi][j]) - (f * B[i][j] + F[i][fi] * s[j]),
-        )
-        for i in range(n)
-        for j in range(n)
-        for fi, f in enumerate(functions)
-    )
+    def antisymmetry():
+        for i in range(n):
+            for j in range(i, n):
+                out = kind._sums()
+                B[i][j]._add_into(out, _ONE)
+                B[j][i]._add_into(out, _ONE)
+                yield f"[s{i}, s{j}] + [s{j}, s{i}] = ", out
+
+    def jacobi():
+        for i, j, k in combinations(range(n), 3):
+            out = kind._sums()
+            add_bracket(out, s[i], B[j][k])
+            add_bracket(out, s[j], B[k][i])
+            add_bracket(out, s[k], B[i][j])
+            yield f"jacobiator(s{i}, s{j}, s{k}) = ", out
+
+    def homomorphism():
+        for i, j in combinations(range(n), 2):
+            out = {}
+            anchor(B[i][j])._add_into(out, _ONE)
+            _lie(out, A[i], A[j], -1)
+            yield f"anchor([s{i}, s{j}]) - [anchor(s{i}), anchor(s{j})] = ", out
+
+    def leibniz():
+        for i in range(n):
+            for j in range(n):
+                for fi, f in enumerate(functions):
+                    out = kind._sums()
+                    add_bracket(out, s[i], FS[fi][j])
+                    B[i][j]._add_into(out, f.terms, -1)
+                    s[j]._add_into(out, F[i][fi].terms, -1)
+                    yield (
+                        f"[s{i}, f{fi} s{j}] - f{fi} [s{i}, s{j}] - anchor(s{i})(f{fi}) s{j} = ",
+                        out,
+                    )
+
     return AxiomReport.of(
         [
-            first_witness("antisymmetry", antisymmetry),
-            first_witness("jacobi", jacobi),
-            first_witness("anchor-homomorphism", homomorphism),
-            first_witness("leibniz", leibniz),
+            first_witness("antisymmetry", antisymmetry(), kind._of_sums),
+            first_witness("jacobi", jacobi(), kind._of_sums),
+            first_witness("anchor-homomorphism", homomorphism(), KVector._of_sums),
+            first_witness("leibniz", leibniz(), kind._of_sums),
         ]
     )
 

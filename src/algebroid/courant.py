@@ -13,7 +13,8 @@ Conventions:
   ([X, Y], i_X db - i_Y da + (1/2) d(b(X) - a(Y))), so the only new
   derivative per call is of a function; da and db are memoized on the forms,
   and the form part's terms accumulate into one sum, wrapped once, as do
-  the pairing's;
+  the pairing's.  ``_dorfman`` and ``_courant`` add sign times a bracket
+  into a (vector, form) pair of blade sums; the public brackets wrap them;
 - delta_operator(f) = (0, d f), which satisfies
   pairing(delta(f), s) = anchor(s)(f).
 
@@ -29,7 +30,8 @@ the 2-form itself, not the symplectic structure it may come from.
 ``check_courant_axioms`` checks the Courant axioms on every tuple of
 section indices (i, j[, k]), and delta's defining property on every pair
 (function f, section i); a failing check's witness is its first failing
-tuple in lexicographic index order.
+tuple in lexicographic index order.  It takes the bracket in accumulating
+form, and builds each defect as one raw sum, wrapped only for a witness.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from itertools import product
 
 from algebroid import linalg
 from algebroid.algebroids import (
+    _ONE,
     AlgebroidStructure,
     AxiomReport,
     check_algebroid_axioms,
@@ -48,15 +51,17 @@ from algebroid.errors import GradeError
 from algebroid.exterior import (
     KForm,
     KVector,
+    _all_vanish,
+    _apply,
     _contract,
     _differentiate,
-    _wrap,
+    _lie,
+    _wrapped,
     de_rham,
     interior_product,
     lie_bracket,
-    vector_apply,
 )
-from algebroid.poly import Poly, _poly
+from algebroid.poly import Poly, _add_scaled, _poly
 
 
 class GeneralizedSection:
@@ -106,6 +111,19 @@ class GeneralizedSection:
 
     __rmul__ = __mul__
 
+    # accumulation, as in exterior: the sums are a (vector, form) pair
+    @staticmethod
+    def _sums():
+        return {}, {}
+
+    @classmethod
+    def _of_sums(cls, out):
+        return cls(KVector._of_sums(out[0]), KForm._of_sums(out[1]))
+
+    def _add_into(self, out, f, sign=1):
+        self.vector._add_into(out[0], f, sign)
+        self.form._add_into(out[1], f, sign)
+
     def __str__(self) -> str:
         return f"({self.vector}, {self.form})"
 
@@ -128,12 +146,32 @@ def tm_pairing(s1: GeneralizedSection, s2: GeneralizedSection) -> Poly:
     return _poly(out.get((), {}))
 
 
-def _cartan_part(s1, s2):
-    """The blade sums of i_X db - i_Y da for sections (X, a) and (Y, b)."""
-    out = {}
-    _contract(out, s1.vector, de_rham(s2.form))
-    _contract(out, s2.vector, de_rham(s1.form), -1)
-    return out
+def _cartan_part(form, s1, s2, sign):
+    """Add ``sign`` times i_X db - i_Y da into the 1-form blade sums ``form``,
+    for sections (X, a) and (Y, b)."""
+    _contract(form, s1.vector, de_rham(s2.form), sign)
+    _contract(form, s2.vector, de_rham(s1.form), -sign)
+
+
+def _dorfman(out, s1, s2, sign=1):
+    """Add ``sign`` times dorfman_bracket(s1, s2) into the pair ``out``."""
+    vector, form = out
+    _lie(vector, s1.vector, s2.vector, sign)
+    _cartan_part(form, s1, s2, sign)
+    value = {}
+    _contract(value, s1.vector, s2.form)
+    _differentiate(form, value.get((), {}), sign)
+
+
+def _courant(out, s1, s2, sign=1):
+    """Add ``sign`` times courant_bracket(s1, s2) into the pair ``out``."""
+    vector, form = out
+    _lie(vector, s1.vector, s2.vector, sign)
+    _cartan_part(form, s1, s2, sign)
+    correction = {}
+    _contract(correction, s1.vector, s2.form)
+    _contract(correction, s2.vector, s1.form, -1)
+    _differentiate(form, correction.get((), {}), Fraction(sign, 2))
 
 
 def dorfman_bracket(
@@ -142,11 +180,7 @@ def dorfman_bracket(
     """([X, Y], L_X b - i_Y da), in Cartan form (see the module docstring)."""
     _check_section(s1, "dorfman_bracket's first argument")
     _check_section(s2, "dorfman_bracket's second argument")
-    out = _cartan_part(s1, s2)
-    value = {}
-    _contract(value, s1.vector, s2.form)
-    _differentiate(out, value.get((), {}))
-    return GeneralizedSection(lie_bracket(s1.vector, s2.vector), KForm._raw(1, _wrap(out)))
+    return _wrapped(_dorfman, s1, s2)
 
 
 def courant_bracket(
@@ -155,12 +189,7 @@ def courant_bracket(
     """([X, Y], L_X b - L_Y a + (1/2) d(a(Y) - b(X))), in Cartan form."""
     _check_section(s1, "courant_bracket's first argument")
     _check_section(s2, "courant_bracket's second argument")
-    out = _cartan_part(s1, s2)
-    correction = {}
-    _contract(correction, s1.vector, s2.form)
-    _contract(correction, s2.vector, s1.form, -1)
-    _differentiate(out, correction.get((), {}), Fraction(1, 2))
-    return GeneralizedSection(lie_bracket(s1.vector, s2.vector), KForm._raw(1, _wrap(out)))
+    return _wrapped(_courant, s1, s2)
 
 
 def delta_operator(function: Poly) -> GeneralizedSection:
@@ -174,11 +203,16 @@ def anchor(section: GeneralizedSection) -> KVector:
     return section.vector
 
 
+def _function_of_sums(out):
+    """The function of monomial sums held on the blade ``()``."""
+    return _poly(out[()])
+
+
 def check_courant_axioms(
     sections,
     functions,
     *,
-    bracket=dorfman_bracket,
+    bracket=_dorfman,
     pairing=tm_pairing,
 ) -> AxiomReport:
     """Verify the three Courant axioms on concrete sections:
@@ -188,64 +222,72 @@ def check_courant_axioms(
     3. [s1, s2] + [s2, s1] = delta(pairing(s1, s2));
 
     plus the defining property of delta, pairing(delta(f), s) = anchor(s)(f),
-    on the supplied functions.  ``bracket`` and ``pairing`` are injectable so
-    deliberately corrupted structures can be probed.  Every bracket
-    [s_i, s_j], [s_i, [s_j, s_k]] and [[s_i, s_j], s_k], and every pairing
-    pairing(s_j, s_k), is computed once.
+    on the supplied functions.  ``bracket``, in the accumulating form of
+    ``_dorfman``, and ``pairing`` are injectable so deliberately corrupted
+    structures can be probed.  Every bracket [s_i, s_j], [s_i, [s_j, s_k]]
+    (i != j) and [[s_i, s_j], s_k], and every pairing pairing(s_j, s_k), is
+    computed once, and every defect is one accumulation.
     """
     s = list(sections)
     functions = [f if isinstance(f, Poly) else Poly.constant(f) for f in functions]
     n = len(s)
-    B = [[bracket(a, b) for b in s] for a in s]
+    B = [[_wrapped(bracket, a, b) for b in s] for a in s]
     P = [[pairing(a, b) for b in s] for a in s]
 
     def jacobi():
-        # The defects on (i, j, k) and (j, i, k) share the nested brackets
-        # [s_i, [s_j, s_k]] and [s_j, [s_i, s_k]]: both defects are computed
-        # when (i, j, k) comes up, and the one on (j, i, k) waits for its
-        # turn.  Only defects wait, so the n^3 nested brackets are never all
-        # held at once.
+        # For i < j the defects on (i, j, k) and (j, i, k) share x - y, with
+        # x = [s_i, [s_j, s_k]] and y = [s_j, [s_i, s_k]]: both defects are
+        # summed and tested when (i, j, k) comes up, and the one on (j, i, k)
+        # waits for its turn only when it is not zero.  On i == j, x = y and
+        # the defect is -[[s_i, s_i], s_k].
         waiting = {}
         for i, j, k in product(range(n), repeat=3):
             if i > j:
-                defect = waiting.pop((i, j, k))
+                defect = waiting.pop((i, j, k), ({}, {}))
             else:
-                x = bracket(s[i], B[j][k])
-                y = bracket(s[j], B[i][k]) if i < j else x
-                defect = x - bracket(B[i][j], s[k]) - y
+                defect = {}, {}
                 if i < j:
-                    waiting[j, i, k] = y - bracket(B[j][i], s[k]) - x
+                    bracket(defect, s[i], B[j][k])
+                    bracket(defect, s[j], B[i][k], -1)
+                    other = tuple(
+                        {blade: {m: -c for m, c in sums.items()} for blade, sums in part.items()}
+                        for part in defect
+                    )
+                    bracket(other, B[j][i], s[k], -1)
+                    if not _all_vanish(other):
+                        waiting[j, i, k] = other
+                bracket(defect, B[i][j], s[k], -1)
             yield f"leibniz-jacobi defect on (s{i}, s{j}, s{k}): ", defect
 
-    invariance = (
-        (
-            f"pairing invariance fails on (s{i}, s{j}, s{k}): ",
-            vector_apply(anchor(s[i]), P[j][k])
-            - (pairing(B[i][j], s[k]) + pairing(s[j], B[i][k])),
-        )
-        for i, j, k in product(range(n), repeat=3)
-    )
-    symmetric = (
-        (
-            f"symmetric part defect on (s{i}, s{j}): ",
-            B[i][j] + B[j][i] - delta_operator(P[i][j]),
-        )
-        for i, j in product(range(n), repeat=2)
-    )
-    delta = (
-        (
-            f"pairing(delta(f{fi}), s{i}) - anchor(s{i})(f{fi}) = ",
-            pairing(delta_operator(f), s[i]) - vector_apply(anchor(s[i]), f),
-        )
-        for fi, f in enumerate(functions)
-        for i in range(n)
-    )
+    def invariance():
+        for i, j, k in product(range(n), repeat=3):
+            out = {}
+            _apply(out, anchor(s[i]), P[j][k].terms)
+            _add_scaled(out, pairing(B[i][j], s[k]).terms, -1)
+            _add_scaled(out, pairing(s[j], B[i][k]).terms, -1)
+            yield f"pairing invariance fails on (s{i}, s{j}, s{k}): ", {(): out}
+
+    def symmetric():
+        for i, j in product(range(n), repeat=2):
+            out = {}, {}
+            B[i][j]._add_into(out, _ONE)
+            B[j][i]._add_into(out, _ONE)
+            _differentiate(out[1], P[i][j].terms, -1)
+            yield f"symmetric part defect on (s{i}, s{j}): ", out
+
+    def delta():
+        for fi, f in enumerate(functions):
+            for i in range(n):
+                out = dict(pairing(delta_operator(f), s[i]).terms)
+                _apply(out, anchor(s[i]), f.terms, -1)
+                yield f"pairing(delta(f{fi}), s{i}) - anchor(s{i})(f{fi}) = ", {(): out}
+
     return AxiomReport.of(
         [
-            first_witness("bracket-jacobi", jacobi()),
-            first_witness("pairing-invariance", invariance),
-            first_witness("symmetric-part", symmetric),
-            first_witness("delta-defining", delta),
+            first_witness("bracket-jacobi", jacobi(), GeneralizedSection._of_sums),
+            first_witness("pairing-invariance", invariance(), _function_of_sums),
+            first_witness("symmetric-part", symmetric(), GeneralizedSection._of_sums),
+            first_witness("delta-defining", delta(), _function_of_sums),
         ]
     )
 
@@ -256,7 +298,7 @@ def _graph(form: KForm, field: KVector) -> GeneralizedSection:
 
 
 # The algebroid the Courant bracket induces on graph sections.
-_DIRAC = AlgebroidStructure("dirac", "generalized", anchor, courant_bracket)
+_DIRAC = AlgebroidStructure("dirac", "generalized", anchor, _courant)
 
 
 class ComplementReport:

@@ -37,9 +37,9 @@ and a ``(`` or ``d[`` nested more than ``MAX_NESTING`` deep at its bracket.
 Binding a tensor kind to an identically zero value of grade >= 1 is
 rejected: the canonical printer could not preserve its grade.
 
-``parse_document`` evaluates eagerly into exact values; ``render_document``
-prints the canonical form, and parse . render is the identity on canonical
-documents.
+``parse_document`` evaluates eagerly into exact values, and
+``render_value`` prints a bound value in the canonical form, which reparses
+to an equal value.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from math import comb
 from algebroid.courant import GeneralizedSection
 from algebroid.errors import DslError, GradeError
 from algebroid.exterior import KForm, KVector, de_rham, render_alternating, wedge
-from algebroid.poly import MAX_EXPONENT, MAX_VARIABLES, Poly, render_fraction, render_poly
+from algebroid.poly import MAX_EXPONENT, MAX_VARIABLES, Poly, render_poly
 from algebroid.symplectic import ConstantSymplectic
 
 KEYWORDS = {
@@ -697,26 +697,3 @@ def render_value(value) -> str:
     if isinstance(value, GeneralizedSection):
         return f"({render_alternating(value.vector)}, {render_alternating(value.form)})"
     raise TypeError(f"cannot render {value!r}")
-
-
-def render_document(document: ModelDocument) -> str:
-    """The canonical text of a document; a fixed point of parse . render."""
-    lines = []
-    if document.var_indices:
-        lines.append("var " + " ".join(f"x{i}" for i in document.var_indices))
-    w = document.symplectic
-    if w is not None:
-        if w.kind == "standard":
-            lines.append("symplectic std")
-        else:
-            support = ", ".join(str(i) for i in w.block)
-            rows = ", ".join(
-                "[" + ", ".join(render_fraction(v) for v in row) + "]"
-                for row in w.matrix
-            )
-            lines.append(
-                f"symplectic explicit support {{{support}}} matrix [{rows}]"
-            )
-    for binding in document.bindings:
-        lines.append(f"{binding.kind} {binding.name} = {render_value(binding.value)}")
-    return "\n".join(lines) + "\n"

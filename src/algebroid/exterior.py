@@ -23,7 +23,12 @@ kernel of ``poly`` and wraps each blade once through ``_wrap``, the one
 place that keeps the rule; ``+`` and ``-`` merge blade by blade with
 ``Poly``'s own addition.  ``_contract``, ``_apply`` and ``_differentiate``
 add i_X, X(f) and d f into such sums, so a bracket of several terms
-accumulates them all and wraps once.
+accumulates them all and wraps once: accumulate, then wrap once.  ``_lie``
+adds sign * [X, Y] into the caller's sums too, so a sum of brackets, such
+as an axiom's defect, is one accumulation; ``lie_bracket`` wraps it through
+``_wrapped``.  ``_all_vanish`` tests such sums for zero unwrapped, and
+``_sums``, ``_of_sums`` and ``_add_into`` are a grade-1 value's side of the
+rule.
 
 Values are immutable, so ``de_rham`` keeps each KForm's derivative on it
 and returns that object on every later call; all other operations return
@@ -33,9 +38,11 @@ fresh objects.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from algebroid.errors import ArityError, GradeError
-from algebroid.poly import Poly, _add_scaled, _derivative, _mac, _partials, _poly, render_poly
+from algebroid.poly import Poly, _add_scaled, _denominator, _derivative, _mac, _partials, _poly
+from algebroid.poly import _scaled, _unscale, _vanishes, render_poly
 
 
 def _merge_blades(a, b):
@@ -86,6 +93,22 @@ def _wrap(out):
         if poly:
             terms[blade] = poly
     return terms
+
+
+def _all_vanish(out) -> bool:
+    """True when the blade sums ``out``, or each of a tuple of them, wrap
+    to zero.  Every blade is tested, so a key past ``MAX_EXPONENT``
+    raises wherever it sits."""
+    parts = out if type(out) is tuple else (out,)
+    return all([_vanishes(sums) for part in parts for sums in part.values()])
+
+
+def _wrapped(body, a, b):
+    """The bracket of two sections by an accumulating ``body``: its sums,
+    wrapped once."""
+    out = type(a)._sums()
+    body(out, a, b)
+    return type(a)._of_sums(out)
 
 
 def _coerce_poly(value):
@@ -244,6 +267,23 @@ class _Alternating:
                     _mac(out.setdefault(blade, {}), ca.terms, cb.terms, sign)
         return type(self)._raw(self.grade + other.grade, _wrap(out))
 
+    # -- accumulation: a grade-1 value as blade sums -------------------------
+
+    @staticmethod
+    def _sums():
+        return {}
+
+    @classmethod
+    def _of_sums(cls, out):
+        """The grade-1 value of the blade sums ``out``, wrapped once."""
+        return cls._raw(1, _wrap(out))
+
+    def _add_into(self, out, f, sign=1):
+        """Add ``sign * f * self`` into the blade sums ``out``; ``f`` is the
+        terms of a function."""
+        for blade, coeff in self.terms.items():
+            _mac(out.setdefault(blade, {}), f, coeff.terms, sign)
+
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, *duals) -> Poly:
@@ -375,9 +415,24 @@ def vector_apply(field, function: Poly) -> Poly:
 
 def _apply(out, field, f, sign=1):
     """Add ``sign`` times X(f) into the monomial sums ``out``; ``f`` is the
-    terms of a function."""
-    for (index,), component in field.terms.items():
-        _mac(out, component.terms, _derivative(f, index), sign)
+    terms of a function.
+
+    The m products X^i del_i f are taken over Z, as ``_mac`` takes one: the
+    components are scaled by the lcm of all their denominators and f by
+    its own, the products are summed, and each output term is divided back
+    once."""
+    components = [(index, c.terms) for (index,), c in field.terms.items()]
+    da = lcm(*[_denominator(terms) for _, terms in components])
+    db = _denominator(f)
+    if da == db == 1:
+        for index, terms in components:
+            _mac(out, terms, _derivative(f, index), sign)
+        return
+    acc = {}
+    f = _scaled(f, db)
+    for index, terms in components:
+        _mac(acc, _scaled(terms, da), _derivative(f, index), sign)
+    _unscale(out, acc, da * db)
 
 
 def _differentiate(out, f, scale=1):
@@ -398,12 +453,15 @@ def lie_bracket(left, right):
     for value in (left, right):
         if type(value) is not KVector or value.grade != 1:
             raise GradeError("lie_bracket is defined for grade-1 KVectors")
-    out = {}
+    return _wrapped(_lie, left, right)
+
+
+def _lie(out, left, right, sign=1):
+    """Add ``sign`` times [X, Y] into the blade sums ``out``."""
     for (j,), xj in left.terms.items():
         for (i,), yi in right.terms.items():
-            _mac(out.setdefault((i,), {}), xj.terms, _derivative(yi.terms, j))
-            _mac(out.setdefault((j,), {}), yi.terms, _derivative(xj.terms, i), -1)
-    return KVector._raw(1, _wrap(out))
+            _mac(out.setdefault((i,), {}), xj.terms, _derivative(yi.terms, j), sign)
+            _mac(out.setdefault((j,), {}), yi.terms, _derivative(xj.terms, i), -sign)
 
 
 def de_rham(form) -> KForm:

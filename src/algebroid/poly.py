@@ -345,11 +345,7 @@ class Poly:
     def denominator(self) -> int:
         """The lcm of the coefficients' denominators: the least positive
         integer whose multiple of ``self`` has integer coefficients."""
-        out = 1
-        for coeff in self.terms.values():
-            if type(coeff) is Fraction:
-                out = lcm(out, coeff.denominator)
-        return out
+        return _denominator(self.terms)
 
     def total_degree(self) -> int:
         """Largest total degree among the terms (0 for the zero polynomial)."""
@@ -419,6 +415,15 @@ class Poly:
         return f"Poly({render_poly(self)})"
 
 
+def _denominator(terms: dict) -> int:
+    """The lcm of the denominators of canonical ``terms``."""
+    out = 1
+    for c in terms.values():
+        if type(c) is Fraction:
+            out = lcm(out, c.denominator)
+    return out
+
+
 def _scaled(terms: dict, scale: int) -> dict:
     """``terms`` times ``scale``, a multiple of every denominator: int coefficients."""
     return {
@@ -460,9 +465,14 @@ def _mac(out: dict, a: dict, b: dict, sign: int = 1) -> None:
             mono = ma + mb
             acc[mono] = get(mono, 0) + ca * cb
     if scale != 1:
-        for mono, c in acc.items():
-            value = Fraction(c, scale)
-            out[mono] = out[mono] + value if mono in out else value
+        _unscale(out, acc, scale)
+
+
+def _unscale(out: dict, acc: dict, scale: int) -> None:
+    """Add ``acc / scale`` into ``out``: one ``Fraction`` per term of ``acc``."""
+    for mono, c in acc.items():
+        value = Fraction(c, scale)
+        out[mono] = out[mono] + value if mono in out else value
 
 
 def _add_scaled(out: dict, terms: dict, scale) -> None:
@@ -508,6 +518,15 @@ def _poly(terms: dict) -> Poly:
         for m, c in terms.items()
         if c
     })
+
+
+def _vanishes(terms: dict) -> bool:
+    """True when the sums from ``_mac`` are all zero, so that ``_poly``
+    would give zero; a key with a guard bit raises as there, even where
+    its sum cancels."""
+    if any(mono & GUARD for mono in terms):
+        raise ResultTooLarge(f"a product has an exponent larger than {MAX_EXPONENT}")
+    return not any(terms.values())
 
 
 class _Packing:

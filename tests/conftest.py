@@ -68,6 +68,17 @@ def child_env() -> dict[str, str]:
     return env
 
 
+def accumulating(bracket):
+    """The accumulating form of a plain bracket ``(a, b) -> section``, as
+    ``AlgebroidStructure`` and ``check_courant_axioms`` take a bracket: it
+    adds ``sign * bracket(a, b)`` into the sums ``out``."""
+
+    def add_bracket(out, a, b, sign=1):
+        bracket(a, b)._add_into(out, Poly.one().terms, sign)
+
+    return add_bracket
+
+
 def sgn(n: int) -> int:
     """(-1)**n as an exact integer (Python's ** returns a float for n < 0)."""
     return -1 if n % 2 else 1

@@ -26,7 +26,7 @@ from algebroid.courant import (
     tm_pairing,
     anchor,
 )
-from algebroid.dsl import parse_document, render_document
+from algebroid.dsl import parse_document
 from algebroid.exterior import (
     KForm,
     KVector,
@@ -59,6 +59,7 @@ from test_cohomology import (
     raise_,
     sigma_matrix,
 )
+from test_dsl import render_document
 from test_dirac import complement, drawn_inputs, graph
 from test_exterior import intrinsic_d
 

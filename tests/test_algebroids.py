@@ -47,6 +47,7 @@ from algebroid.symplectic import ConstantSymplectic, poisson_bracket
 
 from conftest import (
     INDICES,
+    accumulating,
     alternating,
     constant_structures,
     graded_zero_sum,
@@ -106,7 +107,7 @@ class TestAxiomChecks:
             name="broken",
             section_kind="vector",
             anchor=lambda section: section,
-            bracket=lambda a, b: KVector.zero(1),
+            add_bracket=accumulating(lambda a, b: KVector.zero(1)),
         )
         s = Sampler(404)
         sections = [s.vector_field(SUPPORT, 2) for _ in range(3)]
@@ -123,7 +124,7 @@ class TestAxiomChecks:
             name="broken",
             section_kind="vector",
             anchor=lambda section: section * Poly.constant(2),
-            bracket=lie_bracket,
+            add_bracket=accumulating(lie_bracket),
         )
         s = Sampler(405)
         sections = [s.vector_field(SUPPORT, 2) for _ in range(3)]
@@ -192,7 +193,7 @@ class TestWitnessOrder:
             name="corrupted",
             section_kind="vector",
             anchor=anchor or (lambda s: s),
-            bracket=bracket,
+            add_bracket=accumulating(bracket),
         )
         report = check_algebroid_axioms(structure, PLAIN, [0, Poly.variable(0)])
         by_axiom = {c.axiom: c for c in report.checks}
@@ -211,7 +212,7 @@ class TestBracketTable:
             calls.append(None)
             return lie_bracket(a, b)
 
-        structure = AlgebroidStructure("counted", "vector", lambda s: s, counting)
+        structure = AlgebroidStructure("counted", "vector", lambda s: s, accumulating(counting))
         s = Sampler(407)
         sections = [s.vector_field(SUPPORT, 1) for _ in range(n)]
         functions = [s.nonzero_poly(SUPPORT, 1) for _ in range(m)]
@@ -265,7 +266,7 @@ class TestBracketTable:
         plain_anchor = functools.partial(counting("plain"), bivector=pi)
         plain = AlgebroidStructure(
             "cotangent", "form", plain_anchor,
-            lambda a, b: algebroids._koszul_bracket(plain_anchor, a, b),
+            accumulating(lambda a, b: algebroids._koszul_bracket(plain_anchor, a, b)),
         )
         assert report == check_algebroid_axioms(plain, sections, functions)
         assert report.passed == (pi == STD.bivector(SUPPORT))

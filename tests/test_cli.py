@@ -466,6 +466,34 @@ class TestUsageErrors:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            # no table entry [s_i, s_j] passes x0^32767; a nested bracket does
+            (
+                ("check-courant", "--sections", "2"),
+                "var x0 x1\nsection s = (x0^16000 * e[0], x0^16000 * dx[1])\n"
+                "section t = (x0^16000 * e[1], x1 * dx[0])\n",
+            ),
+            # [s, t] = 16000*x0^31999 * e[1], and [r, [s, t]] holds x0^32998
+            (
+                ("check-axioms", "--structure", "tangent", "--sections", "3"),
+                "var x0 x1\nvector r = x0^1000 * e[0]\nvector s = x0^16000 * e[0]\n"
+                "vector t = x0^16000 * e[1]\n",
+            ),
+        ],
+        ids=["check-courant", "check-axioms"],
+    )
+    def test_a_nested_bracket_past_the_exponent_field_exits_two(
+        self, capsys, tmp_path, command, text
+    ):
+        path = tmp_path / "nested.adsl"
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys, *command, "--functions", "1", "--degree", "1", "--input", str(path)
+        )
+        assert (code, out, err) == (2, "", "error: a product has an exponent larger than 32767\n")
+
     def test_theorem_check_on_one_coordinate_exits_two(self, capsys, tmp_path):
         # An empty explicit block leaves x0 unpaired, so the support {0} is
         # closed; the grade-2 cases cannot draw a bivector on it.

@@ -52,7 +52,14 @@ from algebroid.poly import MAX_EXPONENT, Poly, decode, encode
 from algebroid.sampling import Sampler, monomials_up_to
 from algebroid.symplectic import ConstantSymplectic
 
-from conftest import flat_by_omega, poincare_counts, sgn, sharp_by_pi, sparse_rows
+from conftest import (
+    accumulating,
+    flat_by_omega,
+    poincare_counts,
+    sgn,
+    sharp_by_pi,
+    sparse_rows,
+)
 
 STD = ConstantSymplectic.standard()
 # pi of the standard structure over every coordinate a field here carries
@@ -371,7 +378,9 @@ def so3_structure(scale):
                         out = out + KVector.blade((l,), xa * yb * scale * sign)
         return out
 
-    return AlgebroidStructure("so3", "vector", lambda section: KVector.zero(1), bracket)
+    return AlgebroidStructure(
+        "so3", "vector", lambda section: KVector.zero(1), accumulating(bracket)
+    )
 
 
 def so3_bivector():
@@ -644,7 +653,9 @@ def count_generator_calls(monkeypatch):
                 calls.append(("bracket", a, b))
                 return structure.bracket(a, b)
 
-            return AlgebroidStructure(structure.name, structure.section_kind, anchor, bracket)
+            return AlgebroidStructure(
+                structure.name, structure.section_kind, anchor, accumulating(bracket)
+            )
 
         return build
 

@@ -10,12 +10,36 @@ from fractions import Fraction
 import pytest
 
 from algebroid.courant import GeneralizedSection
-from algebroid.dsl import parse_document, render_document, render_value
+from algebroid.dsl import parse_document, render_value
 from algebroid.errors import DslError, NotInvertible
 from algebroid.exterior import KForm, KVector, de_rham, wedge
-from algebroid.poly import MAX_EXPONENT, MAX_VARIABLES, Poly
+from algebroid.poly import MAX_EXPONENT, MAX_VARIABLES, Poly, render_fraction
 
 from conftest import fixture_path
+
+
+def render_document(document) -> str:
+    """The canonical text of a parsed document; a fixed point of
+    parse . render on the documents the tests round-trip."""
+    lines = []
+    if document.var_indices:
+        lines.append("var " + " ".join(f"x{i}" for i in document.var_indices))
+    w = document.symplectic
+    if w is not None:
+        if w.kind == "standard":
+            lines.append("symplectic std")
+        else:
+            support = ", ".join(str(i) for i in w.block)
+            rows = ", ".join(
+                "[" + ", ".join(render_fraction(v) for v in row) + "]"
+                for row in w.matrix
+            )
+            lines.append(
+                f"symplectic explicit support {{{support}}} matrix [{rows}]"
+            )
+    for binding in document.bindings:
+        lines.append(f"{binding.kind} {binding.name} = {render_value(binding.value)}")
+    return "\n".join(lines) + "\n"
 
 
 def parse(text):
