@@ -24,11 +24,13 @@ it stands and wrapped only to render a witness.
 
 ``cotangent_algebroid(pi)`` is the cotangent structure of a Poisson
 bivector pi, a grade-2 KVector: 1-forms with the anchor a -> i_a pi and
-the Koszul bracket of that anchor, whose three Cartan terms are summed into
-one accumulation.  ``ce_differential`` is the Chevalley-Eilenberg
-differential of such a structure on alternating polynomial cochains; for
-the cotangent structure it is ``contravariant_differential(pi, .)``,
-sigma = -[pi, .], the Schouten bracket with pi negated.
+the Koszul bracket of that anchor, computed in coordinates from the term
+tables of a, b and their anchors (see ``_koszul``), with no d of a form.
+``ce_differential`` is the Chevalley-Eilenberg differential of such a
+structure on alternating polynomial cochains, each value read as raw sums
+and the result wrapped once; for the cotangent structure it is
+``contravariant_differential(pi, .)``, sigma = -[pi, .], the Schouten
+bracket with pi negated.
 
 Both read pi alone; a constant symplectic form enters as
 ``w.bivector(cover)``.  The cover must hold every section's indices for the
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from algebroid.errors import ArityError, GradeError
 from algebroid.exterior import (
@@ -48,16 +51,14 @@ from algebroid.exterior import (
     _all_vanish,
     _apply,
     _coerce_poly,
-    _contract,
-    _differentiate,
     _lie,
     _wrapped,
-    de_rham,
     interior_product,
     schouten_bracket,
     vector_apply,
 )
 from algebroid.poly import Poly, _add_scaled, _poly
+from algebroid.terms import _across, _along, _settle, _table
 
 _ONE = Poly.one().terms
 
@@ -88,27 +89,29 @@ def tangent_algebroid() -> AlgebroidStructure:
     )
 
 
-def _koszul_bracket(anchor, a: KForm, b: KForm) -> KForm:
-    """{a, b} = L_{anchor a} b - L_{anchor b} a - d(b(anchor a)), in Cartan
-    form (L_X b = i_X db + d(b(X))): i_{xa} db - i_{xb} da - d(a(xb)).  No
-    antisymmetry of the anchor is used; da and db are memoized on the forms."""
-    for which, form in (("first", a), ("second", b)):
-        if type(form) is not KForm or form.grade != 1:
-            raise GradeError(f"the Koszul bracket's {which} argument must be a grade-1 KForm")
-    out = {}
-    _koszul(anchor, out, a, b)
-    return KForm._of_sums(out)
-
-
 def _koszul(anchor, out, a, b, sign=1):
-    """Add ``sign`` times {a, b} into the blade sums ``out``."""
-    xa = anchor(a)
-    xb = anchor(b)
-    _contract(out, xa, de_rham(b), sign)
-    _contract(out, xb, de_rham(a), -sign)
-    value = {}
-    _contract(value, xb, a)
-    _differentiate(out, value.get((), {}), -sign)
+    """Add ``sign`` times {a, b} into the blade sums ``out``, with xa and xb
+    the anchors of a and b:
+
+        {a, b}_i = sum_j xa^j del_j b_i - xa^j del_i b_j - xb^j del_j a_i - a_j del_i xb^j.
+
+    This is the Cartan form {a, b} = i_{xa} db - i_{xb} da - d(a(xb)) with
+    (i_X da)_i = X^j (del_j a_i - del_i a_j) and d(a(xb))_i = (del_i a_j) xb^j
+    + a_j del_i xb^j expanded: its two (del_i a_j) xb^j terms cancel
+    exactly, so neither is built, nor d of either form.  No antisymmetry of
+    the anchor is used.  The first two terms are taken over Z at the scale
+    xa.den * b.den, the last two at xb.den * a.den, both lifted to their lcm."""
+    xa, xb, ta, tb = _table(anchor(a)), _table(anchor(b)), _table(a), _table(b)
+    first, second = xa.den * tb.den, xb.den * ta.den
+    scale = lcm(first, second)
+    acc = out if scale == 1 else {}
+    k = sign * (scale // first)
+    _along(acc, xa, tb, k)
+    _across(acc, xa, tb, -k)
+    k = sign * (scale // second)
+    _along(acc, xb, ta, -k)
+    _across(acc, ta, xb, -k)
+    _settle(out, acc, scale)
 
 
 def cotangent_algebroid(pi: KVector) -> AlgebroidStructure:
@@ -276,6 +279,13 @@ def ce_value(structure, k, value_fn, sections) -> Poly:
     length k + 1.  Exposed separately so iterated differentials can be
     formed by nesting closures without materializing cochains.
     """
+    return _poly(_ce_sums(structure, k, lambda *rest: _coerce_poly(value_fn(*rest)).terms,
+                          sections))
+
+
+def _ce_sums(structure, k, sums_fn, sections):
+    """The raw sums of the Chevalley-Eilenberg formula, for ``sums_fn``
+    giving a cochain's values as monomial sums, raw or canonical."""
     sections = list(sections)
     if len(sections) != k + 1:
         raise ArityError(f"a {k}-cochain differential takes {k + 1} sections")
@@ -283,24 +293,23 @@ def ce_value(structure, k, value_fn, sections) -> Poly:
     total = {}
     for i, section in enumerate(sections):
         rest = sections[:i] + sections[i + 1 :]
-        inner = _coerce_poly(value_fn(*rest))
-        _apply(total, structure.anchor(section), inner.terms, -1 if i & 1 else 1)
+        _apply(total, structure.anchor(section), sums_fn(*rest), -1 if i & 1 else 1)
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
             bracketed = structure.bracket(sections[i], sections[j])
             rest = [bracketed] + [
                 sections[l] for l in range(k + 1) if l != i and l != j
             ]
-            value = _coerce_poly(value_fn(*rest))
-            _add_scaled(total, value.terms, -1 if (i + j) & 1 else 1)
-    return _poly(total)
+            _add_scaled(total, sums_fn(*rest), -1 if (i + j) & 1 else 1)
+    return total
 
 
 def ce_differential(structure, cochain, sections) -> Poly:
     """(d_A cochain)(sections) for an alternating polynomial cochain.
 
     The cochain is a KForm for vector-kind sections, a KVector for
-    form-kind sections, or a bare Poly in grade 0.
+    form-kind sections, or a bare Poly in grade 0.  Each of its values
+    stays raw sums, and the differential is wrapped once.
     """
     if isinstance(cochain, (Poly, int, Fraction)):
         cochain = _COCHAIN_KIND[structure.section_kind].from_poly(
@@ -315,7 +324,8 @@ def ce_differential(structure, cochain, sections) -> Poly:
         raise GradeError(
             f"cochains of the {structure.name} structure must be {expected.__name__}s"
         )
-    return ce_value(structure, cochain.grade, cochain.evaluate, sections)
+    return _poly(_ce_sums(structure, cochain.grade, lambda *rest: cochain._evaluate(rest),
+                          sections))
 
 
 def contravariant_differential(pi: KVector, field) -> KVector:

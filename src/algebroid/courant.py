@@ -52,8 +52,6 @@ from algebroid.exterior import (
     KForm,
     KVector,
     _all_vanish,
-    _apply,
-    _contract,
     _differentiate,
     _lie,
     _wrapped,
@@ -62,6 +60,7 @@ from algebroid.exterior import (
     lie_bracket,
 )
 from algebroid.poly import Poly, _add_scaled, _poly
+from algebroid.terms import _apply, _contract
 
 
 class GeneralizedSection:

@@ -18,31 +18,33 @@ Conventions, fixed once and used everywhere:
 Terms are kept canonical: a value stores one entry per blade and no zero
 coefficient, so equal values have equal ``terms``.  The validating
 constructor enforces this on input.  Every operation that sums products or
-derivatives into blades accumulates one monomial dict per blade with the
-kernel of ``poly`` and wraps each blade once through ``_wrap``, the one
-place that keeps the rule; ``+`` and ``-`` merge blade by blade with
-``Poly``'s own addition.  ``_contract``, ``_apply`` and ``_differentiate``
-add i_X, X(f) and d f into such sums, so a bracket of several terms
-accumulates them all and wraps once: accumulate, then wrap once.  ``_lie``
-adds sign * [X, Y] into the caller's sums too, so a sum of brackets, such
-as an axiom's defect, is one accumulation; ``lie_bracket`` wraps it through
-``_wrapped``.  ``_all_vanish`` tests such sums for zero unwrapped, and
-``_sums``, ``_of_sums`` and ``_add_into`` are a grade-1 value's side of the
-rule.
+derivatives into blades accumulates one monomial dict per blade and wraps
+each blade once through ``_wrap``, the one place that keeps the rule; ``+``
+and ``-`` merge blade by blade with ``Poly``'s own addition.  The kernels
+of ``terms`` read a value's term table, built once and kept on it, and add
+i_X (``_contract``) and X(f) (``_apply``) into such sums term pair by term
+pair; ``_differentiate`` adds d f.  A bracket of several terms accumulates
+them all and wraps once: accumulate, then wrap once.  ``_lie`` adds
+sign * [X, Y] = X(Y^i) e_i - Y(X^i) e_i into the caller's sums too, so a
+sum of brackets, such as an axiom's defect, is one accumulation;
+``lie_bracket`` wraps it through ``_wrapped``.  ``evaluate`` contracts its
+arguments one by one into raw sums and wraps once.  ``_all_vanish`` tests
+such sums for zero unwrapped, and ``_sums``, ``_of_sums`` and ``_add_into``
+are a grade-1 value's side of the rule.
 
 Values are immutable, so ``de_rham`` keeps each KForm's derivative on it
-and returns that object on every later call; all other operations return
-fresh objects.
+and a kernel keeps each value's term table (``_tab``); all other
+operations return fresh objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from algebroid.errors import ArityError, GradeError
-from algebroid.poly import Poly, _add_scaled, _denominator, _derivative, _mac, _partials, _poly
-from algebroid.poly import _scaled, _unscale, _vanishes, render_poly
+from algebroid.poly import FIELD, W, Poly, _add_scaled, _derivative, _mac, _poly, _vanishes
+from algebroid.poly import _variables, render_poly
+from algebroid.terms import _Table, _along, _apply, _contract, _settle, _table
 
 
 def _merge_blades(a, b):
@@ -100,7 +102,7 @@ def _all_vanish(out) -> bool:
     to zero.  Every blade is tested, so a key past ``MAX_EXPONENT``
     raises wherever it sits."""
     parts = out if type(out) is tuple else (out,)
-    return all([_vanishes(sums) for part in parts for sums in part.values()])
+    return _vanishes([sums for part in parts for sums in part.values()])
 
 
 def _wrapped(body, a, b):
@@ -122,13 +124,14 @@ def _coerce_poly(value):
 class _Alternating:
     """Shared machinery of KForm and KVector."""
 
-    __slots__ = ("grade", "terms")
+    __slots__ = ("grade", "terms", "_tab")  # _tab: the _Table, once a kernel reads it
 
     _symbol = "?"
 
     def __init__(self, grade, terms=None):
         if grade < 0:
             raise GradeError("grade must be nonnegative")
+        self._tab = None
         cleaned = {}
         if terms:
             for blade, coeff in dict(terms).items():
@@ -153,6 +156,7 @@ class _Alternating:
         self = object.__new__(cls)
         self.grade = grade
         self.terms = terms
+        self._tab = None
         return self
 
     @classmethod
@@ -299,12 +303,24 @@ class _Alternating:
                 raise GradeError(
                     f"evaluation arguments must be grade-1 {dual_cls.__name__}s"
                 )
-        # Contracting the first slot expands det [a_i(X_j)] along its first
-        # column, with the signs of the interior product's convention.
-        value = self
-        for dual in duals:
-            value = interior_product(dual, value)
-        return value.as_poly()
+        if not duals:
+            return self.as_poly()
+        return _poly(self._evaluate(duals))
+
+    def _evaluate(self, duals):
+        """The raw monomial sums of ``self(*duals)``.  Contracting the first
+        slot expands det [a_i(X_j)] along its first column, with the signs
+        of the interior product's convention; each contraction reads the
+        raw sums of the one before, and only the caller wraps."""
+        if not duals:
+            return self.as_poly().terms
+        out = {}
+        _contract(out, duals[0], self)
+        for dual in duals[1:]:
+            table = _Table(out.items())
+            out = {}
+            _contract(out, dual, table)
+        return out.get((), {})
 
     # -- rendering -------------------------------------------------------------
 
@@ -393,17 +409,6 @@ def interior_product(contractor, target):
     return type(target)._raw(target.grade - 1, _wrap(out))
 
 
-def _contract(out, contractor, target, sign=1):
-    """Add ``sign`` times the contraction of ``target`` by ``contractor`` into
-    ``out``, blade by blade; a grade-1 target lands on the blade ``()``."""
-    for (index,), component in contractor.terms.items():
-        for blade, coeff in target.terms.items():
-            if index in blade:
-                pos = blade.index(index)
-                sums = out.setdefault(blade[:pos] + blade[pos + 1 :], {})
-                _mac(sums, component.terms, coeff.terms, -sign if pos & 1 else sign)
-
-
 def vector_apply(field, function: Poly) -> Poly:
     """Apply a vector field to a function: X(f) = sum_i X^i del_i f."""
     if type(field) is not KVector or field.grade != 1:
@@ -413,39 +418,21 @@ def vector_apply(field, function: Poly) -> Poly:
     return _poly(sums)
 
 
-def _apply(out, field, f, sign=1):
-    """Add ``sign`` times X(f) into the monomial sums ``out``; ``f`` is the
-    terms of a function.
-
-    The m products X^i del_i f are taken over Z, as ``_mac`` takes one: the
-    components are scaled by the lcm of all their denominators and f by
-    its own, the products are summed, and each output term is divided back
-    once."""
-    components = [(index, c.terms) for (index,), c in field.terms.items()]
-    da = lcm(*[_denominator(terms) for _, terms in components])
-    db = _denominator(f)
-    if da == db == 1:
-        for index, terms in components:
-            _mac(out, terms, _derivative(f, index), sign)
-        return
-    acc = {}
-    f = _scaled(f, db)
-    for index, terms in components:
-        _mac(acc, _scaled(terms, da), _derivative(f, index), sign)
-    _unscale(out, acc, da * db)
-
-
 def _differentiate(out, f, scale=1):
     """Add ``scale`` times d f into ``out`` as 1-form blade sums.  ``f`` is a
     monomial dict as ``_mac`` leaves it: zero or integral ``Fraction`` sums
-    are allowed, and ``_wrap`` makes the result canonical."""
-    for mono, coeff in f.items():
-        if coeff:
-            coeff *= scale
-            for var, exp, rest in _partials(mono):
-                sums = out.setdefault((var,), {})
-                value = coeff * exp
-                sums[rest] = sums[rest] + value if rest in sums else value
+    are allowed, and ``_wrap`` makes the result canonical.  Each variable's
+    exponent is read off every key by a shift and a mask."""
+    for var in _variables(f):
+        shift = W * var
+        unit = 1 << shift
+        sums = out.setdefault((var,), {})
+        for mono, coeff in f.items():
+            exp = mono >> shift & FIELD
+            if exp and coeff:
+                mono -= unit
+                value = coeff * exp * scale
+                sums[mono] = sums[mono] + value if mono in sums else value
 
 
 def lie_bracket(left, right):
@@ -457,11 +444,14 @@ def lie_bracket(left, right):
 
 
 def _lie(out, left, right, sign=1):
-    """Add ``sign`` times [X, Y] into the blade sums ``out``."""
-    for (j,), xj in left.terms.items():
-        for (i,), yi in right.terms.items():
-            _mac(out.setdefault((i,), {}), xj.terms, _derivative(yi.terms, j), sign)
-            _mac(out.setdefault((j,), {}), yi.terms, _derivative(xj.terms, i), -sign)
+    """Add ``sign`` times [X, Y] = X(Y^i) e_i - Y(X^i) e_i into the blade
+    sums ``out``."""
+    tl, tr = _table(left), _table(right)
+    scale = tl.den * tr.den
+    acc = out if scale == 1 else {}
+    _along(acc, tl, tr, sign)
+    _along(acc, tr, tl, -sign)
+    _settle(out, acc, scale)
 
 
 def de_rham(form) -> KForm:

@@ -136,6 +136,27 @@ def _partials(mono: int) -> list:
     return [(var, exp, mono - (1 << W * var)) for var, exp in decode(mono)]
 
 
+def _variables(keys) -> set:
+    """The variables of the monomials ``keys``.  A field of the union of the
+    keys is nonzero where some key's is; the walk of ``decode``, keeping
+    only the variables."""
+    union = 0
+    for mono in keys:
+        union |= mono
+    out = set()
+    var = 0
+    while union:
+        if union & FIELD:
+            out.add(var)
+            union >>= W
+            var += 1
+        else:
+            skip = ((union & -union).bit_length() - 1) // W
+            union >>= W * skip
+            var += skip
+    return out
+
+
 def _monomial(mono) -> int:
     """A monomial entering from outside: a packed int, checked, or pairs, encoded."""
     if type(mono) is int:
@@ -320,23 +341,7 @@ class Poly:
         return Poly._raw(_derivative(self.terms, index))
 
     def variables(self) -> set:
-        # A field of the union of the keys is nonzero where some term's is;
-        # the walk of ``decode``, keeping only the variables.
-        union = 0
-        for mono in self.terms:
-            union |= mono
-        seen = set()
-        var = 0
-        while union:
-            if union & FIELD:
-                seen.add(var)
-                union >>= W
-                var += 1
-            else:
-                skip = ((union & -union).bit_length() - 1) // W
-                union >>= W * skip
-                var += skip
-        return seen
+        return _variables(self.terms)
 
     def max_exponent(self) -> int:
         """The largest exponent of any variable in any term (0 for a constant)."""
@@ -520,13 +525,17 @@ def _poly(terms: dict) -> Poly:
     })
 
 
-def _vanishes(terms: dict) -> bool:
-    """True when the sums from ``_mac`` are all zero, so that ``_poly``
-    would give zero; a key with a guard bit raises as there, even where
-    its sum cancels."""
-    if any(mono & GUARD for mono in terms):
+def _vanishes(parts) -> bool:
+    """True when every dict of sums from ``_mac`` in the list ``parts`` is
+    all zero, so that ``_poly`` would give zero; a key with a guard bit
+    raises as there, even where its sum cancels: one OR over the keys."""
+    union = 0
+    for terms in parts:
+        for mono in terms:
+            union |= mono
+    if union & GUARD:
         raise ResultTooLarge(f"a product has an exponent larger than {MAX_EXPONENT}")
-    return not any(terms.values())
+    return not any(any(terms.values()) for terms in parts)
 
 
 class _Packing:
@@ -681,44 +690,49 @@ def _divide(terms: dict, divisor: dict, guard: int):
     return quot
 
 
+def _too_many_digits() -> ResultTooLarge:
+    """The error for an int past Python's int-to-decimal digit limit, where
+    ``str`` raises ``ValueError``."""
+    return ResultTooLarge(
+        f"a result has a number of more than {sys.get_int_max_str_digits()} digits"
+    )
+
+
 def render_fraction(value: Fraction) -> str:
     try:
         if value.denominator == 1:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
-    except ValueError:  # past Python's int-to-decimal digit limit
-        raise ResultTooLarge(
-            f"a result has a number of more than {sys.get_int_max_str_digits()} digits"
-        ) from None
-
-
-def _render_monomial(pairs) -> str:
-    parts = []
-    for var, exp in pairs:
-        parts.append(f"x{var}" if exp == 1 else f"x{var}^{exp}")
-    return "*".join(parts)
+    except ValueError:
+        raise _too_many_digits() from None
 
 
 def render_poly(poly: Poly) -> str:
     """Canonical rendering, terms in graded-lex ascending order.
 
     The output reparses to an equal polynomial under the model grammar.
+    Each term's sign is one int comparison on its numerator, and each
+    monomial is decoded once.
     """
     if poly.is_zero():
         return "0"
-    pieces = []
-    for mono, coeff in poly.sorted_terms():
-        pairs = decode(mono)
-        magnitude = abs(coeff)
-        if not pairs:
-            body = render_fraction(magnitude)
-        elif magnitude == 1:
-            body = _render_monomial(pairs)
-        else:
-            body = render_fraction(magnitude) + "*" + _render_monomial(pairs)
-        pieces.append((coeff < 0, body))
-    first_negative, first_body = pieces[0]
-    text = ("-" if first_negative else "") + first_body
-    for negative, body in pieces[1:]:
-        text += (" - " if negative else " + ") + body
-    return text
+    parts = []  # sign, body, sign, body, ...
+    try:
+        for mono, coeff in poly.sorted_terms():
+            if type(coeff) is int:
+                num, den = coeff, 1
+            else:
+                num, den = coeff.numerator, coeff.denominator
+            if num < 0:
+                parts.append(" - ")
+                num = -num
+            else:
+                parts.append(" + ")
+            body = str(num) if den == 1 else f"{num}/{den}"
+            if mono:
+                names = "*".join([f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in decode(mono)])
+                body = names if num == 1 and den == 1 else f"{body}*{names}"
+            parts.append(body)
+    except ValueError:  # past Python's int-to-decimal digit limit
+        raise _too_many_digits() from None
+    return ("-" if parts[0] == " - " else "") + "".join(parts[1:])

@@ -61,14 +61,16 @@ class Sampler:
 
     def poly(self, support, degree, terms: int = 2) -> Poly:
         sums = {}
-        self._add_terms(sums, support, degree, terms)
+        if terms:
+            self._add_terms(sums, self._monomial_pool(support, degree), terms)
         return _poly(sums)
 
-    def _add_terms(self, sums, support, degree, terms):
-        """Draw ``terms`` (monomial, coefficient) pairs into ``sums``."""
+    def _add_terms(self, sums, pool, terms):
+        """Draw ``terms`` (monomial of ``pool``, coefficient) pairs into ``sums``."""
+        choice = self.rng.choice
         for _ in range(terms):
-            mono = self.monomial(support, degree)
-            sums[mono] = sums.get(mono, 0) + self.rng.choice(_COEFFS)
+            mono = choice(pool)
+            sums[mono] = sums.get(mono, 0) + choice(_COEFFS)
 
     def nonzero_poly(self, support, degree, terms: int = 2) -> Poly:
         while True:
@@ -89,11 +91,17 @@ class Sampler:
         return KVector._raw(grade, self._blades(grade, support, degree, terms))
 
     def _blades(self, grade, support, degree, terms):
-        """``terms`` draws of a blade with a one-term coefficient, summed."""
+        """``terms`` draws of a blade with a one-term coefficient, summed;
+        the sorted support and the monomial pool are looked up once."""
         out = {}
-        for _ in range(terms):
-            blade = self.blade(support, grade)
-            self._add_terms(out.setdefault(blade, {}), support, degree, 1)
+        if terms:
+            support = sorted(set(support))
+            if grade > len(support):
+                raise ValueError("grade exceeds the support size")
+            pool = self._monomial_pool(support, degree)
+            for _ in range(terms):
+                blade = tuple(sorted(self.rng.sample(support, grade)))
+                self._add_terms(out.setdefault(blade, {}), pool, 1)
         return _wrap(out)
 
     def oneform(self, support, degree, terms: int = 2) -> KForm:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algebroid import algebroids
+from algebroid import algebroids, terms
 from algebroid.algebroids import (
     AlgebroidStructure,
     ce_differential,
@@ -221,23 +221,32 @@ class TestBracketTable:
         assert len(calls) == n * n + 3 * comb(n, 3) + m * n * n
 
     @pytest.mark.parametrize("n, m", [(3, 2), (10, 4)])
-    def test_each_leibniz_operand_is_formed_once(self, n, m, monkeypatch):
-        # The products f s_j are shared by every i, so the Koszul bracket
-        # differentiates only the n sections, the n^2 table entries and the
-        # m n products; one product per (i, j, f) would make m n^2 of them.
-        computed = {}  # id -> derivative, held so that no id is reused
+    def test_each_operand_gets_one_term_table(self, n, m, monkeypatch):
+        # The Koszul bracket reads each form and each anchor through its
+        # term table, built once and kept on the value.  The products f s_j
+        # are shared by every i, so tables go only to the n sections, the
+        # n^2 table entries and the m n products, and to their anchors; one
+        # product per (i, j, f) would make m n^2 of them.  (The tables of
+        # functions that X(f) reads are built per call, on the blade ().)
+        built = []  # the terms of each table's value, held so no id is reused
 
-        def counting(form):
-            value = de_rham(form)
-            computed.setdefault(id(value), value)
-            return value
+        class Counting(terms._Table):
+            __slots__ = ()
 
-        monkeypatch.setattr(algebroids, "de_rham", counting)
+            def __init__(self, items):
+                items = list(items)
+                super().__init__(items)
+                if any(blade for blade, _ in items):
+                    built.append(items)
+
+        monkeypatch.setattr(terms, "_Table", Counting)
         s = Sampler(413)
         sections = [s.oneform(SUPPORT, 1) for _ in range(n)]
         functions = [s.nonzero_poly(SUPPORT, 1) for _ in range(m)]
         assert check_algebroid_axioms(STD_COTANGENT, sections, functions).passed
-        assert 0 < len(computed) <= n + n * n + m * n
+        values = [frozenset(id(sums) for _, sums in items) for items in built]
+        assert len(set(values)) == len(values)
+        assert 0 < len(values) <= 2 * (n + n * n + m * n)
 
     @pytest.mark.parametrize(
         "pi",
@@ -266,7 +275,7 @@ class TestBracketTable:
         plain_anchor = functools.partial(counting("plain"), bivector=pi)
         plain = AlgebroidStructure(
             "cotangent", "form", plain_anchor,
-            accumulating(lambda a, b: algebroids._koszul_bracket(plain_anchor, a, b)),
+            lambda out, a, b, sign=1: algebroids._koszul(plain_anchor, out, a, b, sign),
         )
         assert report == check_algebroid_axioms(plain, sections, functions)
         assert report.passed == (pi == STD.bivector(SUPPORT))

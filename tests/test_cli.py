@@ -481,8 +481,15 @@ class TestUsageErrors:
                 "var x0 x1\nvector r = x0^1000 * e[0]\nvector s = x0^16000 * e[0]\n"
                 "vector t = x0^16000 * e[1]\n",
             ),
+            # {r, {s, t}} holds x0^32768 only in the cancelling pair of its
+            # Cartan form, but {s, {t, r}} has it in its coordinate terms
+            (
+                ("check-axioms", "--structure", "cotangent", "--sections", "3"),
+                "var x0 x1\nsymplectic std\nform r = x0^10769 * x1 * dx[0]\n"
+                "form s = x0^10000 * dx[1]\nform t = x0^12000 * dx[1]\n",
+            ),
         ],
-        ids=["check-courant", "check-axioms"],
+        ids=["check-courant", "check-axioms", "check-axioms-cotangent"],
     )
     def test_a_nested_bracket_past_the_exponent_field_exits_two(
         self, capsys, tmp_path, command, text
@@ -493,6 +500,25 @@ class TestUsageErrors:
             capsys, *command, "--functions", "1", "--degree", "1", "--input", str(path)
         )
         assert (code, out, err) == (2, "", "error: a product has an exponent larger than 32767\n")
+
+    def test_a_cancelling_pair_past_the_exponent_field_is_never_built(self, capsys, tmp_path):
+        # {s_i, [s_j, s_k]} in Cartan form, i_{xa} db - i_{xb} da - d(a(xb)),
+        # built x0^32768 in the pair (del_i a_j) xb^j that cancels, and this
+        # document exited 2; the coordinate Koszul bracket never builds that
+        # key, and no key of the check passes x0^32767.
+        path = tmp_path / "pair.adsl"
+        path.write_text(
+            "var x0 x1 x2 x3\nsymplectic std\nform r = x0^16383 * x1^2 * dx[0]\n"
+            "form s = x0 * dx[3]\nform t = x0^16384 * x2 * dx[1]\nfn f = 1\n"
+        )
+        code, out, err = run_cli(
+            capsys, "check-axioms", "--structure", "cotangent", "--sections", "3",
+            "--functions", "1", "--degree", "1", "--input", str(path), "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert [check["passed"] for check in report["checks"]] == [True] * 4
 
     def test_theorem_check_on_one_coordinate_exits_two(self, capsys, tmp_path):
         # An empty explicit block leaves x0 unpaired, so the support {0} is

@@ -666,6 +666,17 @@ class TestOrderingAndRendering:
         assert render_fraction(Fraction(3, 4)) == "3/4"
         assert render_fraction(Fraction(-5, 1)) == "-5"
 
+    @settings(max_examples=300)
+    @given(polys, st.sampled_from((1, -1, Fraction(1, 2), Fraction(-7, 3), 10**30)))
+    def test_render_matches_the_renderer_on_abs_and_compare(self, p, scale):
+        # scaled so that unit, negative, Fraction and long coefficients all occur
+        assert render_poly(p * scale) == reference_render(p * scale)
+
+    def test_render_past_the_digit_limit_raises(self):
+        for coeff in (10**5000, Fraction(1, 10**5000)):
+            with pytest.raises(ResultTooLarge, match="a result has a number of more than"):
+                render_poly(Poly({((0, 1),): coeff}))
+
     def test_total_degree_and_constant_term(self):
         p = Poly.variable(1) ** 2 + Poly.constant(7)
         assert p.total_degree() == 2
@@ -675,3 +686,27 @@ class TestOrderingAndRendering:
     def test_variables(self):
         p = Poly.variable(0) * Poly.variable(3) + Poly.variable(3)
         assert p.variables() == {0, 3}
+
+
+def reference_render(p):
+    """The renderer as it read before ``render_poly`` took each sign from the
+    numerator: ``abs`` and a comparison on the coefficient, and the monomial
+    decoded for its own renderer."""
+    if p.is_zero():
+        return "0"
+    pieces = []
+    for mono, coeff in p.sorted_terms():
+        pairs = decode(mono)
+        magnitude = abs(coeff)
+        monomial = "*".join(f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in pairs)
+        if not pairs:
+            body = render_fraction(magnitude)
+        elif magnitude == 1:
+            body = monomial
+        else:
+            body = render_fraction(magnitude) + "*" + monomial
+        pieces.append((coeff < 0, body))
+    text = ("-" if pieces[0][0] else "") + pieces[0][1]
+    for negative, body in pieces[1:]:
+        text += (" - " if negative else " + ") + body
+    return text

@@ -13,8 +13,9 @@ from itertools import product
 
 import pytest
 
-from algebroid.exterior import KForm, KVector
-from algebroid.poly import Poly
+from algebroid.courant import GeneralizedSection
+from algebroid.exterior import KForm, KVector, _wrap
+from algebroid.poly import Poly, _poly
 from algebroid.sampling import Sampler
 
 from conftest import is_canonical
@@ -109,3 +110,59 @@ def _nonzero(sampler, support, degree):
             return value
 
 
+class ReferenceSampler(Sampler):
+    """The sampler as it drew before it looked up the sorted support and
+    the monomial pool once per value: both once per draw."""
+
+    def poly(self, support, degree, terms=2):
+        sums = {}
+        self._draw_terms(sums, support, degree, terms)
+        return _poly(sums)
+
+    def _draw_terms(self, sums, support, degree, terms):
+        for _ in range(terms):
+            mono = self.monomial(support, degree)
+            sums[mono] = sums.get(mono, 0) + self.rng.choice((-3, -2, -1, 1, 2, 3))
+
+    def blade(self, support, grade):
+        support = sorted(set(support))
+        if grade > len(support):
+            raise ValueError("grade exceeds the support size")
+        return tuple(sorted(self.rng.sample(support, grade)))
+
+    def _blades(self, grade, support, degree, terms):
+        out = {}
+        for _ in range(terms):
+            blade = self.blade(support, grade)
+            self._draw_terms(out.setdefault(blade, {}), support, degree, 1)
+        return _wrap(out)
+
+
+def draws(sampler):
+    """One of every kind of draw, over unsorted supports with repeats."""
+    support = (3, 1, 4, 1, 0)
+    return [
+        sampler.poly(support, 2, 3),
+        sampler.nonzero_poly((1, 0), 1),
+        sampler.kform(2, support, 2, 4),
+        sampler.kvector(3, support, 1, 3),
+        sampler.oneform(support, 2),
+        sampler.vector_field(support, 3, 1),
+        sampler.section(support, 2),
+        sampler.kform(0, support, 2, 2),
+        sampler.poly(support, 2, 0),
+        sampler.blade(support, 2),
+        sampler.monomial(support, 2),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 1729, 2**40 + 3])
+def test_the_stream_matches_the_reference_sampler(seed):
+    got, want = Sampler(seed), ReferenceSampler(seed)
+    for _ in range(3):
+        values, expected = draws(got), draws(want)
+        assert values == expected
+        assert [type(v) for v in values] == [type(v) for v in expected]
+        assert all(is_canonical(v) for v in values if isinstance(v, (Poly, KForm, KVector)))
+        assert all(type(v) is GeneralizedSection for v in values[6:7])
+    assert got.rng.getstate() == want.rng.getstate()

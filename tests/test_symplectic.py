@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroid.algebroids import _koszul_bracket, cotangent_algebroid
+from algebroid.algebroids import _koszul, cotangent_algebroid
 from algebroid.errors import GradeError, NotInvertible
 from algebroid.exterior import (
     KForm,
@@ -294,7 +294,9 @@ class TestKoszulAgainstComposition:
         def anchor(form):
             return interior_product(form, p)
 
-        value = _koszul_bracket(anchor, a, b)
+        out = {}
+        _koszul(anchor, out, a, b)
+        value = KForm._of_sums(out)
         assert value == cartan_koszul(anchor, a, b)
         assert is_canonical(value)
 
